@@ -2,9 +2,12 @@
 
 The engine records operations on an append-only :class:`Tape` and computes
 gradients for *every* node in a single backward sweep, so callers can read
-gradients at intermediate activations, not just at leaf parameters. All
-values are float64. Any operation that produces a NaN/Inf raises
-:class:`NonFiniteError` instead of letting the poison propagate.
+gradients at intermediate activations, not just at leaf parameters. A
+frontier sweep (``backward(tape, loss, wrt=...)``) visits only the nodes
+between the requested ones and the loss and gives bitwise the same
+gradients there. All values are float64. Any operation that produces a
+NaN/Inf raises :class:`NonFiniteError` instead of letting the poison
+propagate.
 
 A tape is single-writer: build it and run backward on one thread. The
 returned gradient arrays are fresh allocations and safe to share.
@@ -12,6 +15,7 @@ returned gradient arrays are fresh allocations and safe to share.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +44,9 @@ def _as_f64(x) -> np.ndarray:
     return a
 
 
-def _check_finite(value: np.ndarray, op: str) -> None:
+def _check_finite(value: np.ndarray, op: str, node: NodeId, what: str = "value") -> None:
     if not np.all(np.isfinite(value)):
-        raise NonFiniteError(f"op '{op}' produced a non-finite value")
+        raise NonFiniteError(f"op '{op}' (node {node}) produced a non-finite {what}")
 
 
 # --- op registry ------------------------------------------------------------
@@ -167,27 +171,41 @@ def _bw_reduce_sum(g, vals, out, meta):
 
 
 def _fw_embedding_mean(vals, meta):
+    """Row means of the table over each packed sequence.
+
+    Rows are visited longest first, so the rows still active at position j
+    form a prefix; positions are summed in order, then divided by the
+    lengths. That is the order ``table[ids].mean(axis=0)`` sums in for a
+    table of two or more columns (numpy sums a single column pairwise).
+    """
     table = vals[0]
-    seqs = meta["sequences"]
-    if table.ndim != 2:
-        raise ShapeError(f"embedding_mean: table must be 2-D, got {table.shape}")
-    vocab = table.shape[0]
-    out = np.empty((len(seqs), table.shape[1]))
-    for i, seq in enumerate(seqs):
-        if len(seq) == 0:
-            raise ShapeError("embedding_mean: empty token sequence")
-        ids = np.asarray(seq)
-        if ids.min() < 0 or ids.max() >= vocab:
-            raise IndexError(f"embedding_mean: token id out of range [0, {vocab})")
-        out[i] = table[ids].mean(axis=0)
+    ids, lengths = meta["ids"], meta["lengths"]
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    starts = (np.cumsum(lengths) - lengths)[order]
+    pos = np.arange(sorted_len[0])[:, None]
+    active = pos < sorted_len
+    rows = table[ids[(starts + pos)[active]]]  # position-major, active rows only
+    n_active = active.sum(axis=1).tolist()
+    acc = rows[: n_active[0]].copy()
+    at = n_active[0]
+    for n in n_active[1:]:
+        acc[:n] += rows[at : at + n]
+        at += n
+    out = np.empty_like(acc)
+    out[order] = acc / sorted_len[:, None]
     return out
 
 
 def _bw_embedding_mean(g, vals, out, meta):
+    # one bincount per column adds the ids in sequence order, as np.add.at
+    # over each sequence in turn would
     table = vals[0]
-    grad = np.zeros_like(table)
-    for i, seq in enumerate(meta["sequences"]):
-        np.add.at(grad, np.asarray(seq), g[i] / len(seq))
+    ids, lengths = meta["ids"], meta["lengths"]
+    weights = np.repeat(g / lengths[:, None], lengths, axis=0)
+    grad = np.empty_like(table)
+    for c in range(table.shape[1]):
+        grad[:, c] = np.bincount(ids, weights=weights[:, c], minlength=table.shape[0])
     return (grad,)
 
 
@@ -263,24 +281,27 @@ class Tape:
     def value(self, nid: NodeId) -> np.ndarray:
         return self.nodes[nid].value
 
+    def _check_ids(self, ids) -> None:
+        for nid in ids:
+            if not (0 <= nid < len(self.nodes)):
+                raise IndexError(f"node id {nid} not on this tape")
+
     def leaf(self, value) -> NodeId:
         """Record an input/constant leaf."""
         v = _as_f64(value)
-        _check_finite(v, "leaf")
+        _check_finite(v, "leaf", len(self.nodes))
         self.nodes.append(Node("leaf", (), v))
         return len(self.nodes) - 1
 
     def record(self, op: str, inputs, **meta) -> NodeId:
         if op not in _OPS:
             raise KeyError(f"unknown op kind '{op}'")
-        for nid in inputs:
-            if not (0 <= nid < len(self.nodes)):
-                raise IndexError(f"node id {nid} not on this tape")
+        self._check_ids(inputs)
         vals = [self.nodes[i].value for i in inputs]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = _OPS[op][0](vals, meta)
         out = _as_f64(out)
-        _check_finite(out, op)
+        _check_finite(out, op, len(self.nodes))
         self.nodes.append(Node(op, tuple(inputs), out, meta))
         return len(self.nodes) - 1
 
@@ -316,8 +337,26 @@ class Tape:
         return self.record("reduce_sum", (a,))
 
     def embedding_mean(self, table, sequences):
-        seqs = tuple(tuple(int(t) for t in s) for s in sequences)
-        return self.record("embedding_mean", (table,), sequences=seqs)
+        """Mean table row over each token sequence.
+
+        The sequences are packed here, once, into flat int64 ``ids`` and
+        per-sequence ``lengths``, and checked against the table: an empty
+        batch, an empty sequence or a table that is not 2-D raises
+        ``ShapeError``, an id outside the table's rows ``IndexError``.
+        """
+        self._check_ids((table,))
+        shape = self.nodes[table].value.shape
+        if len(shape) != 2:
+            raise ShapeError(f"embedding_mean: table must be 2-D, got {shape}")
+        lengths = np.fromiter((len(s) for s in sequences), dtype=np.int64, count=len(sequences))
+        if lengths.size == 0:
+            raise ShapeError("embedding_mean: empty batch")
+        if lengths.min() == 0:
+            raise ShapeError("embedding_mean: empty token sequence")
+        ids = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
+        if ids.min() < 0 or ids.max() >= shape[0]:
+            raise IndexError(f"embedding_mean: token id out of range [0, {shape[0]})")
+        return self.record("embedding_mean", (table,), ids=ids, lengths=lengths)
 
     def softmax_cross_entropy(self, logits, onehot):
         return self.record("softmax_cross_entropy", (logits, onehot))
@@ -342,33 +381,55 @@ class Tape:
         return out
 
 
-def backward(tape: Tape, loss: NodeId) -> list[np.ndarray]:
-    """Gradient of ``loss`` with respect to every node on the tape.
+def backward(tape: Tape, loss: NodeId, wrt=None):
+    """Gradient of ``loss`` with respect to the nodes of the tape.
 
-    Returns a list indexed by node id; nodes that do not feed the loss get
-    zero gradients. The loss must be scalar-shaped.
+    Without ``wrt`` the sweep covers the whole tape and returns a list
+    indexed by node id; nodes that do not feed the loss get zero gradients.
+    With ``wrt`` (node ids) it visits only the nodes on a path from one of
+    them to the loss and returns their gradients as a tuple in ``wrt``
+    order, zero for a node that does not feed the loss. Both forms add the
+    same terms in the same order into zero buffers, so a gradient is
+    bitwise the same either way. The loss must be scalar-shaped.
     """
-    loss_node = tape.nodes[loss]
+    nodes = tape.nodes
+    loss_node = nodes[loss]
     if loss_node.value.shape not in ((), (1,)):
         raise ValueError(f"backward: loss must be scalar-shaped, got {loss_node.value.shape}")
-    grads = [np.zeros_like(n.value) for n in tape.nodes]
-    grads[loss] = np.ones_like(loss_node.value)
-    for nid in range(loss, -1, -1):
-        node = tape.nodes[nid]
-        if node.op == "leaf" or not node.inputs:
+    if wrt is None:
+        first, live = 0, None
+    else:
+        wrt = tuple(wrt)
+        tape._check_ids(wrt)
+        # nodes downstream of a wrt node: the only ones whose gradient can
+        # reach it
+        first = min(wrt, default=loss + 1)
+        live = [False] * (loss + 1)
+        for nid in wrt:
+            if nid <= loss:
+                live[nid] = True
+        for nid in range(first, loss + 1):
+            if not live[nid]:
+                live[nid] = any(live[i] for i in nodes[nid].inputs)
+    grads: dict[NodeId, np.ndarray] = {loss: np.ones_like(loss_node.value)}
+    for nid in range(loss, first - 1, -1):
+        node = nodes[nid]
+        g = grads.get(nid)
+        if g is None or not node.inputs or (nid != loss and not g.any()):
             continue
-        g = grads[nid]
-        if not g.any() and nid != loss:
-            continue
-        vals = [tape.nodes[i].value for i in node.inputs]
+        vals = [nodes[i].value for i in node.inputs]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             in_grads = _OPS[node.op][1](g, vals, node.value, node.meta)
         for inp, ig in zip(node.inputs, in_grads):
             if ig is None:
                 continue
-            _check_finite(ig, node.op + " (backward)")
-            grads[inp] = grads[inp] + ig
-    return grads
+            _check_finite(ig, node.op, nid, f"gradient for input node {inp}")
+            if live is None or live[inp]:
+                prev = grads.get(inp)
+                grads[inp] = (np.zeros_like(nodes[inp].value) if prev is None else prev) + ig
+    wanted = range(len(nodes)) if wrt is None else wrt
+    out = [grads[nid] if nid in grads else np.zeros_like(nodes[nid].value) for nid in wanted]
+    return out if wrt is None else tuple(out)
 
 
 def finite_diff_check(build, xs, eps: float = 1e-5) -> float:

@@ -89,6 +89,19 @@ def _cmd_quad(args) -> int:
     return 0
 
 
+def _vocabulary_problem(vocab: int, datasets: dict) -> str | None:
+    """Why the model vocabulary cannot embed every token of ``datasets``
+    (path -> dataset), or None when it can."""
+    for path, ds in datasets.items():
+        if ds.vocab_size > vocab:
+            return f"{path}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens (sized from the source)"
+        tokens = [t for e in ds.examples for t in e.tokens]
+        lo, hi = (min(tokens), max(tokens)) if tokens else (0, 0)
+        if lo < 0 or hi >= vocab:
+            return f"{path}: token ids span [{lo}, {hi}], outside the model vocabulary of {vocab} tokens"
+    return None
+
+
 def _cmd_train(args) -> int:
     from .data import load_dataset
     from .harness import _splits, _test_metrics, select_model
@@ -100,6 +113,10 @@ def _cmd_train(args) -> int:
     config = TrainingConfig(
         lr=args.lr, gamma=args.gamma, batch_size=args.batch_size, epochs=args.epochs
     )
+    problem = _vocabulary_problem(source.vocab_size, {args.source: source, args.target: target})
+    if problem:
+        print(f"latopt train: {problem}", file=sys.stderr)
+        return 2
     params = init_params(ModelConfig(vocab_size=source.vocab_size), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -170,8 +170,6 @@ def dense(tape: Tape, x: NodeId, w: NodeId, b: NodeId, act: str | None) -> NodeI
 
 def encode_on_tape(tape: Tape, p: dict[str, NodeId], sequences) -> NodeId:
     """Mean-pooled embeddings through the two-layer tanh encoder."""
-    if len(sequences) == 0:
-        raise ValueError("encode: batch must be nonempty")
     pooled = tape.embedding_mean(p["embedding"], sequences)
     h = dense(tape, pooled, p["enc1_W"], p["enc1_b"], "tanh")
     return dense(tape, h, p["enc2_W"], p["enc2_b"], "tanh")

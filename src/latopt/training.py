@@ -79,7 +79,9 @@ def latent_step(tape: Tape, z_s: NodeId, z_t: NodeId, loss: NodeId, gamma: float
 
     The gradient factor is inserted as a constant leaf, i.e. detached: the
     graph downstream of z' treats the step as data, which is exactly the
-    first-order approximation. With gamma=0 the original nodes are returned
+    first-order approximation. The gradient comes from a frontier sweep that
+    visits only the nodes between the latents and ``loss``, not the encoder
+    and its embedding table. With gamma=0 the original nodes are returned
     untouched.
     """
     if gamma < 0:
@@ -88,9 +90,9 @@ def latent_step(tape: Tape, z_s: NodeId, z_t: NodeId, loss: NodeId, gamma: float
     zt_val = tape.value(z_t)
     if gamma == 0.0:
         return LatentPair(zs_val, zt_val, zs_val, zt_val, 0.0, z_s, z_t)
-    grads = backward(tape, loss)
-    step_s = tape.leaf(sign * gamma * grads[z_s])
-    step_t = tape.leaf(sign * gamma * grads[z_t])
+    grad_s, grad_t = backward(tape, loss, wrt=(z_s, z_t))
+    step_s = tape.leaf(sign * gamma * grad_s)
+    step_t = tape.leaf(sign * gamma * grad_t)
     id_s = tape.add(z_s, step_s)
     id_t = tape.add(z_t, step_t)
     return LatentPair(zs_val, zt_val, tape.value(id_s), tape.value(id_t), gamma, id_s, id_t)
@@ -328,13 +330,21 @@ class EpochReport:
 
 
 class TrainingAborted(RuntimeError):
-    """A run hit a non-finite loss; carries the diagnostics."""
+    """A run hit a non-finite loss; carries the diagnostics, including the
+    step's learning rate and reversal weight when known."""
 
-    def __init__(self, strategy, epoch, batch, cause):
-        super().__init__(f"non-finite loss: strategy={strategy} epoch={epoch} batch={batch}: {cause}")
+    def __init__(self, strategy, epoch, batch, cause, lr=None, lam=None):
+        where = f"strategy={strategy} epoch={epoch} batch={batch}"
+        if lr is not None:
+            where += f" lr={lr:.6g}"
+        if lam is not None:
+            where += f" lambda={lam:.6g}"
+        super().__init__(f"non-finite loss: {where}: {cause}")
         self.strategy = strategy
         self.epoch = epoch
         self.batch = batch
+        self.lr = lr
+        self.lam = lam
 
 
 def make_batches(examples, batch_size: int, rng) -> list:
@@ -425,7 +435,7 @@ def train_epoch(
                 strategy, params, opt_state, batch_s, batch_t, lr_t, lam, config.gamma
             )
         except NonFiniteError as e:
-            raise TrainingAborted(strategy, epoch, i, e) from e
+            raise TrainingAborted(strategy, epoch, i, e, lr=lr_t, lam=lam) from e
         batch_losses.append(record)
         peak_aux = max(peak_aux, aux)
     wall_ms = (time.perf_counter() - t0) * 1000.0

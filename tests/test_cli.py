@@ -1,11 +1,12 @@
 """CLI surface: every subcommand end to end on small inputs."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from latopt.cli import main
-from latopt.data import GeneratorConfig, prepare_transfer_pair, save_dataset
+from latopt.data import GeneratorConfig, load_dataset, prepare_transfer_pair, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,38 @@ def test_train_single_run(tmp_path, data_dir, capsys):
     assert len(runlog) == 1
     assert set(runlog[0]["losses"]) == {"L_s", "L_t", "L_d", "joint"}
     assert (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["vocab_size", "token_id"])
+def test_train_rejects_target_outside_model_vocabulary(tmp_path, data_dir, capsys, bad):
+    source = load_dataset(data_dir / "source.jsonl")
+    target = load_dataset(data_dir / "target.jsonl")
+    if bad == "vocab_size":
+        target.vocab_size = source.vocab_size + 1
+    else:
+        first = target.examples[0]
+        target.examples[0] = replace(first, tokens=first.tokens + (source.vocab_size,))
+    save_dataset(target, tmp_path / "target.jsonl")
+    out = tmp_path / "run"
+    code = main(
+        [
+            "train",
+            "--source",
+            str(data_dir / "source.jsonl"),
+            "--target",
+            str(tmp_path / "target.jsonl"),
+            "--epochs",
+            "1",
+            "--batch-size",
+            "32",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code != 0
+    err = capsys.readouterr().err
+    assert "target.jsonl" in err and f"model vocabulary of {source.vocab_size} tokens" in err
+    assert not out.exists()
 
 
 def test_compare_from_spec(tmp_path, data_dir, capsys):

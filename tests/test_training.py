@@ -440,9 +440,13 @@ def test_nonfinite_loss_aborts_with_diagnostics():
     # values whose product overflows float64 inside the first dense layer
     params.tensors["embedding"][:] = 1e200
     params.tensors["enc1_W"][:] = 1e200
-    config = TrainingConfig(lr=1e-3, batch_size=4, epochs=1)
-    with pytest.raises(TrainingAborted):
+    config = TrainingConfig(lr=1e-3, batch_size=4, epochs=1, grl_lambda=0.5)
+    with pytest.raises(TrainingAborted) as info:
         train_run("mtl", params, splits, splits, config, 18)
+    aborted = info.value
+    assert (aborted.strategy, aborted.epoch, aborted.batch) == ("mtl", 0, 0)
+    assert (aborted.lr, aborted.lam) == (1e-3, 0.5)
+    assert "lr=0.001 lambda=0.5" in str(aborted) and "op 'matmul' (node" in str(aborted)
 
 
 def test_identical_config_and_seed_reproduce_reports():
