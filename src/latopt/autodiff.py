@@ -45,7 +45,7 @@ def _as_f64(x) -> np.ndarray:
 
 
 def _check_finite(value: np.ndarray, op: str, node: NodeId, what: str = "value") -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteError(f"op '{op}' (node {node}) produced a non-finite {what}")
 
 
@@ -81,6 +81,40 @@ def _fw_matmul(vals, meta):
 def _bw_matmul(g, vals, out, meta):
     a, b = vals
     return g @ b.T, a.T @ g
+
+
+def _fw_dense(vals, meta):
+    """act(x @ W + b) in one node. The pre-activation is checked here: tanh
+    would turn an overflowing matmul into a finite 1.0."""
+    x, w, b = vals
+    h = _fw_add((_fw_matmul((x, w), meta), b), meta)
+    if not np.isfinite(h).all():
+        raise NonFiniteError("pre-activation (matmul + bias)")
+    act = meta["act"]
+    if act == "tanh":
+        return np.tanh(h)
+    if act == "relu":
+        return np.maximum(h, 0.0)
+    return h
+
+
+def _bw_dense(g, vals, out, meta):
+    # bitwise the gradients of the unfused matmul -> add -> act chain, whose
+    # sweep skipped the add and matmul nodes when the pre-activation
+    # gradient gh was all zero. A -0.0 in gh can only make a zero result
+    # -0.0, and the sweep's buffers turn that into +0.0 as the chain's did.
+    x, w, b = vals
+    act = meta["act"]
+    if act == "tanh":
+        gh = g * (1.0 - out * out)
+    elif act == "relu":
+        gh = g * (out > 0.0)
+    else:
+        gh = g
+    if not gh.any():
+        return None, None, None
+    gb = gh if b.shape == gh.shape else gh.sum(axis=0)
+    return gh @ w.T, x.T @ gh, gb
 
 
 def _fw_scale(vals, meta):
@@ -198,15 +232,15 @@ def _fw_embedding_mean(vals, meta):
 
 
 def _bw_embedding_mean(g, vals, out, meta):
-    # one bincount per column adds the ids in sequence order, as np.add.at
-    # over each sequence in turn would
+    # one bincount over (id, column) bins adds each bin's terms in sequence
+    # order, as np.add.at over each sequence in turn would
     table = vals[0]
     ids, lengths = meta["ids"], meta["lengths"]
+    vocab, dim = table.shape
     weights = np.repeat(g / lengths[:, None], lengths, axis=0)
-    grad = np.empty_like(table)
-    for c in range(table.shape[1]):
-        grad[:, c] = np.bincount(ids, weights=weights[:, c], minlength=table.shape[0])
-    return (grad,)
+    bins = (ids[:, None] * dim + np.arange(dim)).ravel()
+    grad = np.bincount(bins, weights=weights.ravel(), minlength=vocab * dim)
+    return (grad.reshape(vocab, dim),)
 
 
 def _fw_softmax_xent(vals, meta):
@@ -248,6 +282,7 @@ def _bw_detach(g, vals, out, meta):
 _OPS = {
     "add": (_fw_add, _bw_add),
     "matmul": (_fw_matmul, _bw_matmul),
+    "dense": (_fw_dense, _bw_dense),
     "scale": (_fw_scale, _bw_scale),
     "negate": (_fw_negate, _bw_negate),
     "concat": (_fw_concat, _bw_concat),
@@ -298,8 +333,11 @@ class Tape:
             raise KeyError(f"unknown op kind '{op}'")
         self._check_ids(inputs)
         vals = [self.nodes[i].value for i in inputs]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = _OPS[op][0](vals, meta)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = _OPS[op][0](vals, meta)
+        except NonFiniteError as e:  # a non-finite intermediate, named by its stage
+            raise NonFiniteError(f"op '{op}' (node {len(self.nodes)}) produced a non-finite {e}") from None
         out = _as_f64(out)
         _check_finite(out, op, len(self.nodes))
         self.nodes.append(Node(op, tuple(inputs), out, meta))
@@ -311,6 +349,12 @@ class Tape:
 
     def matmul(self, a, b):
         return self.record("matmul", (a, b))
+
+    def dense(self, x, w, b, act=None):
+        """act(x @ w + b) as one node; ``act`` is None, "tanh" or "relu"."""
+        if act not in (None, "tanh", "relu"):
+            raise ValueError(f"dense: unknown activation {act!r}")
+        return self.record("dense", (x, w, b), act=act)
 
     def scale(self, a, factor):
         return self.record("scale", (a,), factor=float(factor))
@@ -389,7 +433,7 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
     With ``wrt`` (node ids) it visits only the nodes on a path from one of
     them to the loss and returns their gradients as a tuple in ``wrt``
     order, zero for a node that does not feed the loss. Both forms add the
-    same terms in the same order into zero buffers, so a gradient is
+    same terms in the same order, starting from +0.0, so a gradient is
     bitwise the same either way. The loss must be scalar-shaped.
     """
     nodes = tape.nodes
@@ -412,21 +456,25 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
             if not live[nid]:
                 live[nid] = any(live[i] for i in nodes[nid].inputs)
     grads: dict[NodeId, np.ndarray] = {loss: np.ones_like(loss_node.value)}
-    for nid in range(loss, first - 1, -1):
-        node = nodes[nid]
-        g = grads.get(nid)
-        if g is None or not node.inputs or (nid != loss and not g.any()):
-            continue
-        vals = [nodes[i].value for i in node.inputs]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            in_grads = _OPS[node.op][1](g, vals, node.value, node.meta)
-        for inp, ig in zip(node.inputs, in_grads):
-            if ig is None:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for nid in range(loss, first - 1, -1):
+            node = nodes[nid]
+            g = grads.get(nid)
+            if g is None or not node.inputs or (nid != loss and not g.any()):
                 continue
-            _check_finite(ig, node.op, nid, f"gradient for input node {inp}")
-            if live is None or live[inp]:
-                prev = grads.get(inp)
-                grads[inp] = (np.zeros_like(nodes[inp].value) if prev is None else prev) + ig
+            vals = [nodes[i].value for i in node.inputs]
+            in_grads = _OPS[node.op][1](g, vals, node.value, node.meta)
+            for inp, ig in zip(node.inputs, in_grads):
+                if ig is None:
+                    continue
+                _check_finite(ig, node.op, nid, f"gradient for input node {inp}")
+                if live is None or live[inp]:
+                    prev = grads.get(inp)
+                    if prev is None:
+                        # 0.0 + ig, as a zero buffer would give: -0.0 becomes +0.0
+                        grads[inp] = np.add(ig, 0.0, out=np.empty_like(nodes[inp].value))
+                    else:
+                        prev += ig
     wanted = range(len(nodes)) if wrt is None else wrt
     out = [grads[nid] if nid in grads else np.zeros_like(nodes[nid].value) for nid in wanted]
     return out if wrt is None else tuple(out)

@@ -89,22 +89,9 @@ def _cmd_quad(args) -> int:
     return 0
 
 
-def _vocabulary_problem(vocab: int, datasets: dict) -> str | None:
-    """Why the model vocabulary cannot embed every token of ``datasets``
-    (path -> dataset), or None when it can."""
-    for path, ds in datasets.items():
-        if ds.vocab_size > vocab:
-            return f"{path}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens (sized from the source)"
-        tokens = [t for e in ds.examples for t in e.tokens]
-        lo, hi = (min(tokens), max(tokens)) if tokens else (0, 0)
-        if lo < 0 or hi >= vocab:
-            return f"{path}: token ids span [{lo}, {hi}], outside the model vocabulary of {vocab} tokens"
-    return None
-
-
 def _cmd_train(args) -> int:
     from .data import load_dataset
-    from .harness import _splits, _test_metrics, select_model
+    from .harness import _splits, _test_metrics, data_problem, select_model
     from .model import ModelConfig, init_params, save_checkpoint
     from .training import TrainingAborted, TrainingConfig, train_run
 
@@ -113,7 +100,8 @@ def _cmd_train(args) -> int:
     config = TrainingConfig(
         lr=args.lr, gamma=args.gamma, batch_size=args.batch_size, epochs=args.epochs
     )
-    problem = _vocabulary_problem(source.vocab_size, {args.source: source, args.target: target})
+    # the model vocabulary is sized from the source
+    problem = data_problem(source.vocab_size, args.batch_size, {args.source: source, args.target: target})
     if problem:
         print(f"latopt train: {problem}", file=sys.stderr)
         return 2
@@ -158,10 +146,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .harness import ExperimentSpec, format_summary, run_experiment
+    from .harness import ExperimentSpec, SpecError, format_summary, run_experiment
 
     spec = ExperimentSpec.from_json(args.spec)
-    reports, analysis = run_experiment(spec, out_dir=args.out)
+    try:
+        reports, analysis = run_experiment(spec, out_dir=args.out)
+    except SpecError as e:
+        print(f"latopt compare: {e}", file=sys.stderr)
+        return 2
     print(format_summary(analysis))
     print(f"outputs in {args.out}")
     return 1 if analysis["n_failed"] else 0

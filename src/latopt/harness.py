@@ -10,10 +10,9 @@ default the comparison experiments rely on.
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -23,8 +22,6 @@ from .data import DomainDataset, GeneratorConfig, prepare_transfer_pair, load_da
 from .metrics import f_score, paired_sign_test
 from .model import ModelConfig, ModelParams, init_params, predict
 from .training import TrainingAborted, TrainingConfig, train_run
-
-THREADS_ENV = "LATOPT_THREADS"
 
 SUMMARY_COLUMNS = (
     "strategy",
@@ -238,6 +235,34 @@ def _failed_report(strategy, seed, lr, message) -> MetricsReport:
     return MetricsReport(strategy, seed, lr, 0.0, 0.0, 0.0, 0.0, -1, 0.0, 0, failed=True, error=message)
 
 
+class SpecError(ValueError):
+    """An experiment spec that does not fit its datasets."""
+
+
+def data_problem(vocab: int, batch_size: int, datasets: dict) -> str | None:
+    """Why a model with ``vocab`` tokens cannot train on ``datasets`` (name ->
+    dataset) in batches of ``batch_size``, or None when it can: every token
+    id must be embeddable, every label in {0, 1}, no split empty, and each
+    train split must hold at least one batch."""
+    for name, ds in datasets.items():
+        if ds.vocab_size > vocab:
+            return f"{name}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens"
+        tokens = list(itertools.chain.from_iterable(e.tokens for e in ds.examples))
+        lo, hi = (min(tokens), max(tokens)) if tokens else (0, 0)
+        if lo < 0 or hi >= vocab:
+            return f"{name}: token ids span [{lo}, {hi}], outside the model vocabulary of {vocab} tokens"
+        labels = {e.label for e in ds.examples}
+        if not labels <= {0, 1}:
+            return f"{name}: labels {sorted(labels - {0, 1})} are not in {{0, 1}}"
+        sizes = {split: len(ds.split(split)) for split in ("train", "dev", "test")}
+        empty = [split for split, n in sizes.items() if n == 0]
+        if empty:
+            return f"{name}: the {empty[0]} split is empty"
+        if batch_size > sizes["train"]:
+            return f"{name}: batch_size {batch_size} exceeds the {sizes['train']} train examples"
+    return None
+
+
 def load_pair(spec: ExperimentSpec):
     if spec.source_path and spec.target_path:
         return load_dataset(spec.source_path), load_dataset(spec.target_path)
@@ -247,6 +272,8 @@ def load_pair(spec: ExperimentSpec):
 def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None):
     """Run every (strategy, seed) cell and aggregate.
 
+    The datasets are checked against the spec first (see ``data_problem``);
+    a spec that does not fit them raises ``SpecError`` before any training.
     Returns (reports, analysis). ``analysis`` holds per-strategy mean/std
     test F, the paired sign-test p-values for the lookahead-vs-base
     comparisons, and the relative resource table. Failed runs are kept in
@@ -254,18 +281,17 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None)
     """
     if source is None or target is None:
         source, target = load_pair(spec)
+    problem = data_problem(
+        spec.model.vocab_size,
+        spec.batch_size,
+        {spec.source_path or "source": source, spec.target_path or "target": target},
+    )
+    if problem:
+        raise SpecError(problem)
     source_splits, target_splits = _splits(source), _splits(target)
 
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
     t0 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(
-                lambda s: _seed_jobs(spec, s, source_splits, target_splits), spec.seeds
-            )
-            reports = [r for chunk in chunks for r in chunk]
-    else:
-        reports = [r for s in spec.seeds for r in _seed_jobs(spec, s, source_splits, target_splits)]
+    reports = [r for s in spec.seeds for r in _seed_jobs(spec, s, source_splits, target_splits)]
     wall_s = time.perf_counter() - t0
 
     reports.sort(key=lambda r: (r.strategy, r.seed))

@@ -73,37 +73,50 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every trainable tensor under ``config``, in init order."""
+    v, e, d = config.vocab_size, config.embed_dim, config.latent_dim
+    return {
+        "embedding": (v, e),
+        "enc1_W": (e, d),
+        "enc1_b": (d,),
+        "enc2_W": (d, d),
+        "enc2_b": (d,),
+        "src_W": (d, d),
+        "src_b": (d,),
+        "tgt_W": (d, d),
+        "tgt_b": (d,),
+        "sh_W": (d, d),
+        "sh_b": (d,),
+        "cls_s1_W": (2 * d, d),
+        "cls_s1_b": (d,),
+        "cls_s2_W": (d, 2),
+        "cls_s2_b": (2,),
+        "cls_t1_W": (2 * d, d),
+        "cls_t1_b": (d,),
+        "cls_t2_W": (d, 2),
+        "cls_t2_b": (2,),
+        "disc1_W": (d, d),
+        "disc1_b": (d,),
+        "disc2_W": (d, 2),
+        "disc2_b": (2,),
+    }
+
+
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Deterministic initialization; the same (config, seed) always yields
     bit-identical tensors, which is what lets every strategy start from the
-    same weights."""
+    same weights. The embedding is N(0, 0.1), weights Glorot-uniform,
+    biases zero; draws follow the order of ``param_shapes``."""
     rng = np.random.default_rng(seed)
-    v, e, d = config.vocab_size, config.embed_dim, config.latent_dim
-    t = {
-        "embedding": rng.normal(0.0, 0.1, size=(v, e)),
-        "enc1_W": _glorot(rng, e, d),
-        "enc1_b": np.zeros(d),
-        "enc2_W": _glorot(rng, d, d),
-        "enc2_b": np.zeros(d),
-        "src_W": _glorot(rng, d, d),
-        "src_b": np.zeros(d),
-        "tgt_W": _glorot(rng, d, d),
-        "tgt_b": np.zeros(d),
-        "sh_W": _glorot(rng, d, d),
-        "sh_b": np.zeros(d),
-        "cls_s1_W": _glorot(rng, 2 * d, d),
-        "cls_s1_b": np.zeros(d),
-        "cls_s2_W": _glorot(rng, d, 2),
-        "cls_s2_b": np.zeros(2),
-        "cls_t1_W": _glorot(rng, 2 * d, d),
-        "cls_t1_b": np.zeros(d),
-        "cls_t2_W": _glorot(rng, d, 2),
-        "cls_t2_b": np.zeros(2),
-        "disc1_W": _glorot(rng, d, d),
-        "disc1_b": np.zeros(d),
-        "disc2_W": _glorot(rng, d, 2),
-        "disc2_b": np.zeros(2),
-    }
+    t = {}
+    for name, shape in param_shapes(config).items():
+        if name == "embedding":
+            t[name] = rng.normal(0.0, 0.1, size=shape)
+        elif len(shape) == 2:
+            t[name] = _glorot(rng, *shape)
+        else:
+            t[name] = np.zeros(shape)
     return ModelParams(config, t)
 
 
@@ -160,12 +173,7 @@ def put_params(tape: Tape, params: ModelParams) -> dict[str, NodeId]:
 
 
 def dense(tape: Tape, x: NodeId, w: NodeId, b: NodeId, act: str | None) -> NodeId:
-    h = tape.add(tape.matmul(x, w), b)
-    if act == "tanh":
-        return tape.tanh(h)
-    if act == "relu":
-        return tape.relu(h)
-    return h
+    return tape.dense(x, w, b, act)
 
 
 def encode_on_tape(tape: Tape, p: dict[str, NodeId], sequences) -> NodeId:
@@ -289,13 +297,29 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint written by ``save_checkpoint``. Every tensor must sit
+    in its own group of ``ModelParams.GROUPS`` with the shape the config
+    gives it; otherwise ``ValueError`` names the tensor."""
     with open(path) as f:
         payload = json.load(f)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
     cfg = ModelConfig(**payload["config"])
+    shapes = param_shapes(cfg)
     tensors = {}
     for g, names in payload["groups"].items():
         for name, spec in names.items():
-            tensors[name] = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-    return ModelParams(cfg, tensors)
+            if name not in ModelParams.GROUPS.get(g, ()):
+                raise ValueError(f"checkpoint: tensor {name!r} is not a member of group {g!r}")
+            data = np.array(spec["data"], dtype=np.float64)
+            shape = shapes[name]
+            if tuple(spec["shape"]) != shape or data.shape != (math.prod(shape),):
+                raise ValueError(
+                    f"checkpoint: tensor {name!r} has shape {spec['shape']} and {data.size} values,"
+                    f" but the config needs shape {list(shape)}"
+                )
+            tensors[name] = data.reshape(shape)
+    missing = [name for name in shapes if name not in tensors]
+    if missing:
+        raise ValueError(f"checkpoint: tensor {missing[0]!r} is missing")
+    return ModelParams(cfg, {name: tensors[name] for name in shapes})

@@ -388,9 +388,10 @@ def training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, gamm
         graph_strategy = "adv" if strategy == "adv+maml" else strategy
         fwd = strategy_forward(params, batch_s, batch_t, graph_strategy, lam, gamma)
         aux = fwd.aux_scalars
-    grads = fwd.refs.param_grads(backward(fwd.refs.tape, fwd.refs.objective))
+    refs = fwd.refs
     wanted = trainable_tensors(strategy)
-    adam_step(opt_state, params.tensors, {k: grads[k] for k in wanted}, lr_t)
+    grads = backward(refs.tape, refs.objective, wrt=[refs.param_nodes[k] for k in wanted])
+    adam_step(opt_state, params.tensors, dict(zip(wanted, grads)), lr_t)
     record = {"L_s": fwd.loss_s, "L_t": fwd.loss_t, "L_d": fwd.loss_d, "joint": fwd.joint}
     return record, aux
 

@@ -129,13 +129,18 @@ def _rand_inputs(rng, op):
         return [rng.normal(size=(3, 2)), onehot]
     if op == "embedding_mean":
         return [rng.normal(size=(5, 3))]
+    if op == "dense":
+        # a broadcast row bias or a full (3, 2) bias, in turn at random
+        bias = rng.normal(size=(2,)) if rng.random() < 0.5 else rng.normal(size=(3, 2))
+        return [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), bias]
     return [rng.normal(size=(2, 3))]
 
 
 def _build_for_op(op, rng):
     seqs = tuple(tuple(rng.integers(0, 5, size=rng.integers(1, 4))) for _ in range(3))
     # post-matmul sink collapsing the op output to a scalar
-    sink = rng.normal(size=(2, 1)) if op == "matmul" else rng.normal(size=(3, 1))
+    sink = rng.normal(size=(2, 1)) if op in ("matmul", "dense") else rng.normal(size=(3, 1))
+    act = (None, "tanh", "relu")[rng.integers(3)] if op == "dense" else None
 
     def build(xs):
         t = Tape()
@@ -164,11 +169,13 @@ def _build_for_op(op, rng):
             out = t.grl(ids[0], 0.7)
         elif op == "embedding_mean":
             out = t.embedding_mean(ids[0], seqs)
+        elif op == "dense":
+            out = t.dense(ids[0], ids[1], ids[2], act)
         elif op == "softmax_cross_entropy":
             return t, ids, t.softmax_cross_entropy(ids[0], ids[1])
         else:
             raise AssertionError(op)
-        if op in ("matmul", "embedding_mean"):
+        if op in ("matmul", "embedding_mean", "dense"):
             loss = t.reduce_sum(t.matmul(out, t.leaf(sink)))
         else:
             loss = t.reduce_sum(out)
@@ -393,3 +400,36 @@ def test_nonfinite_gradient_names_op_and_node():
     loss = t.reduce_sum(t.log(x))
     with pytest.raises(NonFiniteError, match=r"op 'log' \(node 1\) .* gradient for input node 0"):
         backward(t, loss)
+
+
+def test_nonfinite_dense_preactivation_names_op_node_and_stage():
+    # tanh(inf) is a finite 1.0: only the pre-activation shows the overflow
+    t = Tape()
+    x = t.leaf([[1e200]])
+    b = t.leaf([0.0])
+    with pytest.raises(NonFiniteError, match=r"op 'dense' \(node 2\) produced a non-finite pre-activation \(matmul \+ bias\)"):
+        t.dense(x, x, b, "tanh")
+    assert len(t) == 2
+
+
+@pytest.mark.parametrize("act", ["sigmoid", "", "Tanh"])
+def test_dense_rejects_unknown_activation(act):
+    t = Tape()
+    x = t.leaf(np.ones((2, 3)))
+    w = t.leaf(np.ones((3, 2)))
+    b = t.leaf(np.zeros(2))
+    with pytest.raises(ValueError, match="unknown activation"):
+        t.dense(x, w, b, act)
+    assert len(t) == 3
+
+
+def test_dense_shape_errors_match_unfused_ops():
+    t = Tape()
+    x = t.leaf(np.ones((2, 3)))
+    w = t.leaf(np.ones((4, 2)))
+    b = t.leaf(np.zeros(2))
+    with pytest.raises(ShapeError, match="matmul: shapes"):
+        t.dense(x, w, b)
+    w = t.leaf(np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="add: shapes"):
+        t.dense(x, w, t.leaf(np.zeros(3)))

@@ -155,3 +155,24 @@ def test_compare_from_spec(tmp_path, data_dir, capsys):
     assert (out / "summary.csv").exists()
     printed = capsys.readouterr().out
     assert "mtl+lo vs mtl" in printed
+
+
+def test_compare_rejects_spec_that_does_not_fit_its_data(tmp_path, data_dir, capsys):
+    spec = {
+        "strategies": ["mtl"],
+        "seeds": [0],
+        "lr_grid": [2e-3],
+        "epochs": 1,
+        "batch_size": 32,
+        "source_path": str(data_dir / "source.jsonl"),
+        "target_path": str(data_dir / "target.jsonl"),
+        "model": {"vocab_size": 30, "embed_dim": 8, "latent_dim": 8},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "results"
+    assert main(["compare", "--spec", str(spec_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latopt compare: ") and "source.jsonl" in err
+    assert "exceeds the model vocabulary of 30 tokens" in err
+    assert not out.exists()

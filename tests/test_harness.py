@@ -3,11 +3,12 @@ baseline, experiment orchestration, and report/summary outputs."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from latopt.data import GeneratorConfig, prepare_transfer_pair
+from latopt.data import DomainDataset, Example, GeneratorConfig, prepare_transfer_pair
 from latopt.harness import (
     ExperimentSpec,
     MetricsReport,
@@ -141,6 +142,74 @@ def test_spec_validation():
         ExperimentSpec(strategies=["adversary"])  # unknown name
 
 
+def _fitting_pair(vocab=30):
+    """A tiny source/target pair every check accepts: ids below ``vocab``,
+    labels in {0, 1}, 8/4/4 examples per split."""
+    rng = np.random.default_rng(4)
+    pair = []
+    for domain in ("source", "target"):
+        examples = [
+            Example(tuple(int(t) for t in rng.integers(0, vocab, size=5)), i % 2, split)
+            for split, n in (("train", 8), ("dev", 4), ("test", 4))
+            for i in range(n)
+        ]
+        pair.append(DomainDataset(domain, vocab, 0, examples))
+    return pair
+
+
+def _break(pair, bad):
+    src, tgt = pair
+    first = tgt.examples[0]
+    if bad == "token_id":
+        tgt.examples[0] = replace(first, tokens=first.tokens + (39,))
+    elif bad == "vocab_size":
+        tgt.vocab_size = 40
+    elif bad == "label":
+        tgt.examples[0] = replace(first, label=2)
+    elif bad == "empty_split":
+        src.examples = [e for e in src.examples if e.split != "dev"]
+    return src, tgt
+
+
+SPEC_PROBLEMS = {
+    "token_id": "target: token ids span [0, 39], outside the model vocabulary of 30 tokens",
+    "vocab_size": "target: vocab_size 40 exceeds the model vocabulary of 30 tokens",
+    "label": "target: labels [2] are not in {0, 1}",
+    "empty_split": "source: the dev split is empty",
+    "batch_size": "source: batch_size 16 exceeds the 8 train examples",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(SPEC_PROBLEMS))
+def test_run_experiment_checks_spec_against_data_before_training(bad, monkeypatch):
+    from latopt import harness
+    from latopt.harness import SpecError
+
+    def never(*args, **kwargs):
+        raise AssertionError("trained before the spec was checked")
+
+    monkeypatch.setattr(harness, "train_run", never)
+    src, tgt = _break(_fitting_pair(), bad)
+    spec = ExperimentSpec(
+        strategies=["mtl"],
+        seeds=[0],
+        lr_grid=[1e-3],
+        epochs=1,
+        batch_size=16 if bad == "batch_size" else 4,
+        model=ModelConfig(vocab_size=30, embed_dim=2, latent_dim=2),
+    )
+    with pytest.raises(SpecError) as info:
+        run_experiment(spec, source=src, target=tgt)
+    assert str(info.value) == SPEC_PROBLEMS[bad]
+
+
+def test_data_problem_accepts_a_fitting_pair():
+    from latopt.harness import data_problem
+
+    src, tgt = _fitting_pair()
+    assert data_problem(30, 8, {"source": src, "target": tgt}) is None
+
+
 def test_spec_json_roundtrip(tmp_path):
     spec = ExperimentSpec(strategies=["adv"], seeds=[0], lr_grid=[1e-3], generator=FAST_GEN)
     path = tmp_path / "spec.json"
@@ -236,24 +305,6 @@ def test_summary_relative_columns(fast_pair):
     assert rows["adv+lo"]["rel_state"] == 1.0  # latent lookahead stays in the quantum
     assert rows["adv+maml"]["rel_state"] == pytest.approx((wb + quantum) / quantum)
     assert rows["mtl+lo"]["rel_state"] == 1.0
-
-
-def test_thread_env_reproduces_serial_reports(fast_pair, monkeypatch):
-    src, tgt = fast_pair
-    spec = ExperimentSpec(
-        strategies=["mtl", "adv"], seeds=[0, 1], lr_grid=[2e-3], epochs=1, batch_size=32, model=FAST_MODEL
-    )
-    serial, _ = run_experiment(spec, source=src, target=tgt)
-    monkeypatch.setenv("LATOPT_THREADS", "2")
-    threaded, _ = run_experiment(spec, source=src, target=tgt)
-    for a, b in zip(serial, threaded):
-        assert (a.strategy, a.seed, a.dev_f, a.test_f, a.selected_epoch) == (
-            b.strategy,
-            b.seed,
-            b.dev_f,
-            b.test_f,
-            b.selected_epoch,
-        )
 
 
 def test_analyze_mean_and_std():

@@ -3,6 +3,7 @@ oracles, the gradient-reversal sign contract, and checkpoint round-trips."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,39 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     payload["version"] = 99
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        ("move", "tensor 'sh_W' is not a member of group 'w_b'"),
+        ("unknown", "tensor 'sh_X' is not a member of group 'w_sh'"),
+        ("drop", "tensor 'sh_W' is missing"),
+        ("shape", "tensor 'sh_W' has shape [4, 5]"),
+        ("values", "tensor 'sh_W' has shape [4, 4] and 15 values"),
+        ("config", "tensor 'embedding' has shape [20, 4] and 80 values, but the config needs shape [21, 4]"),
+    ],
+)
+def test_checkpoint_rejects_tensors_that_do_not_fit(tmp_path, tamper, message):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(SMALL, 0), path)
+    payload = json.loads(path.read_text())
+    groups = payload["groups"]
+    if tamper == "move":
+        groups["w_b"]["sh_W"] = groups["w_sh"].pop("sh_W")
+    elif tamper == "unknown":
+        groups["w_sh"]["sh_X"] = groups["w_sh"].pop("sh_W")
+    elif tamper == "drop":
+        del groups["w_sh"]["sh_W"]
+    elif tamper == "shape":
+        groups["w_sh"]["sh_W"]["shape"] = [4, 5]
+    elif tamper == "values":
+        groups["w_sh"]["sh_W"]["data"].pop()
+    elif tamper == "config":
+        payload["config"]["vocab_size"] = 21
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(path)
 
 

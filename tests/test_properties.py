@@ -1,5 +1,11 @@
-"""Property tests: the packed embedding op and the frontier backward agree
-bit for bit with the straightforward computations they replace."""
+"""Property tests: the packed embedding op, the frontier backward, the fused
+dense op and touched-row Adam agree bit for bit with the straightforward
+computations they replace, and checkpoints round-trip exactly while
+tampered ones are refused."""
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +15,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from latopt.autodiff import Tape, backward  # noqa: E402
-from latopt.model import ModelConfig, init_params, onehot  # noqa: E402
+from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, save_checkpoint  # noqa: E402
+from latopt.optim import AdamState, adam_step  # noqa: E402
 from latopt.training import domain_loss_graph, latent_step, strategy_forward  # noqa: E402
 
 TINY = ModelConfig(vocab_size=12, embed_dim=3, latent_dim=4)
@@ -111,3 +118,189 @@ def test_latent_step_matches_full_sweep_step(case, gamma, sign):
     pair = latent_step(tape, z_s, z_t, refs.loss_d, gamma, sign)
     assert _same(pair.z_s_prime, tape.value(z_s) + sign * gamma * full[z_s])
     assert _same(pair.z_t_prime, tape.value(z_t) + sign * gamma * full[z_t])
+
+
+# --- fused dense op ---------------------------------------------------------
+
+
+def unfused_dense(t, x, w, b, act):
+    h = t.add(t.matmul(x, w), b)
+    return {None: lambda n: n, "tanh": t.tanh, "relu": t.relu}[act](h)
+
+
+def _dense_case(seed, n, k, m, act, row_bias=True, dead="none", zero_heads=(False, False)):
+    """(x, W, b, heads, act): the bias is a broadcast row or a full matrix;
+    relu units can be dead, and a zero head makes the upstream gradient of
+    its layer all zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-2, 2)
+    w = rng.normal(size=(k, m))
+    b = rng.normal(size=(m,) if row_bias else (n, m))
+    if dead != "none":
+        cols = rng.random(m) < 0.5 if dead == "some" else np.ones(m, dtype=bool)
+        b[..., cols] = -1e3  # pre-activation negative: dead relu units
+    heads = [np.zeros((m, 1)) if zero else rng.normal(size=(m, 1)) for zero in zero_heads]
+    return x, w, b, heads, act
+
+
+@st.composite
+def dense_cases(draw):
+    return _dense_case(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 8)),
+        draw(st.integers(1, 5)),
+        draw(st.integers(1, 5)),
+        draw(st.sampled_from([None, "tanh", "relu"])),
+        draw(st.booleans()),
+        draw(st.sampled_from(["none", "some", "all"])),
+        (draw(st.booleans()), draw(st.booleans())),
+    )
+
+
+def _dense_graph(case, fused):
+    x, w, b, heads, act = case
+    t = Tape()
+    ids = [t.leaf(v) for v in (x, w, b)]
+    layer = t.dense if fused else (lambda *a: unfused_dense(t, *a))
+    # two layers share x, W and b, so their gradients add up across nodes
+    outs = [layer(*ids, act) for _ in heads]
+    terms = [t.matmul(out, t.leaf(head)) for out, head in zip(outs, heads)]
+    loss = t.reduce_sum(t.add(*terms))
+    return t, ids, outs[0], loss
+
+
+@PROPERTY
+@given(dense_cases())
+@example(_dense_case(1, 7, 3, 4, "tanh"))  # bias gradient summed over 7 rows
+@example(_dense_case(2, 6, 3, 4, "relu", dead="some"))  # dead units: g * False is -0.0 for g < 0
+@example(_dense_case(3, 5, 2, 3, None, row_bias=False, zero_heads=(False, True)))
+@example(_dense_case(4, 4, 3, 2, "relu", dead="all"))  # an all-zero pre-activation gradient
+def test_fused_dense_matches_unfused_chain(case):
+    ft, fids, fout, floss = _dense_graph(case, fused=True)
+    ut, uids, uout, uloss = _dense_graph(case, fused=False)
+    assert _same(ft.value(fout), ut.value(uout))
+    assert ft.value(floss).tobytes() == ut.value(uloss).tobytes()
+    fgrads, ugrads = backward(ft, floss), backward(ut, uloss)
+    frontier = backward(ft, floss, wrt=fids)
+    for fid, uid, fg in zip(fids, uids, frontier):
+        assert _same(fgrads[fid], ugrads[uid]) and _same(fg, ugrads[uid])
+
+
+# --- touched-row Adam ---------------------------------------------------------
+
+
+def dense_adam(p, m, v, g, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The dense Adam update every row of every tensor takes."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+@st.composite
+def adam_runs(draw):
+    """A table and a bias over >= 20 steps. Rows enter late, go back to a
+    zero (sometimes -0.0) gradient, and the state may start pre-filled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    steps = draw(st.integers(20, 30))
+    lr = draw(st.sampled_from([1e-3, 0.5, 0.0, -1e-3]))
+    start = rng.integers(0, steps + 5, size=rows)  # some rows never enter
+    grads = []
+    for t in range(steps):
+        on = (start <= t) & (rng.random(rows) < 0.6)
+        table = np.where(on[:, None], rng.normal(size=(rows, cols)), 0.0)
+        table[rng.random((rows, cols)) < 0.2] *= -0.0
+        grads.append({"table": table, "bias": rng.normal(size=cols) * (rng.random() < 0.7)})
+    prefill = None
+    if draw(st.booleans()):
+        keep = rng.random(rows) < 0.4
+        m = np.where(keep[:, None], rng.normal(size=(rows, cols)), 0.0)
+        v = np.where(keep[:, None], rng.random((rows, cols)), 0.0)
+        m[~keep & (rng.random(rows) < 0.3)] = -0.0  # a sign bit a dense step would clear
+        prefill = (int(rng.integers(1, 50)), m, v)
+    params = {"table": rng.normal(size=(rows, cols)), "bias": rng.normal(size=cols)}
+    params["table"][rng.random((rows, cols)) < 0.1] = -0.0
+    return params, grads, lr, prefill
+
+
+@PROPERTY
+@given(adam_runs())
+def test_touched_row_adam_matches_dense_adam(run):
+    params, grads, lr, prefill = run
+    state = AdamState()
+    ref_p = {k: v.copy() for k, v in params.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+    t = 0
+    if prefill is not None:
+        t, m, v = prefill
+        state.step = t
+        state.m["table"], state.v["table"] = m.copy(), v.copy()
+        ref_m["table"], ref_v["table"] = m.copy(), v.copy()
+    for g in grads:
+        t += 1
+        adam_step(state, params, g, lr)
+        for name in params:
+            dense_adam(ref_p[name], ref_m[name], ref_v[name], g[name], lr, t)
+            assert _same(params[name], ref_p[name])
+            assert _same(state.m[name], ref_m[name]) and _same(state.v[name], ref_v[name])
+    assert state.state_scalars() == 2 * sum(p.size for p in params.values())
+
+
+# --- checkpoints ----------------------------------------------------------------
+
+TAMPERS = ("move", "drop", "reshape", "truncate", "unknown")
+
+
+@st.composite
+def checkpoint_cases(draw):
+    cfg = ModelConfig(
+        vocab_size=draw(st.integers(1, 6)), embed_dim=draw(st.integers(1, 4)), latent_dim=draw(st.integers(1, 4))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_params(cfg, int(rng.integers(0, 2**31)))
+    for name, arr in params.tensors.items():
+        params.tensors[name] = rng.normal(size=arr.shape) * 10.0 ** rng.integers(-300, 300)
+    name = draw(st.sampled_from(sorted(params.tensors)))
+    return params, name, draw(st.sampled_from((None,) + TAMPERS))
+
+
+def _tamper(payload, name, how):
+    groups = payload["groups"]
+    home = next(g for g, members in groups.items() if name in members)
+    spec = groups[home][name]
+    if how == "move":
+        other = next(g for g in groups if g != home)
+        groups[other][name] = groups[home].pop(name)
+    elif how == "drop":
+        del groups[home][name]
+    elif how == "reshape":
+        spec["shape"] = spec["shape"][::-1] + [1]
+    elif how == "truncate":
+        spec["data"] = spec["data"][:-1]
+    elif how == "unknown":
+        groups[home][name + "_extra"] = groups[home].pop(name)
+
+
+@PROPERTY
+@given(checkpoint_cases())
+def test_checkpoint_round_trip_and_tampering(case):
+    params, name, tamper = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        save_checkpoint(params, path)
+        if tamper is None:
+            loaded = load_checkpoint(path)
+            assert loaded.config == params.config and list(loaded.tensors) == list(params.tensors)
+            for key, arr in params.tensors.items():
+                assert _same(loaded.tensors[key], arr)
+            return
+        payload = json.loads(path.read_text())
+        _tamper(payload, name, tamper)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=repr(name + "_extra" if tamper == "unknown" else name)):
+            load_checkpoint(path)

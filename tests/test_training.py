@@ -446,7 +446,8 @@ def test_nonfinite_loss_aborts_with_diagnostics():
     aborted = info.value
     assert (aborted.strategy, aborted.epoch, aborted.batch) == ("mtl", 0, 0)
     assert (aborted.lr, aborted.lam) == (1e-3, 0.5)
-    assert "lr=0.001 lambda=0.5" in str(aborted) and "op 'matmul' (node" in str(aborted)
+    assert "lr=0.001 lambda=0.5" in str(aborted) and "op 'dense' (node" in str(aborted)
+    assert "non-finite pre-activation (matmul + bias)" in str(aborted)
 
 
 def test_identical_config_and_seed_reproduce_reports():
