@@ -4,8 +4,6 @@ training and their latent-lookahead variants, with the dev-set
 learning-rate protocol (base strategies are tuned, lookahead variants
 inherit the winning rate)."""
 
-import os
-
 from latopt.data import GeneratorConfig
 from latopt.harness import ExperimentSpec, format_summary, run_experiment
 
@@ -21,7 +19,6 @@ spec = ExperimentSpec(
 
 print(f"strategies: {spec.strategies}")
 print(f"seeds: {spec.seeds}, lr grid: {spec.lr_grid}, lookahead gamma: {spec.gamma}")
-print(f"threads: {os.environ.get('LATOPT_THREADS', '1')} (set LATOPT_THREADS to parallelize seeds)")
 print()
 
 reports, analysis = run_experiment(spec, out_dir="comparison_out")

@@ -6,8 +6,7 @@ Modules:
   intermediate nodes, plus a finite-difference oracle.
 - ``model``: two-domain encoder / classifier / discriminator architecture
   with gradient reversal, losses, and checkpointing.
-- ``optim``: Adam, the cosine learning-rate schedule, and a generic
-  first-order meta-update.
+- ``optim``: Adam and the cosine learning-rate schedule.
 - ``training``: the training strategies (multi-task, adversarial, and their
   latent- and parameter-space lookahead variants).
 - ``quadratic``: 2-D quadratic playground comparing gradient descent with

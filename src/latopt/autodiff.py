@@ -413,48 +413,33 @@ class Tape:
     def detach(self, a):
         return self.record("detach", (a,))
 
-    def replay(self) -> list[np.ndarray]:
-        """Recompute every forward value from the leaves; returns the values."""
-        out: list[np.ndarray] = []
-        for node in self.nodes:
-            if node.op == "leaf":
-                out.append(node.value.copy())
-            else:
-                vals = [out[i] for i in node.inputs]
-                out.append(_as_f64(_OPS[node.op][0](vals, node.meta)))
-        return out
-
 
 def backward(tape: Tape, loss: NodeId, wrt=None):
     """Gradient of ``loss`` with respect to the nodes of the tape.
 
-    Without ``wrt`` the sweep covers the whole tape and returns a list
-    indexed by node id; nodes that do not feed the loss get zero gradients.
-    With ``wrt`` (node ids) it visits only the nodes on a path from one of
-    them to the loss and returns their gradients as a tuple in ``wrt``
-    order, zero for a node that does not feed the loss. Both forms add the
-    same terms in the same order, starting from +0.0, so a gradient is
-    bitwise the same either way. The loss must be scalar-shaped.
+    The sweep visits only the nodes on a path from a ``wrt`` node (ids) to
+    the loss and returns the ``wrt`` nodes' gradients as a tuple in ``wrt``
+    order, zero for a node that does not feed the loss. Without ``wrt`` every
+    node is requested and the result is a list indexed by node id. Terms are
+    added in the same order whatever is requested, starting from +0.0, so a
+    gradient is bitwise the same either way. The loss must be scalar-shaped.
     """
     nodes = tape.nodes
     loss_node = nodes[loss]
     if loss_node.value.shape not in ((), (1,)):
         raise ValueError(f"backward: loss must be scalar-shaped, got {loss_node.value.shape}")
-    if wrt is None:
-        first, live = 0, None
-    else:
-        wrt = tuple(wrt)
-        tape._check_ids(wrt)
-        # nodes downstream of a wrt node: the only ones whose gradient can
-        # reach it
-        first = min(wrt, default=loss + 1)
-        live = [False] * (loss + 1)
-        for nid in wrt:
-            if nid <= loss:
-                live[nid] = True
-        for nid in range(first, loss + 1):
-            if not live[nid]:
-                live[nid] = any(live[i] for i in nodes[nid].inputs)
+    every = wrt is None
+    wrt = range(len(nodes)) if every else tuple(wrt)
+    tape._check_ids(wrt)
+    # nodes downstream of a wrt node: the only ones whose gradient can reach it
+    first = min(wrt, default=loss + 1)
+    live = [False] * (loss + 1)
+    for nid in wrt:
+        if nid <= loss:
+            live[nid] = True
+    for nid in range(first, loss + 1):
+        if not live[nid]:
+            live[nid] = any(live[i] for i in nodes[nid].inputs)
     grads: dict[NodeId, np.ndarray] = {loss: np.ones_like(loss_node.value)}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for nid in range(loss, first - 1, -1):
@@ -468,16 +453,15 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
                 if ig is None:
                     continue
                 _check_finite(ig, node.op, nid, f"gradient for input node {inp}")
-                if live is None or live[inp]:
+                if live[inp]:
                     prev = grads.get(inp)
                     if prev is None:
                         # 0.0 + ig, as a zero buffer would give: -0.0 becomes +0.0
                         grads[inp] = np.add(ig, 0.0, out=np.empty_like(nodes[inp].value))
                     else:
                         prev += ig
-    wanted = range(len(nodes)) if wrt is None else wrt
-    out = [grads[nid] if nid in grads else np.zeros_like(nodes[nid].value) for nid in wanted]
-    return out if wrt is None else tuple(out)
+    out = [grads[nid] if nid in grads else np.zeros_like(nodes[nid].value) for nid in wrt]
+    return out if every else tuple(out)
 
 
 def finite_diff_check(build, xs, eps: float = 1e-5) -> float:

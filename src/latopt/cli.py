@@ -3,7 +3,7 @@
 Subcommands: ``gen`` (synthetic dataset pair), ``kl`` (unigram divergence),
 ``stats`` (dataset summary), ``quad`` (quadratic trajectories + SVG/CSV),
 ``train`` (single run), ``compare`` (full experiment from a JSON spec).
-Exit code is nonzero when any run fails.
+Exit code is nonzero when any run fails, and 2 on bad input.
 """
 
 from __future__ import annotations
@@ -148,9 +148,8 @@ def _cmd_train(args) -> int:
 def _cmd_compare(args) -> int:
     from .harness import ExperimentSpec, SpecError, format_summary, run_experiment
 
-    spec = ExperimentSpec.from_json(args.spec)
     try:
-        reports, analysis = run_experiment(spec, out_dir=args.out)
+        reports, analysis = run_experiment(ExperimentSpec.from_json(args.spec), out_dir=args.out)
     except SpecError as e:
         print(f"latopt compare: {e}", file=sys.stderr)
         return 2
@@ -160,6 +159,8 @@ def _cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .training import STRATEGIES
+
     parser = argparse.ArgumentParser(prog="latopt")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one strategy on a dataset pair")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--strategy", default="adv+lo")
+    p.add_argument("--strategy", default="adv+lo", choices=STRATEGIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--gamma", type=float, default=0.01)

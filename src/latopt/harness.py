@@ -2,7 +2,7 @@
 dev-set learning-rate protocol, model selection, positive-class F
 reporting, and resource accounting.
 
-Learning-rate protocol: the base strategies (``adv``, ``mtl``) are
+Learning-rate protocol: the base strategies (``adv``, ``mtl``, ``seq``) are
 grid-searched on the target dev split; their lookahead variants inherit
 the winning rate unchanged. That asymmetry is deliberate and is the
 default the comparison experiments rely on.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .data import DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
 from .metrics import f_score, paired_sign_test
 from .model import ModelConfig, ModelParams, init_params, predict
-from .training import TrainingAborted, TrainingConfig, train_run
+from .training import STRATEGIES, TrainingAborted, TrainingConfig, train_run
 
 SUMMARY_COLUMNS = (
     "strategy",
@@ -37,14 +37,26 @@ SUMMARY_COLUMNS = (
     "rel_state",
 )
 
-_BASE_OF = {
-    "adv": "adv",
-    "adv+lo": "adv",
-    "adv+maml": "adv",
-    "mtl": "mtl",
-    "mtl+lo": "mtl",
-    "seq": "seq",
-}
+# the trainable strategies plus sequential fine-tuning, which the harness runs
+SPEC_STRATEGIES = STRATEGIES + ("seq",)
+
+
+def _base(strategy: str) -> str:
+    """The strategy whose grid-searched rate ``strategy`` inherits."""
+    return strategy.split("+")[0]
+
+
+class SpecError(ValueError):
+    """An experiment spec that is malformed or does not fit its datasets."""
+
+
+def _known_keys(obj, cls, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SpecError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SpecError(f"unknown key {unknown[0]!r} in {where}")
+    return obj
 
 
 @dataclass
@@ -55,7 +67,6 @@ class ExperimentSpec:
     gamma: float = 0.25  # lookahead step for the lo variants at experiment scale
     epochs: int = 5
     batch_size: int = 128
-    selection: str = "dev_f"
     source_path: str | None = None
     target_path: str | None = None
     generator: GeneratorConfig | None = None
@@ -63,30 +74,37 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not self.strategies:
-            raise ValueError("spec needs at least one strategy")
+            raise SpecError("spec needs at least one strategy")
         if not self.seeds:
-            raise ValueError("spec needs at least one seed")
+            raise SpecError("spec needs at least one seed")
         if not self.lr_grid:
-            raise ValueError("spec needs a nonempty lr grid")
-        unknown = [s for s in self.strategies if s not in _BASE_OF]
+            raise SpecError("spec needs a nonempty lr grid")
+        if min(self.lr_grid) <= 0 or self.gamma < 0 or self.epochs < 1 or self.batch_size < 1:
+            raise SpecError(
+                f"spec needs lr_grid rates > 0, gamma >= 0, epochs >= 1 and batch_size >= 1; got"
+                f" lr_grid={self.lr_grid}, gamma={self.gamma}, epochs={self.epochs}, batch_size={self.batch_size}"
+            )
+        unknown = [s for s in self.strategies if s not in SPEC_STRATEGIES]
         if unknown:
-            raise ValueError(f"unknown strategies {unknown}")
+            raise SpecError(f"unknown strategy {unknown[0]!r} (choose from {', '.join(SPEC_STRATEGIES)})")
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentSpec":
+        """A spec from a JSON file path or a decoded object. An unknown key,
+        at the top level or in ``generator`` or ``model``, or an unknown
+        strategy raises ``SpecError`` naming it."""
         if isinstance(obj, (str, Path)):
             with open(obj) as fh:
                 obj = json.load(fh)
-        obj = dict(obj)
+        obj = dict(_known_keys(obj, cls, "the spec"))
         if obj.get("generator") is not None:
-            obj["generator"] = GeneratorConfig(**obj["generator"])
+            obj["generator"] = GeneratorConfig(**_known_keys(obj["generator"], GeneratorConfig, "generator"))
         if obj.get("model") is not None:
-            obj["model"] = ModelConfig(**obj["model"])
+            obj["model"] = ModelConfig(**_known_keys(obj["model"], ModelConfig, "model"))
         return cls(**obj)
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        return out
+        return asdict(self)
 
 
 @dataclass
@@ -151,7 +169,7 @@ def sequential_finetune(
     params = params.copy()
     wall = 0.0
     if p1_epochs > 0:
-        cfg1 = TrainingConfig(**{**asdict(config), "epochs": p1_epochs})
+        cfg1 = replace(config, epochs=p1_epochs)
         run1 = train_run("single:source", params, source_splits, target_splits, cfg1, seed, eval_domain="source")
         params = run1.checkpoints[select_model(run1.checkpoints, run1.dev_f)].copy()
         wall += run1.wall_ms
@@ -188,32 +206,23 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
     """All reports for one seed: shared init, base grid search, variants."""
     init = init_params(spec.model, seed)
     reports = []
-    bases_needed = sorted({_BASE_OF[s] for s in spec.strategies if _BASE_OF[s] != "seq"})
     best_lr: dict[str, float] = {}
     cached: dict[str, tuple] = {}
-    for base in bases_needed:
+    for base in sorted({_base(s) for s in spec.strategies}):
         try:
-            lr, run_tuple = _grid_search(base, init, source_splits, target_splits, spec, seed)
+            best_lr[base], cached[base] = _grid_search(base, init, source_splits, target_splits, spec, seed)
         except TrainingAborted as e:
-            for s in spec.strategies:
-                if _BASE_OF[s] == base:
-                    reports.append(_failed_report(s, seed, 0.0, str(e)))
-            continue
-        best_lr[base] = lr
-        cached[base] = run_tuple
+            reports.extend(_failed_report(s, seed, 0.0, str(e)) for s in spec.strategies if _base(s) == base)
 
     for strategy in spec.strategies:
-        base = _BASE_OF[strategy]
-        if base != "seq" and base not in best_lr:
+        base = _base(strategy)
+        if base not in best_lr:
             continue  # already reported as failed via the base
+        lr = best_lr[base]
         try:
-            if strategy == base and strategy in cached:
-                run, selected, epoch = cached[strategy]
-                lr = best_lr[strategy]
-            elif strategy == "seq":
-                lr, (run, selected, epoch) = _grid_search("seq", init, source_splits, target_splits, spec, seed)
+            if strategy == base:
+                run, selected, epoch = cached[base]
             else:
-                lr = best_lr[base]
                 config = TrainingConfig(
                     lr=lr, gamma=spec.gamma, batch_size=spec.batch_size, epochs=spec.epochs
                 )
@@ -233,10 +242,6 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
 
 def _failed_report(strategy, seed, lr, message) -> MetricsReport:
     return MetricsReport(strategy, seed, lr, 0.0, 0.0, 0.0, 0.0, -1, 0.0, 0, failed=True, error=message)
-
-
-class SpecError(ValueError):
-    """An experiment spec that does not fit its datasets."""
 
 
 def data_problem(vocab: int, batch_size: int, datasets: dict) -> str | None:

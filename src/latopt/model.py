@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,15 +26,12 @@ from .autodiff import NodeId, Tape
 
 CHECKPOINT_VERSION = 1
 
-GROUP_NAMES = ("w_b", "w_sh", "phi_s", "phi_t", "theta_d")
-
 
 @dataclass
 class ModelConfig:
     vocab_size: int = 4096
     embed_dim: int = 16
     latent_dim: int = 32
-    grl_k: float = 10.0  # steepness of the reversal-weight schedule
 
 
 @dataclass
@@ -51,15 +48,6 @@ class ModelParams:
         "phi_t": ("tgt_W", "tgt_b", "cls_t1_W", "cls_t1_b", "cls_t2_W", "cls_t2_b"),
         "theta_d": ("disc1_W", "disc1_b", "disc2_W", "disc2_b"),
     }
-
-    def group(self, name: str) -> dict[str, np.ndarray]:
-        return {k: self.tensors[k] for k in self.GROUPS[name]}
-
-    def group_of(self, tensor_name: str) -> str:
-        for g, names in self.GROUPS.items():
-            if tensor_name in names:
-                return g
-        raise KeyError(tensor_name)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
@@ -148,18 +136,12 @@ class GraphRefs:
     param_nodes: dict[str, NodeId]
     z_s: NodeId = -1
     z_t: NodeId = -1
-    v_s: NodeId = -1
-    v_t: NodeId = -1
-    u_s: NodeId = -1
-    u_t: NodeId = -1
     logits_s: NodeId = -1
     logits_t: NodeId = -1
-    logits_d: NodeId = -1
     loss_s: NodeId = -1
     loss_t: NodeId = -1
     loss_d: NodeId = -1
     objective: NodeId = -1
-    extras: dict = field(default_factory=dict)
 
     def value(self, nid: NodeId) -> np.ndarray:
         return self.tape.value(nid)
@@ -172,15 +154,11 @@ def put_params(tape: Tape, params: ModelParams) -> dict[str, NodeId]:
     return {name: tape.leaf(arr) for name, arr in params.tensors.items()}
 
 
-def dense(tape: Tape, x: NodeId, w: NodeId, b: NodeId, act: str | None) -> NodeId:
-    return tape.dense(x, w, b, act)
-
-
 def encode_on_tape(tape: Tape, p: dict[str, NodeId], sequences) -> NodeId:
     """Mean-pooled embeddings through the two-layer tanh encoder."""
     pooled = tape.embedding_mean(p["embedding"], sequences)
-    h = dense(tape, pooled, p["enc1_W"], p["enc1_b"], "tanh")
-    return dense(tape, h, p["enc2_W"], p["enc2_b"], "tanh")
+    h = tape.dense(pooled, p["enc1_W"], p["enc1_b"], "tanh")
+    return tape.dense(h, p["enc2_W"], p["enc2_b"], "tanh")
 
 
 def encode(params: ModelParams, sequences) -> np.ndarray:
@@ -190,27 +168,24 @@ def encode(params: ModelParams, sequences) -> np.ndarray:
     return tape.value(encode_on_tape(tape, p, sequences))
 
 
-def classifier_logits(tape, p, z, domain: str) -> tuple[NodeId, NodeId, NodeId]:
+def classifier_logits(tape, p, z, domain: str) -> NodeId:
     """Task logits from latent features: the concatenation of
-    domain-specific and shared features through the 2-layer head.
-
-    Returns (logits, v, u) node ids.
-    """
+    domain-specific and shared features through the 2-layer head."""
     if domain == "source":
-        v = dense(tape, z, p["src_W"], p["src_b"], "tanh")
+        v = tape.dense(z, p["src_W"], p["src_b"], "tanh")
         c1w, c1b, c2w, c2b = "cls_s1_W", "cls_s1_b", "cls_s2_W", "cls_s2_b"
     else:
-        v = dense(tape, z, p["tgt_W"], p["tgt_b"], "tanh")
+        v = tape.dense(z, p["tgt_W"], p["tgt_b"], "tanh")
         c1w, c1b, c2w, c2b = "cls_t1_W", "cls_t1_b", "cls_t2_W", "cls_t2_b"
-    u = dense(tape, z, p["sh_W"], p["sh_b"], "tanh")
+    u = tape.dense(z, p["sh_W"], p["sh_b"], "tanh")
     vu = tape.concat(v, u, axis=1)
-    h = dense(tape, vu, p[c1w], p[c1b], "relu")
-    return dense(tape, h, p[c2w], p[c2b], None), v, u
+    h = tape.dense(vu, p[c1w], p[c1b], "relu")
+    return tape.dense(h, p[c2w], p[c2b], None)
 
 
 def discriminator_logits(tape, p, u: NodeId) -> NodeId:
-    h = dense(tape, u, p["disc1_W"], p["disc1_b"], "relu")
-    return dense(tape, h, p["disc2_W"], p["disc2_b"], None)
+    h = tape.dense(u, p["disc1_W"], p["disc1_b"], "relu")
+    return tape.dense(h, p["disc2_W"], p["disc2_b"], None)
 
 
 def task_loss_on_tape(tape: Tape, logits: NodeId, y: np.ndarray) -> NodeId:
@@ -226,13 +201,10 @@ def task_loss(logits: np.ndarray, y: np.ndarray) -> float:
     return float(tape.value(task_loss_on_tape(tape, tape.leaf(logits), y)))
 
 
-def domain_loss_on_tape(tape, p, u_s: NodeId, u_t: NodeId, lam: float | None = None):
+def domain_loss_on_tape(tape, p, u_s: NodeId, u_t: NodeId, lam: float | None = None) -> NodeId:
     """Discriminator loss: source carries domain label 0, target label 1,
     each term averaged over its batch. With ``lam`` set, the inputs pass
-    through the gradient reversal layer first (forward unchanged).
-
-    Returns (loss_id, logits_d_id).
-    """
+    through the gradient reversal layer first (forward unchanged)."""
     bs = tape.value(u_s).shape[0]
     bt = tape.value(u_t).shape[0]
     if bs != bt:
@@ -244,18 +216,16 @@ def domain_loss_on_tape(tape, p, u_s: NodeId, u_t: NodeId, lam: float | None = N
     logit_t = discriminator_logits(tape, p, u_t)
     y_s = onehot(np.zeros(bs, dtype=int))
     y_t = onehot(np.ones(bt, dtype=int))
-    loss = tape.add(
+    return tape.add(
         tape.softmax_cross_entropy(logit_s, tape.leaf(y_s)),
         tape.softmax_cross_entropy(logit_t, tape.leaf(y_t)),
     )
-    return loss, tape.concat(logit_s, logit_t, axis=0)
 
 
 def domain_loss(params: ModelParams, u_s: np.ndarray, u_t: np.ndarray) -> float:
     tape = Tape()
     p = put_params(tape, params)
-    loss, _ = domain_loss_on_tape(tape, p, tape.leaf(u_s), tape.leaf(u_t))
-    return float(tape.value(loss))
+    return float(tape.value(domain_loss_on_tape(tape, p, tape.leaf(u_s), tape.leaf(u_t))))
 
 
 def predict(params: ModelParams, sequences, domain: str, batch_size: int = 256) -> np.ndarray:
@@ -265,7 +235,7 @@ def predict(params: ModelParams, sequences, domain: str, batch_size: int = 256) 
         tape = Tape()
         p = put_params(tape, params)
         z = encode_on_tape(tape, p, sequences[start : start + batch_size])
-        logits, _, _ = classifier_logits(tape, p, z, domain)
+        logits = classifier_logits(tape, p, z, domain)
         out.append(np.argmax(tape.value(logits), axis=1))
     return np.concatenate(out)
 
@@ -275,12 +245,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     values. Floats are serialized via repr so the round-trip is exact."""
     payload = {
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "vocab_size": params.config.vocab_size,
-            "embed_dim": params.config.embed_dim,
-            "latent_dim": params.config.latent_dim,
-            "grl_k": params.config.grl_k,
-        },
+        "config": asdict(params.config),
         "groups": {
             g: {
                 name: {
@@ -304,7 +269,9 @@ def load_checkpoint(path) -> ModelParams:
         payload = json.load(f)
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    cfg = ModelConfig(**payload["config"])
+    config = dict(payload["config"])
+    config.pop("grl_k", None)  # written by older version-1 files; nothing reads it
+    cfg = ModelConfig(**config)
     shapes = param_shapes(cfg)
     tensors = {}
     for g, names in payload["groups"].items():

@@ -1,5 +1,5 @@
-"""Optimizers and schedules: bias-corrected Adam, the cosine learning-rate
-schedule, and a generic first-order meta-update over K task losses."""
+"""Optimizers and schedules: bias-corrected Adam and the cosine
+learning-rate schedule."""
 
 from __future__ import annotations
 
@@ -93,25 +93,3 @@ def cosine_lr(t: int, total: int, lr0: float) -> float:
         raise ValueError(f"cosine_lr: step {t} past the end of the schedule ({total})")
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * t / total))
 
-
-def maml_meta_update(params: dict[str, np.ndarray], task_grad_fns, gamma: float, eta: float) -> dict[str, np.ndarray]:
-    """First-order meta-update over K tasks.
-
-    Each entry of ``task_grad_fns`` maps a parameter dict to its gradient
-    dict. Per task, parameters take a one-step lookahead w - gamma*g(w); the
-    meta gradient is evaluated at the lookahead point and the average is
-    applied to the original parameters.
-    """
-    if len(task_grad_fns) == 0:
-        raise ValueError("maml_meta_update: need at least one task")
-    if gamma < 0:
-        raise ValueError("maml_meta_update: gamma must be >= 0")
-    meta = {k: np.zeros_like(v) for k, v in params.items()}
-    for grad_fn in task_grad_fns:
-        g_inner = grad_fn(params)
-        lookahead = {k: params[k] - gamma * g_inner[k] for k in params}
-        g_outer = grad_fn(lookahead)
-        for k in meta:
-            meta[k] += g_outer[k]
-    k_tasks = len(task_grad_fns)
-    return {k: params[k] - eta * meta[k] / k_tasks for k in params}

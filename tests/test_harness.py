@@ -3,6 +3,7 @@ baseline, experiment orchestration, and report/summary outputs."""
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,44 @@ def test_data_problem_accepts_a_fitting_pair():
     assert data_problem(30, 8, {"source": src, "target": tgt}) is None
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"selction": "dev_f"}, "unknown key 'selction' in the spec"),
+        ({"generator": {"seed": 1, "cue_share": 0.1}}, "unknown key 'cue_share' in generator"),
+        ({"model": {"vocab_size": 30, "grl_k": 10.0}}, "unknown key 'grl_k' in model"),
+        ({"strategies": ["adv", "advlo"]}, "unknown strategy 'advlo'"),
+        ({"strategies": ["single:source"]}, "unknown strategy 'single:source'"),
+        ({"model": [30]}, "model must be a JSON object"),
+        (["adv"], "the spec must be a JSON object"),
+        ({"gamma": -1}, "gamma=-1,"),
+        ({"epochs": 0}, "epochs=0,"),
+        ({"batch_size": 0}, "batch_size=0"),
+        ({"lr_grid": [1e-3, 0.0]}, "lr_grid=[0.001, 0.0],"),
+    ],
+    ids=[
+        "top_level_key",
+        "generator_key",
+        "model_key",
+        "strategy",
+        "internal_strategy",
+        "model_type",
+        "not_object",
+        "gamma",
+        "epochs",
+        "batch_size",
+        "lr_grid",
+    ],
+)
+def test_spec_from_json_rejects_what_it_cannot_run(tmp_path, spec, message):
+    from latopt.harness import SpecError
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SpecError, match=re.escape(message)):
+        ExperimentSpec.from_json(path)
+
+
 def test_spec_json_roundtrip(tmp_path):
     spec = ExperimentSpec(strategies=["adv"], seeds=[0], lr_grid=[1e-3], generator=FAST_GEN)
     path = tmp_path / "spec.json"
@@ -246,6 +285,28 @@ def test_run_experiment_counts_and_outputs(tmp_path, fast_pair):
     by = {(r.strategy, r.seed): r for r in reports}
     for seed in (0, 1):
         assert by[("adv+lo", seed)].lr == by[("adv", seed)].lr
+
+
+def test_run_experiment_grid_searches_seq_as_its_own_base(fast_pair):
+    from latopt.harness import _grid_search, _test_metrics
+
+    src, tgt = fast_pair
+    spec = ExperimentSpec(
+        strategies=["seq", "adv"],
+        seeds=[0],
+        lr_grid=[1e-3, 3e-3],
+        epochs=1,
+        batch_size=32,
+        model=FAST_MODEL,
+    )
+    reports, analysis = run_experiment(spec, source=src, target=tgt)
+    assert analysis["n_failed"] == 0
+    seq = {r.strategy: r for r in reports}["seq"]
+    source_splits, target_splits = _splits(src), _splits(tgt)
+    init = init_params(FAST_MODEL, 0)
+    lr, (run, selected, epoch) = _grid_search("seq", init, source_splits, target_splits, spec, 0)
+    test_f = _test_metrics(selected, target_splits, "target")[0]
+    assert (seq.lr, seq.dev_f, seq.test_f) == (lr, run.dev_f[epoch], test_f)
 
 
 def test_experiment_reproducible(fast_pair):

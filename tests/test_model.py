@@ -22,7 +22,7 @@ from latopt.model import (
     save_checkpoint,
     task_loss,
 )
-from latopt.training import adv_grads, adv_joint_loss, strategy_forward
+from latopt.training import strategy_forward
 
 GOLDEN = Path(__file__).parent / "goldens" / "encode_seed7.json"
 
@@ -167,12 +167,13 @@ def test_joint_backward_keeps_discriminator_sign():
     rng = np.random.default_rng(3)
     params = init_params(SMALL, 3)
     bs, bt = small_batch(rng), small_batch(rng)
-    grads, fwd = adv_grads(params, bs, bt, lam=1.0)
+    fwd = strategy_forward(params, bs, bt, "adv", lam=1.0)
+    grads = fwd.refs.param_grads(backward(fwd.refs.tape, fwd.refs.objective))
 
     direct = backward(fwd.refs.tape, fwd.refs.loss_d)
     direct_map = fwd.refs.param_grads(direct)
     for name in ModelParams.GROUPS["theta_d"]:
-        np.testing.assert_allclose(grads["theta_d"][name], direct_map[name], atol=1e-12)
+        np.testing.assert_allclose(grads[name], direct_map[name], atol=1e-12)
 
 
 def test_sign_contract_for_shared_parameters():
@@ -183,7 +184,8 @@ def test_sign_contract_for_shared_parameters():
     rng = np.random.default_rng(4)
     params = init_params(SMALL, 4)
     bs, bt = small_batch(rng), small_batch(rng)
-    grads, fwd = adv_grads(params, bs, bt, lam=1.0)
+    fwd = strategy_forward(params, bs, bt, "adv", lam=1.0)
+    grads = fwd.refs.param_grads(backward(fwd.refs.tape, fwd.refs.objective))
 
     tape = fwd.refs.tape
     hand = {name: 0.0 for name in ModelParams.GROUPS["w_sh"]}
@@ -194,7 +196,7 @@ def test_sign_contract_for_shared_parameters():
     raw = domain_loss_graph(params, bs, bt)
     g_raw = raw.param_grads(backward(raw.tape, raw.loss_d))
     for name in hand:
-        np.testing.assert_allclose(grads["w_sh"][name], hand[name] - g_raw[name], atol=1e-10)
+        np.testing.assert_allclose(grads[name], hand[name] - g_raw[name], atol=1e-10)
 
 
 def test_stubbed_joint_combination():
@@ -249,6 +251,21 @@ def test_checkpoint_roundtrip_exact(tmp_path):
         np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
 
 
+def test_checkpoint_loads_version_1_file_with_grl_k(tmp_path):
+    # older version-1 files carry the reversal ramp's k in their config
+    params = init_params(SMALL, 5)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, path)
+    payload = json.loads(path.read_text())
+    assert "grl_k" not in payload["config"]
+    payload["config"]["grl_k"] = 10.0
+    path.write_text(json.dumps(payload))
+    loaded = load_checkpoint(path)
+    assert loaded.config == SMALL
+    for name, arr in params.tensors.items():
+        np.testing.assert_array_equal(loaded.tensors[name], arr)
+
+
 def test_checkpoint_rejects_unknown_version(tmp_path):
     params = init_params(SMALL, 0)
     path = tmp_path / "ckpt.json"
@@ -291,11 +308,3 @@ def test_checkpoint_rejects_tensors_that_do_not_fit(tmp_path, tamper, message):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(path)
-
-
-def test_joint_loss_wrapper():
-    rng = np.random.default_rng(8)
-    params = init_params(SMALL, 8)
-    bs, bt = small_batch(rng), small_batch(rng)
-    fwd = strategy_forward(params, bs, bt, "adv")
-    assert adv_joint_loss(params, bs, bt) == fwd.joint

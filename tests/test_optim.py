@@ -1,10 +1,9 @@
-"""Adam against scalar hand calculations, the cosine schedule, and the
-generic first-order meta-update closed form."""
+"""Adam against scalar hand calculations and the cosine schedule."""
 
 import numpy as np
 import pytest
 
-from latopt.optim import AdamState, adam_step, cosine_lr, maml_meta_update
+from latopt.optim import AdamState, adam_step, cosine_lr
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -57,35 +56,3 @@ def test_cosine_schedule_endpoints():
     assert abs(cosine_lr(50, 100, 0.5) - 0.25) < 1e-15
     with pytest.raises(ValueError):
         cosine_lr(101, 100, 0.5)
-
-
-def _quad_grad(params):
-    return {k: v.copy() for k, v in params.items()}  # grad of 0.5*||w||^2
-
-
-def test_maml_single_task_gamma_zero_is_sgd():
-    params = {"w": np.array([2.0, -1.0])}
-    out = maml_meta_update(params, [_quad_grad], gamma=0.0, eta=0.1)
-    np.testing.assert_allclose(out["w"], params["w"] - 0.1 * params["w"], atol=1e-15)
-
-
-def test_maml_identical_tasks_equal_single_task():
-    params = {"w": np.array([1.5, 0.5])}
-    one = maml_meta_update(params, [_quad_grad], gamma=0.05, eta=0.1)
-    many = maml_meta_update(params, [_quad_grad] * 4, gamma=0.05, eta=0.1)
-    np.testing.assert_allclose(one["w"], many["w"], atol=1e-15)
-
-
-def test_maml_quadratic_closed_form_factor():
-    # f(w) = 0.5||w||^2: per-coordinate update factor 1 - eta*(1 - gamma)
-    gamma, eta = 0.13, 0.2
-    params = {"w": np.array([3.0, -4.0, 0.5])}
-    out = maml_meta_update(params, [_quad_grad], gamma=gamma, eta=eta)
-    np.testing.assert_allclose(out["w"], (1 - eta * (1 - gamma)) * params["w"], atol=1e-12)
-
-
-def test_maml_rejects_empty_tasks_and_negative_gamma():
-    with pytest.raises(ValueError):
-        maml_meta_update({"w": np.zeros(1)}, [], gamma=0.1, eta=0.1)
-    with pytest.raises(ValueError):
-        maml_meta_update({"w": np.zeros(1)}, [_quad_grad], gamma=-0.1, eta=0.1)

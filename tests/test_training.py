@@ -17,7 +17,6 @@ from latopt.training import (
     domain_loss_graph,
     latent_step,
     lookahead_joint_grads,
-    lookahead_joint_loss,
     maml_lookahead_step,
     mtl_lo_step,
     strategy_forward,
@@ -123,7 +122,7 @@ def test_mtl_lo_descent_property():
                 (pair.z_s_prime, bs, "source", float(fwd.refs.value(fwd.refs.loss_s))),
                 (pair.z_t_prime, bt, "target", float(fwd.refs.value(fwd.refs.loss_t))),
             ):
-                logits, _, _ = classifier_logits(t, p, t.leaf(z_prime), domain)
+                logits = classifier_logits(t, p, t.leaf(z_prime), domain)
                 loss = float(t.value(task_loss_on_tape(t, logits, batch[1])))
                 trials += 1
                 wins += loss <= base
@@ -147,9 +146,8 @@ def test_lookahead_joint_loss_gamma_zero_equals_adv_bitwise():
     rng = np.random.default_rng(4)
     params = init_params(TINY, 4)
     bs, bt = tiny_batch(rng), tiny_batch(rng)
-    from latopt.training import adv_joint_loss
-
-    assert lookahead_joint_loss(params, bs, bt, gamma=0.0) == adv_joint_loss(params, bs, bt)
+    lookahead = strategy_forward(params, bs, bt, "adv+lo", gamma=0.0)
+    assert lookahead.joint == strategy_forward(params, bs, bt, "adv").joint
 
 
 def test_lookahead_joint_loss_compositional_oracle():
@@ -165,8 +163,8 @@ def test_lookahead_joint_loss_compositional_oracle():
 
     t = Tape()
     p = put_params(t, params)
-    logits_s, _, _ = classifier_logits(t, p, t.leaf(fwd.latents.z_s_prime), "source")
-    logits_t, _, _ = classifier_logits(t, p, t.leaf(fwd.latents.z_t_prime), "target")
+    logits_s = classifier_logits(t, p, t.leaf(fwd.latents.z_s_prime), "source")
+    logits_t = classifier_logits(t, p, t.leaf(fwd.latents.z_t_prime), "target")
     l_s = float(t.value(task_loss_on_tape(t, logits_s, bs[1])))
     l_t = float(t.value(task_loss_on_tape(t, logits_t, bt[1])))
     l_d = _domain_loss_at(params, _shared(params, fwd.latents.z_s), _shared(params, fwd.latents.z_t))
@@ -177,13 +175,12 @@ def test_lookahead_grads_gamma_zero_equal_adv_grads():
     rng = np.random.default_rng(6)
     params = init_params(TINY, 6)
     bs, bt = tiny_batch(rng), tiny_batch(rng)
-    from latopt.training import adv_grads
-
     lo, _ = lookahead_joint_grads(params, bs, bt, gamma=0.0)
-    base, _ = adv_grads(params, bs, bt)
+    fwd = strategy_forward(params, bs, bt, "adv")
+    base = fwd.refs.param_grads(backward(fwd.refs.tape, fwd.refs.objective))
     for group in lo:
         for name in lo[group]:
-            np.testing.assert_array_equal(lo[group][name], base[group][name])
+            np.testing.assert_array_equal(lo[group][name], base[name])
 
 
 def test_lookahead_grads_match_hand_composition():
@@ -208,7 +205,7 @@ def test_lookahead_grads_match_hand_composition():
         p = put_params(t, params)
         z = encode_on_tape(t, p, batch[0])
         z_prime = t.add(z, t.leaf(z_prime_const - t.value(z)))
-        logits, _, _ = classifier_logits(t, p, z_prime, domain)
+        logits = classifier_logits(t, p, z_prime, domain)
         g = backward(t, task_loss_on_tape(t, logits, batch[1]))
         return {name: g[nid] for name, nid in p.items()}
 
@@ -259,7 +256,7 @@ def test_detached_gradient_factor_is_inert():
 
     # rebuild with the identical deltas injected as data
     from latopt.autodiff import Tape
-    from latopt.model import classifier_logits, domain_loss_on_tape, dense, encode_on_tape, put_params, task_loss_on_tape
+    from latopt.model import classifier_logits, domain_loss_on_tape, encode_on_tape, put_params, task_loss_on_tape
 
     raw = domain_loss_graph(params, bs, bt)
     g_raw = backward(raw.tape, raw.loss_d)
@@ -270,15 +267,15 @@ def test_detached_gradient_factor_is_inert():
     p = put_params(t, params)
     z_s = encode_on_tape(t, p, bs[0])
     z_t = encode_on_tape(t, p, bt[0])
-    u_s = dense(t, z_s, p["sh_W"], p["sh_b"], "tanh")
-    u_t = dense(t, z_t, p["sh_W"], p["sh_b"], "tanh")
+    u_s = t.dense(z_s, p["sh_W"], p["sh_b"], "tanh")
+    u_t = t.dense(z_t, p["sh_W"], p["sh_b"], "tanh")
     zs_p = t.add(z_s, t.leaf(delta_s))
     zt_p = t.add(z_t, t.leaf(delta_t))
-    logit_s, _, _ = classifier_logits(t, p, zs_p, "source")
-    logit_t, _, _ = classifier_logits(t, p, zt_p, "target")
+    logit_s = classifier_logits(t, p, zs_p, "source")
+    logit_t = classifier_logits(t, p, zt_p, "target")
     loss_s = task_loss_on_tape(t, logit_s, bs[1])
     loss_t = task_loss_on_tape(t, logit_t, bt[1])
-    loss_d, _ = domain_loss_on_tape(t, p, u_s, u_t, lam=1.0)
+    loss_d = domain_loss_on_tape(t, p, u_s, u_t, lam=1.0)
     obj = t.add(t.add(loss_s, loss_t), loss_d)
     g2 = backward(t, obj)
     leaf_grads = {name: g2[nid] for name, nid in p.items()}
@@ -369,6 +366,31 @@ def test_train_epoch_report_and_runlog_schema():
     assert set(entry["losses"]) == {"L_s", "L_t", "L_d", "joint"}
     assert entry["aux_state_scalars"] == 2 * 4 * TINY.latent_dim
     json.dumps(entry)  # serializable
+
+
+def test_nodes_per_training_step_at_default_config(monkeypatch):
+    # every node a step records, on every tape it builds; a write-only node
+    # (one no backward sweep reads) would raise a count
+    from latopt.autodiff import Tape
+
+    tapes = []
+    init = Tape.__init__
+
+    def tracked(self):
+        init(self)
+        tapes.append(self)
+
+    monkeypatch.setattr(Tape, "__init__", tracked)
+    config = ModelConfig()
+    rng = np.random.default_rng(20)
+    bs, bt = tiny_batch(rng, 4, config), tiny_batch(rng, 4, config)
+    counts = {}
+    for strategy in ("mtl", "mtl+lo", "adv", "adv+lo", "adv+maml"):
+        tapes.clear()
+        params = init_params(config, 20)
+        training_step(strategy, params, AdamState(), bs, bt, 1e-3, 0.5, TrainingConfig().gamma)
+        counts[strategy] = sum(len(t) for t in tapes)
+    assert counts == {"mtl": 44, "mtl+lo": 63, "adv": 58, "adv+lo": 71, "adv+maml": 98}
 
 
 def test_training_config_validation():
