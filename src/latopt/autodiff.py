@@ -7,7 +7,8 @@ frontier sweep (``backward(tape, loss, wrt=...)``) visits only the nodes
 between the requested ones and the loss and gives bitwise the same
 gradients there. All values are float64. Any operation that produces a
 NaN/Inf raises :class:`NonFiniteError` instead of letting the poison
-propagate.
+propagate. Inside the sweep an ``embedding_mean`` gradient holds only the
+batch's rows; ``backward`` returns dense arrays.
 
 A tape is single-writer: build it and run backward on one thread. The
 returned gradient arrays are fresh allocations and safe to share.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,49 @@ class Node:
     meta: dict = field(default_factory=dict)
 
 
+class _RowGrad(NamedTuple):
+    """A gradient of a 2-D node that is zero outside ``rows`` (sorted,
+    distinct); ``vals`` holds those rows."""
+
+    rows: np.ndarray
+    vals: np.ndarray
+
+
+def _densify(g, like: np.ndarray) -> np.ndarray:
+    if not isinstance(g, _RowGrad):
+        return g
+    out = np.zeros_like(like)
+    out[g.rows] = g.vals
+    return out
+
+
+def _accumulate(prev, g, like: np.ndarray):
+    """``prev + g`` as a dense sum from a +0.0 buffer would give it, in place
+    where it can be; ``prev`` None is that buffer. A row-sparse term skips
+    the rows where it is +0.0, which changes no bit: a sum that starts from
+    +0.0 is never -0.0, and 0.0 + x is x for any other x."""
+    if prev is None:
+        # 0.0 + g, as a zero buffer would give: -0.0 becomes +0.0
+        if isinstance(g, _RowGrad):
+            return _RowGrad(g.rows, g.vals + 0.0)
+        return np.add(g, 0.0, out=np.empty_like(like))
+    if not isinstance(g, _RowGrad):
+        prev = _densify(prev, like)
+        prev += g
+        return prev
+    if not isinstance(prev, _RowGrad):
+        prev[g.rows] += g.vals
+        return prev
+    if np.array_equal(prev.rows, g.rows):
+        np.add(prev.vals, g.vals, out=prev.vals)
+        return prev
+    rows = np.union1d(prev.rows, g.rows)
+    vals = np.zeros((rows.size, like.shape[1]))
+    vals[np.searchsorted(rows, prev.rows)] = prev.vals
+    vals[np.searchsorted(rows, g.rows)] += g.vals
+    return _RowGrad(rows, vals)
+
+
 def _as_f64(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     return a
@@ -53,7 +98,8 @@ def _check_finite(value: np.ndarray, op: str, node: NodeId, what: str = "value")
 #
 # forward(input_values, meta) -> output ndarray
 # backward(grad_out, input_values, output, meta) -> tuple of per-input grads
-#   (None for an input that receives no gradient, e.g. through detach)
+#   (None for an input that receives no gradient, e.g. through detach; a
+#   _RowGrad for the table of embedding_mean). grad_out is always dense.
 
 
 def _fw_add(vals, meta):
@@ -232,15 +278,20 @@ def _fw_embedding_mean(vals, meta):
 
 
 def _bw_embedding_mean(g, vals, out, meta):
-    # one bincount over (id, column) bins adds each bin's terms in sequence
-    # order, as np.add.at over each sequence in turn would
-    table = vals[0]
+    # row-sparse: only the batch's distinct ids, sorted. One bincount over
+    # compact (slot, column) bins adds each bin's terms in sequence order
+    # from +0.0, as np.add.at over each sequence in turn would
+    vocab, dim = vals[0].shape
     ids, lengths = meta["ids"], meta["lengths"]
-    vocab, dim = table.shape
+    mark = np.zeros(vocab, dtype=bool)
+    mark[ids] = True
+    rows = np.flatnonzero(mark)
+    slot = np.empty(vocab, dtype=np.int64)  # read only at the marked rows
+    slot[rows] = np.arange(rows.size)
     weights = np.repeat(g / lengths[:, None], lengths, axis=0)
-    bins = (ids[:, None] * dim + np.arange(dim)).ravel()
-    grad = np.bincount(bins, weights=weights.ravel(), minlength=vocab * dim)
-    return (grad.reshape(vocab, dim),)
+    bins = (slot[ids][:, None] * dim + np.arange(dim)).ravel()
+    grad = np.bincount(bins, weights=weights.ravel(), minlength=rows.size * dim)
+    return (_RowGrad(rows, grad.reshape(rows.size, dim)),)
 
 
 def _fw_softmax_xent(vals, meta):
@@ -422,7 +473,9 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
     order, zero for a node that does not feed the loss. Without ``wrt`` every
     node is requested and the result is a list indexed by node id. Terms are
     added in the same order whatever is requested, starting from +0.0, so a
-    gradient is bitwise the same either way. The loss must be scalar-shaped.
+    gradient is bitwise the same either way. A row-sparse gradient is made
+    dense only here, or before the backward of a node it reaches. The loss
+    must be scalar-shaped.
     """
     nodes = tape.nodes
     loss_node = nodes[loss]
@@ -445,22 +498,21 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
         for nid in range(loss, first - 1, -1):
             node = nodes[nid]
             g = grads.get(nid)
-            if g is None or not node.inputs or (nid != loss and not g.any()):
+            if g is None or not node.inputs:
+                continue
+            g = _densify(g, node.value)
+            if nid != loss and not g.any():
                 continue
             vals = [nodes[i].value for i in node.inputs]
             in_grads = _OPS[node.op][1](g, vals, node.value, node.meta)
             for inp, ig in zip(node.inputs, in_grads):
                 if ig is None:
                     continue
-                _check_finite(ig, node.op, nid, f"gradient for input node {inp}")
+                stored = ig.vals if isinstance(ig, _RowGrad) else ig
+                _check_finite(stored, node.op, nid, f"gradient for input node {inp}")
                 if live[inp]:
-                    prev = grads.get(inp)
-                    if prev is None:
-                        # 0.0 + ig, as a zero buffer would give: -0.0 becomes +0.0
-                        grads[inp] = np.add(ig, 0.0, out=np.empty_like(nodes[inp].value))
-                    else:
-                        prev += ig
-    out = [grads[nid] if nid in grads else np.zeros_like(nodes[nid].value) for nid in wrt]
+                    grads[inp] = _accumulate(grads.get(inp), ig, nodes[inp].value)
+    out = [_densify(grads[nid], nodes[nid].value) if nid in grads else np.zeros_like(nodes[nid].value) for nid in wrt]
     return out if every else tuple(out)
 
 

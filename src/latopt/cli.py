@@ -95,11 +95,13 @@ def _cmd_train(args) -> int:
     from .model import ModelConfig, init_params, save_checkpoint
     from .training import TrainingAborted, TrainingConfig, train_run
 
+    try:
+        config = TrainingConfig(lr=args.lr, gamma=args.gamma, batch_size=args.batch_size, epochs=args.epochs)
+    except ValueError as e:
+        print(f"latopt train: {e}", file=sys.stderr)
+        return 2
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-    config = TrainingConfig(
-        lr=args.lr, gamma=args.gamma, batch_size=args.batch_size, epochs=args.epochs
-    )
     # the model vocabulary is sized from the source
     problem = data_problem(source.vocab_size, args.batch_size, {args.source: source, args.target: target})
     if problem:

@@ -236,7 +236,7 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
                 )
             )
         except TrainingAborted as e:
-            reports.append(_failed_report(strategy, seed, 0.0, str(e)))
+            reports.append(_failed_report(strategy, seed, lr, str(e)))
     return reports
 
 

@@ -276,6 +276,8 @@ class TrainingConfig:
             raise ValueError("gamma must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -287,6 +289,7 @@ class EpochReport:
     lr: float
     wall_ms: float
     aux_state_scalars: int
+    lam: float | None = None  # reversal weight of the first step; None without a discriminator
 
     def runlog_entry(self) -> dict:
         return {
@@ -294,6 +297,7 @@ class EpochReport:
             "strategy": self.strategy,
             "losses": self.losses,
             "lr": self.lr,
+            "lam": self.lam,
             "wall_ms": self.wall_ms,
             "aux_state_scalars": self.aux_state_scalars,
         }
@@ -390,17 +394,18 @@ def train_epoch(
     else:
         pairs = paired_batches(source_examples, target_examples, config.batch_size, rng)
 
+    def lam_at(step):
+        return config.grl_lambda if config.grl_lambda is not None else grl_weight(step / total_steps)
+
     batch_losses = []
     peak_aux = 0
     lr_start = cosine_lr(step_offset, total_steps, config.lr)
+    lam_start = lam_at(step_offset) if strategy in _WITH_DISC else None
     t0 = time.perf_counter()
     for i, (batch_s, batch_t) in enumerate(pairs):
         step = step_offset + i
         lr_t = cosine_lr(step, total_steps, config.lr)
-        if config.grl_lambda is not None:
-            lam = config.grl_lambda
-        else:
-            lam = grl_weight(step / total_steps)
+        lam = lam_at(step)
         try:
             record, aux = training_step(
                 strategy, params, opt_state, batch_s, batch_t, lr_t, lam, config.gamma
@@ -416,7 +421,7 @@ def train_epoch(
         return float(np.mean(vals)) if vals else None
 
     losses = {k: mean_of(k) for k in ("L_s", "L_t", "L_d", "joint")}
-    return EpochReport(epoch, strategy, batch_losses, losses, lr_start, wall_ms, peak_aux)
+    return EpochReport(epoch, strategy, batch_losses, losses, lr_start, wall_ms, peak_aux, lam_start)
 
 
 @dataclass

@@ -399,6 +399,18 @@ def test_nonfinite_gradient_names_op_and_node():
         backward(t, loss)
 
 
+@pytest.mark.parametrize("wrt", [None, (0,)])
+def test_nonfinite_embedding_gradient_names_op_and_node(wrt):
+    # two sequences read row 0, each with weight 1e308: the forward is
+    # finite, the row's gradient sum overflows
+    t = Tape()
+    table = t.leaf(np.full((3, 2), 1e-10))
+    pooled = t.embedding_mean(table, [(0,), (0,), (2,)])
+    loss = t.reduce_sum(t.scale(pooled, 1e308))
+    with pytest.raises(NonFiniteError, match=r"op 'embedding_mean' \(node 1\) .* gradient for input node 0"):
+        backward(t, loss, wrt=wrt)
+
+
 def test_nonfinite_dense_preactivation_names_op_node_and_stage():
     # tanh(inf) is a finite 1.0: only the pre-activation shows the overflow
     t = Tape()

@@ -156,6 +156,24 @@ def test_train_accepts_only_trainable_strategies(tmp_path, data_dir, capsys, str
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--epochs", "0", "epochs must be >= 1"),
+        ("--lr", "0", "lr must be > 0"),
+        ("--gamma", "-1", "gamma must be >= 0"),
+        ("--batch-size", "0", "batch_size must be >= 1"),
+    ],
+)
+def test_train_rejects_bad_numeric_flags_before_writing(tmp_path, data_dir, capsys, flag, value, reason):
+    out = tmp_path / "run"
+    argv = ["train", "--source", str(data_dir / "source.jsonl"), "--target", str(data_dir / "target.jsonl")]
+    code = main(argv + ["--epochs", "1", "--batch-size", "32", flag, value, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"latopt train: {reason}\n"
+    assert not out.exists()
+
+
 def test_compare_from_spec(tmp_path, data_dir, capsys):
     spec = {
         "strategies": ["mtl", "mtl+lo"],

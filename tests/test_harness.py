@@ -344,6 +344,29 @@ def test_failed_runs_are_recorded(fast_pair, monkeypatch):
     assert analysis["n_failed"] == 1
 
 
+def test_failed_variant_reports_its_base_rate(fast_pair, monkeypatch):
+    src, tgt = fast_pair
+    spec = ExperimentSpec(
+        strategies=["mtl", "mtl+lo"], seeds=[0], lr_grid=[3e-3], epochs=1, batch_size=32, model=FAST_MODEL
+    )
+    from latopt import harness
+    from latopt.training import TrainingAborted
+
+    train_run = harness.train_run
+
+    def variant_fails(strategy, *args, **kwargs):
+        if strategy == "mtl+lo":
+            raise TrainingAborted(strategy, 0, 0, "synthetic failure")
+        return train_run(strategy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_run", variant_fails)
+    reports, analysis = run_experiment(spec, source=src, target=tgt)
+    by = {r.strategy: r for r in reports}
+    assert not by["mtl"].failed and by["mtl+lo"].failed
+    assert by["mtl+lo"].lr == by["mtl"].lr == 3e-3
+    assert analysis["n_failed"] == 1
+
+
 def test_summary_relative_columns(fast_pair):
     spec = ExperimentSpec(
         strategies=["adv", "adv+lo", "adv+maml", "mtl+lo"],

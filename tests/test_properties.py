@@ -1,7 +1,7 @@
-"""Property tests: the packed embedding op, the frontier backward, the fused
-dense op and touched-row Adam agree bit for bit with the straightforward
-computations they replace, and checkpoints round-trip exactly while
-tampered ones are refused."""
+"""Property tests: the packed embedding op, its row-sparse gradient in the
+sweep, the frontier backward, the fused dense op and touched-row Adam agree
+bit for bit with the straightforward computations they replace, and
+checkpoints round-trip exactly while tampered ones are refused."""
 
 import json
 import tempfile
@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from latopt.autodiff import Tape, backward  # noqa: E402
+from latopt.autodiff import Tape, _accumulate, _densify, _RowGrad, backward  # noqa: E402
 from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, save_checkpoint  # noqa: E402
 from latopt.optim import AdamState, adam_step  # noqa: E402
 from latopt.training import domain_loss_graph, latent_step, strategy_forward  # noqa: E402
@@ -72,6 +72,142 @@ def test_embedding_mean_matches_per_sequence_reference(case):
     assert t.value(pooled).tobytes() == reference_mean(table, sequences).tobytes()
     grads = backward(t, loss)
     assert grads[tid].tobytes() == reference_grad(table, sequences, grads[pooled]).tobytes()
+
+
+# --- row-sparse embedding gradient in the sweep -------------------------------
+
+
+def _sequences_over(rng, pool, n):
+    """n sequences that together use every id of ``pool`` and no other."""
+    tokens = list(rng.permutation(pool)) + list(rng.choice(pool, size=rng.integers(0, 8)))
+    cuts = np.sort(rng.choice(np.arange(1, len(tokens)), size=min(n, len(tokens)) - 1, replace=False))
+    return [tuple(int(x) for x in part) for part in np.split(np.array(tokens), cuts)]
+
+
+def _table_case(seed, overlap, matmul, through, vocab=8, dim=3):
+    """Two embedding_mean ops on one table whose id sets are equal,
+    overlapping or disjoint; the table may also feed a matmul recorded
+    before or after them, and may be a tanh or scale node over the leaf."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(vocab)
+    half = vocab // 2
+    pool_a = ids[: half + 1]
+    pool_b = {"equal": pool_a, "overlap": ids[half - 1 :], "disjoint": ids[half + 1 :]}[overlap]
+    seqs = [_sequences_over(rng, pool, int(rng.integers(1, 5))) for pool in (pool_a, pool_b)]
+    table = rng.normal(size=(vocab, dim)) * 10.0 ** rng.integers(-3, 3)
+    return table, seqs, matmul, through, rng.normal(size=(2, vocab)), int(rng.integers(0, 2**31))
+
+
+@st.composite
+def table_cases(draw):
+    return _table_case(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from(["equal", "overlap", "disjoint"])),
+        draw(st.sampled_from([None, "before", "after"])),
+        draw(st.sampled_from([None, "tanh", "scale"])),
+        draw(st.integers(3, 12)),
+        draw(st.integers(2, 4)),
+    )
+
+
+def _table_graph(case):
+    """(tape, leaf, table node, readers, loss), ``readers`` the nodes that
+    read the table, in recording order, with their kind and extra input."""
+    table, seqs, matmul, through, x, seed = case
+    rng = np.random.default_rng(seed)
+    t = Tape()
+    leaf = t.leaf(table)
+    tab = {None: lambda n: n, "tanh": t.tanh, "scale": lambda n: t.scale(n, -1.5)}[through](leaf)
+    readers, terms = [], []
+
+    def read_matmul():
+        mm = t.matmul(t.leaf(x), tab)
+        readers.append(("matmul", mm, x))
+        terms.append(t.reduce_sum(t.tanh(mm)))
+
+    if matmul == "before":
+        read_matmul()
+    for s in seqs:
+        pooled = t.embedding_mean(tab, s)
+        readers.append(("embedding_mean", pooled, s))
+        head = t.leaf(rng.normal(size=(table.shape[1], 2)))
+        terms.append(t.softmax_cross_entropy(t.matmul(pooled, head), t.leaf(onehot(rng.integers(0, 2, len(s))))))
+    if matmul == "after":
+        read_matmul()
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = t.add(loss, term)
+    return t, leaf, tab, readers, loss
+
+
+def reference_table_grad(t, tab, readers, upstream):
+    """The dense gradient at the table: np.add.at per embedding op, x.T @ g
+    per matmul, added from a +0.0 buffer in the sweep's order (last reader
+    first)."""
+    total = np.zeros_like(t.value(tab))
+    for kind, nid, extra in reversed(readers):
+        g = upstream[nid]
+        total = total + (reference_grad(t.value(tab), extra, g) if kind == "embedding_mean" else extra.T @ g)
+    return total
+
+
+@PROPERTY
+@given(table_cases())
+@example(_table_case(1, "equal", None, None))  # same rows: added in place
+@example(_table_case(2, "overlap", None, None))  # rows merged by union
+@example(_table_case(3, "disjoint", None, None))
+@example(_table_case(4, "overlap", "before", None))  # dense into row-sparse: the matmul term comes last
+@example(_table_case(5, "disjoint", "after", None))  # row-sparse into dense
+@example(_table_case(6, "overlap", "after", "tanh"))  # a row-sparse g reaches tanh's backward
+@example(_table_case(7, "equal", None, "scale"))
+def test_row_sparse_table_gradient_matches_dense_reference(case):
+    t, leaf, tab, readers, loss = _table_graph(case)
+    full = backward(t, loss)
+    want = reference_table_grad(t, tab, readers, full)
+    assert _same(full[tab], want)
+    g_leaf, g_tab = backward(t, loss, wrt=(leaf, tab))
+    assert _same(g_tab, want)
+    if tab == leaf:
+        assert _same(full[leaf], want) and _same(g_leaf, want)
+        return
+    through = case[3]
+    out = t.value(tab)
+    ref = want * (1.0 - out * out) if through == "tanh" else want * -1.5
+    assert _same(full[leaf], 0.0 + ref) and _same(g_leaf, 0.0 + ref)
+    (g_only,) = backward(t, loss, wrt=(leaf,))
+    assert _same(g_only, full[leaf])
+
+
+@st.composite
+def gradient_terms(draw):
+    """Dense and row-sparse terms for one (rows, cols) node, with zeros and
+    -0.0 among their values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    terms = []
+    for sparse in draw(st.lists(st.booleans(), min_size=1, max_size=5)):
+        keep = np.flatnonzero(rng.random(rows) < 0.5) if sparse else None
+        vals = rng.normal(size=(rows if keep is None else keep.size, cols))
+        vals[rng.random(vals.shape) < 0.3] = 0.0
+        vals[rng.random(vals.shape) < 0.3] = -0.0
+        terms.append(vals if keep is None else _RowGrad(keep, vals))
+    return np.zeros((rows, cols)), terms
+
+
+@PROPERTY
+@given(gradient_terms())
+def test_row_sparse_accumulation_matches_dense_sum(case):
+    # the sweep's rule for any mix of terms: bitwise the dense sum from a
+    # +0.0 buffer, and no term's own array is written to
+    like, terms = case
+    before = [(t.vals if isinstance(t, _RowGrad) else t).copy() for t in terms]
+    want, acc = np.zeros_like(like), None
+    for term in terms:
+        want = want + _densify(term, like)
+        acc = _accumulate(acc, term, like)
+    assert _same(_densify(acc, like), want)
+    for term, saved in zip(terms, before):
+        assert _same(term.vals if isinstance(term, _RowGrad) else term, saved)
 
 
 @st.composite
@@ -227,8 +363,28 @@ def adam_runs(draw):
     return params, grads, lr, prefill
 
 
+def _late_rows_run(lr, prefill=False, steps=20):
+    """Row 0 is live from the first step. Row 1 holds -0.0 until one of its
+    entries turns nonzero at the last step; row 2 holds -0.0 throughout."""
+    rng = np.random.default_rng(steps)
+    grads = []
+    for t in range(steps):
+        table = np.full((3, 2), -0.0)
+        table[0] = rng.normal(size=2)
+        if t == steps - 1:
+            table[1, 1] = rng.normal()
+        grads.append({"table": table, "bias": rng.normal(size=2)})
+    params = {"table": rng.normal(size=(3, 2)), "bias": rng.normal(size=2)}
+    m, v = np.zeros((3, 2)), np.zeros((3, 2))
+    m[0], v[0] = (0.1, -0.2), (0.01, 0.04)  # only row 0 has moments
+    return params, grads, lr, (7, m, v) if prefill else None
+
+
 @PROPERTY
 @given(adam_runs())
+@example(_late_rows_run(1e-3))
+@example(_late_rows_run(0.5, prefill=True))
+@example(_late_rows_run(-1e-3, steps=25))
 def test_touched_row_adam_matches_dense_adam(run):
     params, grads, lr, prefill = run
     state = AdamState()

@@ -4,12 +4,13 @@ and descent properties, and the epoch machinery."""
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from latopt.autodiff import backward
-from latopt.model import ModelConfig, ModelParams, init_params, onehot
+from latopt.model import ModelConfig, ModelParams, grl_weight, init_params, onehot
 from latopt.optim import AdamState
 from latopt.training import (
     EpochReport,
@@ -362,10 +363,20 @@ def test_train_epoch_report_and_runlog_schema():
     report = train_epoch("adv+lo", params, state, splits["train"], splits["train"], config, 0, 3, 0, rng)
     assert isinstance(report, EpochReport)
     entry = report.runlog_entry()
-    assert set(entry) == {"epoch", "strategy", "losses", "lr", "wall_ms", "aux_state_scalars"}
+    assert set(entry) == {"epoch", "strategy", "losses", "lr", "lam", "wall_ms", "aux_state_scalars"}
     assert set(entry["losses"]) == {"L_s", "L_t", "L_d", "joint"}
     assert entry["aux_state_scalars"] == 2 * 4 * TINY.latent_dim
+    assert entry["lam"] == grl_weight(0.0)  # the first step's reversal weight
     json.dumps(entry)  # serializable
+    # a later epoch starts further up the ramp; a fixed weight is reported as
+    # is, and a strategy without a discriminator has none
+    later = train_epoch("adv", params, state, splits["train"], splits["train"], config, 1, 6, 3, rng)
+    assert later.runlog_entry()["lam"] == grl_weight(0.5)
+    fixed = replace(config, grl_lambda=0.3)
+    assert train_epoch("adv+maml", params, state, splits["train"], splits["train"], fixed, 0, 3, 0, rng).lam == 0.3
+    entry = train_epoch("mtl+lo", params, state, splits["train"], splits["train"], config, 0, 3, 0, rng).runlog_entry()
+    assert entry["lam"] is None
+    json.dumps(entry)
 
 
 def test_nodes_per_training_step_at_default_config(monkeypatch):
