@@ -8,7 +8,8 @@ between the requested ones and the loss and gives bitwise the same
 gradients there. All values are float64. Any operation that produces a
 NaN/Inf raises :class:`NonFiniteError` instead of letting the poison
 propagate. Inside the sweep an ``embedding_mean`` gradient holds only the
-batch's rows; ``backward`` returns dense arrays.
+batch's rows; ``backward`` returns dense arrays. A token batch can be
+packed once (:class:`Packed`) and encoded as it is any number of times.
 
 A tape is single-writer: build it and run backward on one thread. The
 returned gradient arrays are fresh allocations and safe to share.
@@ -47,6 +48,54 @@ class _RowGrad(NamedTuple):
 
     rows: np.ndarray
     vals: np.ndarray
+
+
+class Packed:
+    """A batch of token sequences packed once: flat int64 ``ids`` and the
+    per-sequence ``lengths``, read-only copies of the arrays given. A batch
+    is never empty, has no empty sequence, and its lengths sum to the number
+    of ids; anything else raises ``ShapeError``."""
+
+    def __init__(self, ids: np.ndarray, lengths: np.ndarray):
+        ids, lengths = np.asarray(ids), np.asarray(lengths)
+        if ids.ndim != 1 or lengths.ndim != 1 or ids.dtype.kind != "i" or lengths.dtype.kind != "i":
+            raise ShapeError(f"pack: ids and lengths must be 1-D integer arrays, got {ids.dtype} {ids.shape} and {lengths.dtype} {lengths.shape}")
+        if lengths.size == 0:
+            raise ShapeError("pack: empty batch")
+        if lengths.min() < 1:
+            raise ShapeError("pack: empty token sequence")
+        if lengths.sum() != ids.size:
+            raise ShapeError(f"pack: lengths sum to {lengths.sum()}, not to the {ids.size} ids")
+        self.ids, self.lengths = _frozen(ids), _frozen(lengths)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __iter__(self):
+        return iter(np.split(self.ids, np.cumsum(self.lengths[:-1])))
+
+    def take(self, idx) -> "Packed":
+        """The sub-batch of the sequences at ``idx``, in that order."""
+        lengths = self.lengths[idx]
+        starts = np.cumsum(self.lengths) - self.lengths
+        shift = starts[idx] - (np.cumsum(lengths) - lengths)  # source start less target start
+        return Packed(self.ids[np.arange(lengths.sum()) + np.repeat(shift, lengths)], lengths)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = a.astype(np.int64)  # a copy, so the caller's array stays as it was
+    a.flags.writeable = False
+    return a
+
+
+def pack(sequences) -> Packed:
+    """``sequences`` as a :class:`Packed` batch; a ``Packed`` is returned as
+    it is. An empty batch or an empty sequence raises ``ShapeError``."""
+    if isinstance(sequences, Packed):
+        return sequences
+    lengths = np.fromiter((len(s) for s in sequences), dtype=np.int64, count=len(sequences))
+    ids = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
+    return Packed(ids, lengths)
 
 
 def _densify(g, like: np.ndarray) -> np.ndarray:
@@ -265,7 +314,7 @@ def _fw_embedding_mean(vals, meta):
     starts = (np.cumsum(lengths) - lengths)[order]
     pos = np.arange(sorted_len[0])[:, None]
     active = pos < sorted_len
-    rows = table[ids[(starts + pos)[active]]]  # position-major, active rows only
+    rows = table.take(ids[(starts + pos)[active]], axis=0)  # position-major, active rows only; take beats [] here
     n_active = active.sum(axis=1).tolist()
     acc = rows[: n_active[0]].copy()
     at = n_active[0]
@@ -434,24 +483,18 @@ class Tape:
     def embedding_mean(self, table, sequences):
         """Mean table row over each token sequence.
 
-        The sequences are packed here, once, into flat int64 ``ids`` and
-        per-sequence ``lengths``, and checked against the table: an empty
-        batch, an empty sequence or a table that is not 2-D raises
+        ``sequences`` is a :class:`Packed` batch or anything ``pack`` takes.
+        A table that is not 2-D, an empty batch or an empty sequence raises
         ``ShapeError``, an id outside the table's rows ``IndexError``.
         """
         self._check_ids((table,))
         shape = self.nodes[table].value.shape
         if len(shape) != 2:
             raise ShapeError(f"embedding_mean: table must be 2-D, got {shape}")
-        lengths = np.fromiter((len(s) for s in sequences), dtype=np.int64, count=len(sequences))
-        if lengths.size == 0:
-            raise ShapeError("embedding_mean: empty batch")
-        if lengths.min() == 0:
-            raise ShapeError("embedding_mean: empty token sequence")
-        ids = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
-        if ids.min() < 0 or ids.max() >= shape[0]:
+        batch = pack(sequences)
+        if batch.ids.min() < 0 or batch.ids.max() >= shape[0]:
             raise IndexError(f"embedding_mean: token id out of range [0, {shape[0]})")
-        return self.record("embedding_mean", (table,), ids=ids, lengths=lengths)
+        return self.record("embedding_mean", (table,), ids=batch.ids, lengths=batch.lengths)
 
     def softmax_cross_entropy(self, logits, onehot):
         return self.record("softmax_cross_entropy", (logits, onehot))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,8 +20,12 @@ import numpy as np
 def _cmd_gen(args) -> int:
     from .data import GeneratorConfig, prepare_transfer_pair, save_dataset
 
-    cfg = GeneratorConfig(seed=args.seed, cue_rate=args.cue_share)
-    source, target = prepare_transfer_pair(cfg, max_len=args.max_len)
+    # the pair is a function of the flags alone, so any ValueError is bad input
+    try:
+        source, target = prepare_transfer_pair(GeneratorConfig(seed=args.seed, cue_rate=args.cue_share), args.max_len)
+    except ValueError as e:
+        print(f"latopt gen: {e}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(source, out / "source.jsonl")
@@ -58,18 +63,37 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _quad_inputs(args):
+    """(start, methods) from the quad flags; ``ValueError`` names a bad one."""
+    from .quadratic import TRAJECTORY_FNS
+
+    try:
+        start = tuple(float(v) for v in args.start.split(","))
+    except ValueError:
+        start = ()
+    if len(start) != 2 or not all(math.isfinite(v) for v in start):
+        raise ValueError(f"--start must be two finite numbers x,y, got {args.start!r}")
+    methods = args.method.split(",")
+    for method in methods:
+        if method not in TRAJECTORY_FNS:
+            raise ValueError(f"unknown method '{method}' (choose from gd, eg1, eg2)")
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    return start, methods
+
+
 def _cmd_quad(args) -> int:
     from .quadratic import TRAJECTORY_FNS, default_quadratic
     from .render import write_outputs
 
+    try:
+        start, methods = _quad_inputs(args)
+    except ValueError as e:
+        print(f"latopt quad: {e}", file=sys.stderr)
+        raise SystemExit(2) from None
     q = default_quadratic()
-    start = tuple(float(v) for v in args.start.split(","))
-    if len(start) != 2:
-        raise SystemExit("--start must be x,y")
     trajectories = []
-    for method in args.method.split(","):
-        if method not in TRAJECTORY_FNS:
-            raise SystemExit(f"unknown method '{method}' (choose from gd, eg1, eg2)")
+    for method in methods:
         traj = TRAJECTORY_FNS[method](q, start, args.eta, args.gamma, args.steps)
         trajectories.append(traj)
         reached = traj.steps_to()

@@ -87,6 +87,13 @@ class GeneratorConfig:
         for r in (self.source_positive_rate, self.target_positive_rate):
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"positive rate {r} unreachable")
+        for name in ("signal_rate", "cue_rate", "target_cue_rate", "signal_fidelity", "cue_fidelity"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for name in ("cue_rate", "target_cue_rate"):
+            total = self.signal_rate + getattr(self, name)
+            if total > 1.0:
+                raise ValueError(f"signal_rate + {name} must not exceed 1, got {total}")
         if min(self.source_train_size, self.target_train_size, self.test_size) < 1:
             raise ValueError("split sizes must be >= 1")
         if not 1 <= self.min_len <= self.max_len:
@@ -158,6 +165,8 @@ def dedup_and_trim(dataset: DomainDataset, max_len: int = 100, taken: set | None
     """Truncate sequences to ``max_len``, then drop duplicate sequences
     (first occurrence kept). ``taken`` extends the duplicate check across
     datasets. Truncating first keeps the operation idempotent."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
     seen = set() if taken is None else taken
     kept = []
     for e in dataset.examples:

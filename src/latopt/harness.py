@@ -21,7 +21,7 @@ import numpy as np
 from .data import DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
 from .metrics import f_score, paired_sign_test
 from .model import ModelConfig, ModelParams, init_params, predict
-from .training import STRATEGIES, TrainingAborted, TrainingConfig, train_run
+from .training import STRATEGIES, TrainingAborted, TrainingConfig, pack_split, train_run
 
 SUMMARY_COLUMNS = (
     "strategy",
@@ -91,16 +91,20 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, obj) -> "ExperimentSpec":
         """A spec from a JSON file path or a decoded object. An unknown key,
-        at the top level or in ``generator`` or ``model``, or an unknown
-        strategy raises ``SpecError`` naming it."""
+        at the top level or in ``generator`` or ``model``, an unknown
+        strategy or a ``generator`` or ``model`` value its config rejects
+        raises ``SpecError`` naming it."""
         if isinstance(obj, (str, Path)):
             with open(obj) as fh:
                 obj = json.load(fh)
         obj = dict(_known_keys(obj, cls, "the spec"))
-        if obj.get("generator") is not None:
-            obj["generator"] = GeneratorConfig(**_known_keys(obj["generator"], GeneratorConfig, "generator"))
-        if obj.get("model") is not None:
-            obj["model"] = ModelConfig(**_known_keys(obj["model"], ModelConfig, "model"))
+        for key, config in (("generator", GeneratorConfig), ("model", ModelConfig)):
+            if obj.get(key) is not None:
+                values = _known_keys(obj[key], config, key)
+                try:
+                    obj[key] = config(**values)
+                except ValueError as e:
+                    raise SpecError(f"{key}: {e}") from None
         return cls(**obj)
 
     def to_json(self) -> dict:
@@ -141,14 +145,13 @@ def select_model(checkpoints: list, dev_metrics: list) -> int:
 
 
 def _splits(ds: DomainDataset) -> dict:
-    return {name: ds.pairs(name) for name in ("train", "dev", "test")}
+    """The dataset's train, dev and test splits, each packed once."""
+    return {name: pack_split(ds.pairs(name)) for name in ("train", "dev", "test")}
 
 
 def _test_metrics(params: ModelParams, splits: dict, domain: str):
     test = splits["test"]
-    preds = predict(params, [e[0] for e in test], domain)
-    labels = np.array([e[1] for e in test])
-    return f_score(preds, labels)
+    return f_score(predict(params, test.seqs, domain), test.labels)
 
 
 def sequential_finetune(
@@ -269,9 +272,14 @@ def data_problem(vocab: int, batch_size: int, datasets: dict) -> str | None:
 
 
 def load_pair(spec: ExperimentSpec):
+    """The spec's dataset files, or the pair its generator config builds; a
+    config the pipeline cannot build both classes from raises ``SpecError``."""
     if spec.source_path and spec.target_path:
         return load_dataset(spec.source_path), load_dataset(spec.target_path)
-    return prepare_transfer_pair(spec.generator or GeneratorConfig())
+    try:
+        return prepare_transfer_pair(spec.generator or GeneratorConfig())
+    except ValueError as e:
+        raise SpecError(f"generator: {e}") from None
 
 
 def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None):

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import NodeId, Tape
+from .autodiff import NodeId, Tape, pack
 
 CHECKPOINT_VERSION = 1
 
@@ -32,6 +32,11 @@ class ModelConfig:
     vocab_size: int = 4096
     embed_dim: int = 16
     latent_dim: int = 32
+
+    def __post_init__(self):
+        for name in ("vocab_size", "embed_dim", "latent_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -229,12 +234,17 @@ def domain_loss(params: ModelParams, u_s: np.ndarray, u_t: np.ndarray) -> float:
 
 
 def predict(params: ModelParams, sequences, domain: str, batch_size: int = 256) -> np.ndarray:
-    """Argmax class predictions for one domain's classifier."""
+    """Argmax class predictions for one domain's classifier. ``sequences``
+    is packed once (a ``Packed`` batch is used as it is) and encoded in
+    chunks of ``batch_size``."""
+    batch = pack(sequences)
+    n = len(batch)
     out = []
-    for start in range(0, len(sequences), batch_size):
+    for start in range(0, n, batch_size):
+        chunk = batch.take(np.arange(start, min(start + batch_size, n)))
         tape = Tape()
         p = put_params(tape, params)
-        z = encode_on_tape(tape, p, sequences[start : start + batch_size])
+        z = encode_on_tape(tape, p, chunk)
         logits = classifier_logits(tape, p, z, domain)
         out.append(np.argmax(tape.value(logits), axis=1))
     return np.concatenate(out)

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import NodeId, NonFiniteError, Tape, backward
+from .autodiff import NodeId, NonFiniteError, Packed, Tape, backward, pack
 from .model import (
     GraphRefs,
     ModelParams,
@@ -321,29 +322,43 @@ class TrainingAborted(RuntimeError):
         self.lam = lam
 
 
+class Split(NamedTuple):
+    """A split packed once: its token sequences and their integer labels."""
+
+    seqs: Packed
+    labels: np.ndarray
+
+
+def pack_split(examples) -> Split:
+    """A list of (token sequence, label) as a :class:`Split`; a ``Split`` is
+    returned as it is."""
+    if isinstance(examples, Split):
+        return examples
+    return Split(pack([e[0] for e in examples]), np.array([e[1] for e in examples]))
+
+
 def make_batches(examples, batch_size: int, rng) -> list:
-    """Shuffle and cut into full batches of (sequences, onehot labels)."""
-    order = rng.permutation(len(examples))
-    batches = []
-    for start in range(0, len(examples) - batch_size + 1, batch_size):
-        idx = order[start : start + batch_size]
-        seqs = tuple(tuple(examples[i][0]) for i in idx)
-        labels = onehot([examples[i][1] for i in idx])
-        batches.append((seqs, labels))
-    return batches
+    """Shuffle and cut into full batches of (packed sequences, onehot
+    labels). ``examples`` is a :class:`Split` or a list of (tokens, label)."""
+    split = pack_split(examples)
+    n = len(split.seqs)
+    order = rng.permutation(n)
+    cuts = (order[start : start + batch_size] for start in range(0, n - batch_size + 1, batch_size))
+    return [(split.seqs.take(idx), onehot(split.labels[idx])) for idx in cuts]
 
 
 def paired_batches(source_examples, target_examples, batch_size: int, rng) -> list:
     """Equal-count batch pairs; the shorter side cycles over reshuffles."""
-    bs = make_batches(source_examples, batch_size, rng)
-    bt = make_batches(target_examples, batch_size, rng)
+    source, target = pack_split(source_examples), pack_split(target_examples)
+    bs = make_batches(source, batch_size, rng)
+    bt = make_batches(target, batch_size, rng)
     if not bs or not bt:
         raise ValueError("paired_batches: a loader produced no full batch")
     n = max(len(bs), len(bt))
     while len(bs) < n:
-        bs.extend(make_batches(source_examples, batch_size, rng))
+        bs.extend(make_batches(source, batch_size, rng))
     while len(bt) < n:
-        bt.extend(make_batches(target_examples, batch_size, rng))
+        bt.extend(make_batches(target, batch_size, rng))
     return list(zip(bs[:n], bt[:n]))
 
 
@@ -446,8 +461,8 @@ def train_run(
 ) -> RunResult:
     """Multi-epoch training with per-epoch snapshots and dev evaluation.
 
-    ``source_splits``/``target_splits`` map split name -> list of
-    (token sequence, label). Each epoch's snapshot is scored by the
+    ``source_splits``/``target_splits`` map split name -> :class:`Split`
+    (``harness._splits`` builds them). Each epoch's snapshot is scored by the
     positive-class F on ``eval_domain``'s dev split. ``run_log`` is an
     optional file handle receiving one JSON line per epoch.
     """
@@ -459,21 +474,20 @@ def train_run(
 
     rng = np.random.default_rng(seed)
     opt_state = AdamState(beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    source_train, target_train = source_splits["train"], target_splits["train"]
     if strategy.startswith("single:"):
-        n_src = len(source_splits["train"]) if strategy.endswith("source") else len(target_splits["train"])
+        n_src = len(source_train.seqs) if strategy.endswith("source") else len(target_train.seqs)
         steps_per_epoch = n_src // config.batch_size
     else:
         steps_per_epoch = max(
-            len(source_splits["train"]) // config.batch_size,
-            len(target_splits["train"]) // config.batch_size,
+            len(source_train.seqs) // config.batch_size,
+            len(target_train.seqs) // config.batch_size,
         )
     if steps_per_epoch == 0:
         raise ValueError("train_run: not enough examples for a single batch")
     total_steps = steps_per_epoch * config.epochs
 
     dev = target_splits["dev"] if eval_domain == "target" else source_splits["dev"]
-    dev_seqs = [e[0] for e in dev]
-    dev_labels = np.array([e[1] for e in dev])
     checkpoints, reports, dev_f = [], [], []
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
@@ -481,8 +495,8 @@ def train_run(
             strategy,
             params,
             opt_state,
-            source_splits["train"],
-            target_splits["train"],
+            source_train,
+            target_train,
             config,
             epoch,
             total_steps,
@@ -493,7 +507,7 @@ def train_run(
         if run_log is not None:
             run_log.write(json.dumps(report.runlog_entry()) + "\n")
         checkpoints.append(params.copy())
-        dev_f.append(f_score(predict(params, dev_seqs, eval_domain), dev_labels)[0])
+        dev_f.append(f_score(predict(params, dev.seqs, eval_domain), dev.labels)[0])
     wall_ms = (time.perf_counter() - t0) * 1000.0
     peak_aux = max((r.aux_state_scalars for r in reports), default=0)
     return RunResult(strategy, checkpoints, reports, dev_f, wall_ms, peak_aux)

@@ -33,6 +33,7 @@ from latopt.training import (
     latent_step,
     lookahead_joint_grads,
     mtl_lo_step,
+    pack_split,
     strategy_forward,
     train_run,
     trainable_tensors,
@@ -175,10 +176,11 @@ TINY = ModelConfig(vocab_size=12, embed_dim=3, latent_dim=4)
 
 
 def _tiny_splits(rng, n=16):
-    return {
+    splits = {
         "train": [(tuple(rng.integers(0, TINY.vocab_size, 4)), int(rng.integers(0, 2))) for _ in range(n)],
         "dev": [(tuple(rng.integers(0, TINY.vocab_size, 4)), int(rng.integers(0, 2))) for _ in range(6)],
     }
+    return {name: pack_split(examples) for name, examples in splits.items()}
 
 
 def test_criterion_3_reduction_identities():

@@ -9,6 +9,9 @@ from latopt.cli import main
 from latopt.data import GeneratorConfig, load_dataset, prepare_transfer_pair, save_dataset
 
 
+TINY_GENERATOR = {"source_train_size": 64, "target_train_size": 32, "test_size": 16}
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
@@ -71,6 +74,42 @@ def test_quad_writes_svg_and_csv(tmp_path, capsys):
 def test_quad_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit):
         main(["quad", "--method", "newton"])
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--start", "1", "--start must be two finite numbers x,y, got '1'"),
+        ("--start", "a,b", "--start must be two finite numbers x,y, got 'a,b'"),
+        ("--method", "foo", "unknown method 'foo'"),
+        ("--steps", "-1", "--steps must be >= 0, got -1"),
+    ],
+    ids=["start_one_number", "start_not_numbers", "unknown_method", "negative_steps"],
+)
+def test_quad_bad_input_exits_2(tmp_path, capsys, flag, value, reason):
+    svg = tmp_path / "t.svg"
+    with pytest.raises(SystemExit) as info:
+        main(["quad", flag, value, "--out-svg", str(svg)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"latopt quad: {reason}")
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--cue-share", "2", "cue_rate must lie in [0, 1], got 2.0"),
+        ("--cue-share", "0.8", "signal_rate + cue_rate must not exceed 1"),
+        ("--max-len", "0", "max_len must be >= 1, got 0"),
+        ("--max-len", "1", "upsample: class 0 is empty"),
+    ],
+    ids=["cue_share_above_1", "cue_share_plus_signal_above_1", "max_len_0", "max_len_1"],
+)
+def test_gen_bad_input_exits_2_before_writing(tmp_path, capsys, flag, value, reason):
+    out = tmp_path / "pair"
+    assert main(["gen", "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"latopt gen: {reason}")
+    assert not out.exists()
 
 
 def test_train_single_run(tmp_path, data_dir, capsys):
@@ -222,8 +261,24 @@ def test_compare_rejects_spec_that_does_not_fit_its_data(tmp_path, data_dir, cap
     [
         ({"selction": "dev_f"}, "unknown key 'selction' in the spec"),
         ({"strategies": ["advlo"]}, "unknown strategy 'advlo'"),
+        ({"model": {"embed_dim": 0}}, "model: embed_dim must be >= 1, got 0"),
+        ({"model": {"vocab_size": -3}}, "model: vocab_size must be >= 1, got -3"),
+        ({"generator": {"target_positive_rate": 1.5}}, "generator: positive rate 1.5 unreachable"),
+        ({"generator": {"signal_fidelity": 1.2}}, "generator: signal_fidelity must lie in [0, 1], got 1.2"),
+        (
+            {"source_path": None, "target_path": None, "generator": {**TINY_GENERATOR, "target_positive_rate": 0.0}},
+            "generator: upsample: class 1 is empty",
+        ),
     ],
-    ids=["misspelled_key", "unknown_strategy"],
+    ids=[
+        "misspelled_key",
+        "unknown_strategy",
+        "zero_embed_dim",
+        "negative_vocab",
+        "positive_rate",
+        "fidelity",
+        "no_positives",
+    ],
 )
 def test_compare_rejects_malformed_spec(tmp_path, data_dir, capsys, change, reason):
     spec = {

@@ -2,6 +2,7 @@
 diagnostic against hand-computed values, and the file format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,32 @@ def test_positive_rates_match_declared():
 def test_infeasible_positive_rate_rejected():
     with pytest.raises(ValueError):
         GeneratorConfig(target_positive_rate=1.5)
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"signal_rate": 1.5}, "signal_rate must lie in [0, 1]"),
+        ({"cue_rate": -0.1}, "cue_rate must lie in [0, 1]"),
+        ({"target_cue_rate": 2.0}, "target_cue_rate must lie in [0, 1]"),
+        ({"signal_fidelity": 1.01}, "signal_fidelity must lie in [0, 1]"),
+        ({"cue_fidelity": -0.5}, "cue_fidelity must lie in [0, 1]"),
+        ({"signal_rate": 0.6, "cue_rate": 0.5}, "signal_rate + cue_rate must not exceed 1"),
+        ({"signal_rate": 0.6, "cue_rate": 0.1, "target_cue_rate": 0.5}, "signal_rate + target_cue_rate"),
+    ],
+    ids=[
+        "signal_rate",
+        "cue_rate",
+        "target_cue_rate",
+        "signal_fidelity",
+        "cue_fidelity",
+        "signal_plus_cue",
+        "signal_plus_target_cue",
+    ],
+)
+def test_rates_outside_unit_interval_rejected(change, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        GeneratorConfig(**change)
 
 
 def test_token_budget_must_fit_vocab():

@@ -123,9 +123,7 @@ def test_sequential_finetune_warm_start_helps_on_identical_domains(fast_pair):
         init = init_params(FAST_MODEL, seed)
         selected, _, _ = sequential_finetune(init, ss, ss, config, seed=seed, phase1_epochs=2)
 
-        dev = ss["dev"]
-        seqs = [e[0] for e in dev]
-        labels = np.array([e[1] for e in dev])
+        seqs, labels = ss["dev"]
         f_warm = _f(predict(selected, seqs, "target"), labels)[0]
         f_fresh = _f(predict(init, seqs, "target"), labels)[0]
         wins += f_warm >= f_fresh

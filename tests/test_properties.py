@@ -1,5 +1,6 @@
-"""Property tests: the packed embedding op, its row-sparse gradient in the
-sweep, the frontier backward, the fused dense op and touched-row Adam agree
+"""Property tests: the embedding op on packed batches and sub-batches, its
+row-sparse gradient in the sweep, batches gathered from a packed
+split, the frontier backward, the fused dense op and touched-row Adam agree
 bit for bit with the straightforward computations they replace, and
 checkpoints round-trip exactly while tampered ones are refused."""
 
@@ -14,10 +15,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from latopt.autodiff import Tape, _accumulate, _densify, _RowGrad, backward  # noqa: E402
-from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, save_checkpoint  # noqa: E402
+from latopt.autodiff import Packed, ShapeError, Tape, _accumulate, _densify, _RowGrad, backward, pack  # noqa: E402
+from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, predict, save_checkpoint  # noqa: E402
 from latopt.optim import AdamState, adam_step  # noqa: E402
-from latopt.training import domain_loss_graph, latent_step, strategy_forward  # noqa: E402
+from latopt.training import (  # noqa: E402
+    domain_loss_graph,
+    latent_step,
+    make_batches,
+    pack_split,
+    strategy_forward,
+)
+from latopt.training import paired_batches as pair_up  # noqa: E402
 
 TINY = ModelConfig(vocab_size=12, embed_dim=3, latent_dim=4)
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -72,6 +80,188 @@ def test_embedding_mean_matches_per_sequence_reference(case):
     assert t.value(pooled).tobytes() == reference_mean(table, sequences).tobytes()
     grads = backward(t, loss)
     assert grads[tid].tobytes() == reference_grad(table, sequences, grads[pooled]).tobytes()
+
+
+# --- packed batches ------------------------------------------------------------
+
+
+def _two_table_graph(tables, batch, head, labels):
+    """Both tables read ``batch``; a loss over both pooled outputs."""
+    t = Tape()
+    leaves = [t.leaf(table) for table in tables]
+    pooled = [t.embedding_mean(leaf, batch) for leaf in leaves]
+    terms = [t.softmax_cross_entropy(t.matmul(p, t.leaf(head)), t.leaf(onehot(labels))) for p in pooled]
+    return t, leaves, pooled, t.add(*terms)
+
+
+def _check_two_tables(tables, sequences, batch, head, labels):
+    """Forward, the full sweep and ``wrt`` sweeps on ``batch`` against the
+    per-sequence references on the tuples; returns what it compared."""
+    t, leaves, pooled, loss = _two_table_graph(tables, batch, head, labels)
+    full = backward(t, loss)
+    frontier = backward(t, loss, wrt=leaves)
+    seen = []
+    for k, (table, leaf, p) in enumerate(zip(tables, leaves, pooled)):
+        assert _same(t.value(p), reference_mean(table, sequences))
+        want = reference_grad(table, sequences, full[p])
+        assert _same(full[leaf], want) and _same(frontier[k], want)
+        (alone,) = backward(t, loss, wrt=(leaf,))
+        assert _same(alone, want)
+        seen.extend((t.value(p), full[leaf]))
+    return seen
+
+
+@PROPERTY
+@given(embedding_cases(), st.integers(1, 5))
+@example(_case([(3, 3, 3, 3, 3, 3, 3, 3, 3), (3,), (5, 3, 5)]), 2)  # repeated ids
+@example(_case([(0, 1), (1, 0), (5,)]), 1)  # equal lengths: a stable length order
+def test_packed_embedding_matches_tuple_input(case, extra_rows):
+    # one packed batch read by two tables of different vocabulary sizes, on
+    # two tapes in turn, against the tuples packed per op
+    table, sequences, head, labels = case
+    rng = np.random.default_rng(table.shape[0])
+    tables = (table, np.vstack([table, rng.normal(size=(extra_rows, table.shape[1]))]))
+    from_tuples = _check_two_tables(tables, sequences, sequences, head, labels)
+    batch = pack(sequences)
+    first = _check_two_tables(tables, sequences, batch, head, labels)
+    again = _check_two_tables(tables, sequences, batch, head, labels)
+    for a, b, c in zip(from_tuples, first, again):
+        assert _same(a, b) and _same(a, c)
+
+
+@st.composite
+def take_cases(draw):
+    """Ragged sequences and a selection from them, with repeats, in any order."""
+    sequences = draw(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=12), min_size=1, max_size=10))
+    idx = draw(st.lists(st.integers(0, len(sequences) - 1), min_size=1, max_size=12))
+    return [tuple(s) for s in sequences], idx
+
+
+@PROPERTY
+@given(take_cases())
+@example(([(1, 2, 3), (4,), (5, 6)], [2, 0, 2, 1]))
+@example(([(7,), (8,), (9,)], [0, 1]))  # the same lengths, different ids
+def test_pack_iteration_and_take_match_packing_the_selection(case):
+    sequences, idx = case
+    batch = pack(sequences)
+    assert pack(batch) is batch and len(batch) == len(sequences)
+    assert batch.ids.dtype == np.int64 and not batch.ids.flags.writeable and not batch.lengths.flags.writeable
+    rows = list(batch)
+    assert all(r.dtype == np.int64 for r in rows) and [tuple(r) for r in rows] == sequences
+    chosen = [sequences[i] for i in idx]
+    want = pack(chosen)
+    for sub in (batch.take(np.array(idx)), pack(rows).take(idx)):
+        assert _same(sub.ids, want.ids) and _same(sub.lengths, want.lengths)
+        assert [tuple(r) for r in sub] == chosen
+    # a sub-batch encodes as its own sequences, forward and backward
+    table = np.random.default_rng(len(idx)).normal(size=(10, 3))
+    for b, seqs in ((batch, sequences), (batch.take(idx), chosen), (batch.take(idx[::-1]), chosen[::-1])):
+        t = Tape()
+        leaf = t.leaf(table)
+        pooled = t.embedding_mean(leaf, b)
+        assert _same(t.value(pooled), reference_mean(table, seqs))
+        (grad,) = backward(t, t.reduce_sum(pooled), wrt=(leaf,))
+        assert _same(grad, reference_grad(table, seqs, np.ones((len(seqs), 3))))
+
+
+@pytest.mark.parametrize(
+    "ids, lengths",
+    [
+        (np.arange(5), np.array([2, 2])),  # lengths sum short of the ids
+        (np.arange(3), np.array([2, 2])),  # lengths sum past the ids
+        (np.arange(4).reshape(2, 2), np.array([2, 2])),  # ids not flat
+        (np.arange(4.0), np.array([2, 2])),  # ids not integers
+        (np.arange(4), np.array([2.0, 2.0])),  # lengths not integers
+        (np.arange(4), np.array([5, -1])),  # a negative length
+        (np.arange(0), np.array([], dtype=np.int64)),  # no sequence
+    ],
+    ids=["short", "long", "2d_ids", "float_ids", "float_lengths", "negative", "empty"],
+)
+def test_packed_rejects_inconsistent_arrays(ids, lengths):
+    with pytest.raises(ShapeError):
+        Packed(ids, lengths)
+
+
+def test_packed_copies_and_leaves_the_callers_arrays_writeable():
+    ids, lengths = np.array([3, 1, 2], dtype=np.int32), np.array([1, 2])
+    batch = Packed(ids, lengths)
+    assert ids.flags.writeable and lengths.flags.writeable
+    ids[0] = 9
+    assert batch.ids.dtype == np.int64 and [tuple(s) for s in batch] == [(3,), (1, 2)]
+
+
+def _examples(seed, n, vocab=9):
+    rng = np.random.default_rng(seed)
+    return [
+        (tuple(int(x) for x in rng.integers(0, vocab, size=rng.integers(1, 8))), int(rng.integers(0, 2)))
+        for _ in range(n)
+    ]
+
+
+def _tuple_batches(examples, batch_size, rng):
+    """Batches as tuples of token tuples, cut from one permutation."""
+    order = rng.permutation(len(examples))
+    return [
+        (tuple(tuple(examples[i][0]) for i in idx), onehot([examples[i][1] for i in idx]))
+        for idx in (order[s : s + batch_size] for s in range(0, len(examples) - batch_size + 1, batch_size))
+    ]
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 8))
+def test_batches_from_packed_split_match_batches_from_list(seed, n, batch_size):
+    examples = _examples(seed, n)
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    want = _tuple_batches(examples, batch_size, rngs[0])
+    for split, rng in ((examples, rngs[1]), (pack_split(examples), rngs[2])):
+        got = make_batches(split, batch_size, rng)
+        assert len(got) == len(want)
+        for (seqs, y), (want_seqs, want_y) in zip(got, want):
+            assert isinstance(seqs, Packed) and [tuple(s) for s in seqs] == list(want_seqs)
+            assert _same(y, want_y)
+        assert rng.bit_generator.state == rngs[0].bit_generator.state
+    # pairs: the shorter side cycles over reshuffles of the one packed split
+    one, other = _examples(seed, n + batch_size), _examples(seed + 1, 2 * n + batch_size)
+    pairs = [
+        pair_up(a, b, batch_size, np.random.default_rng(seed))
+        for a, b in ((one, other), (pack_split(one), pack_split(other)))
+    ]
+    assert len(pairs[0]) == len(pairs[1])
+    for p, q in zip(*pairs):
+        for (sa, ya), (sb, yb) in zip(p, q):
+            assert _same(sa.ids, sb.ids) and _same(sa.lengths, sb.lengths) and _same(ya, yb)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 7))
+def test_predict_on_packed_matches_list(seed, n, batch_size):
+    params = init_params(TINY, seed % 2**31)
+    sequences = [e[0] for e in _examples(seed, n, TINY.vocab_size)]
+    want = np.concatenate([predict(params, sequences[s : s + batch_size], "target") for s in range(0, n, batch_size)])
+    assert _same(predict(params, sequences, "target", batch_size), want)
+    assert _same(predict(params, pack(sequences), "target", batch_size), want)
+
+
+@pytest.mark.parametrize("small", [(4, 2), (4,)], ids=["id_past_vocab", "table_not_2d"])
+def test_packed_batch_rejected_by_a_table_records_nothing(small):
+    # a batch encoded by a table that fits it, then rejected by one that
+    # does not, records nothing and still encodes correctly afterwards (the
+    # tuple-input cases are test_autodiff's out-of-vocabulary test)
+    big = np.random.default_rng(0).normal(size=(6, 2))
+    batch = pack([(0, 4), (5,)])
+    t = Tape()
+    good = t.leaf(big)
+    first = t.embedding_mean(good, batch)
+    backward(t, t.reduce_sum(first))
+    bad = t.leaf(np.zeros(small))
+    size = len(t)
+    with pytest.raises(IndexError if len(small) == 2 else ShapeError):
+        t.embedding_mean(bad, batch)
+    assert len(t) == size
+    again = t.embedding_mean(good, batch)
+    assert _same(t.value(again), reference_mean(big, list(batch)))
+    grads = backward(t, t.reduce_sum(again))
+    assert _same(grads[good], reference_grad(big, list(batch), np.ones((2, 2))))
 
 
 # --- row-sparse embedding gradient in the sweep -------------------------------

@@ -20,6 +20,7 @@ from latopt.training import (
     lookahead_joint_grads,
     maml_lookahead_step,
     mtl_lo_step,
+    pack_split,
     strategy_forward,
     train_epoch,
     train_run,
@@ -36,7 +37,7 @@ def tiny_batch(rng, b=2, config=TINY):
 
 
 def tiny_splits(rng, n=12, config=TINY):
-    return {
+    splits = {
         "train": [
             (tuple(rng.integers(0, config.vocab_size, 4)), int(rng.integers(0, 2))) for _ in range(n)
         ],
@@ -44,6 +45,7 @@ def tiny_splits(rng, n=12, config=TINY):
             (tuple(rng.integers(0, config.vocab_size, 4)), int(rng.integers(0, 2))) for _ in range(6)
         ],
     }
+    return {name: pack_split(examples) for name, examples in splits.items()}
 
 
 # --- latent lookahead ---------------------------------------------------------
