@@ -146,9 +146,12 @@ def _check_finite(value: np.ndarray, op: str, node: NodeId, what: str = "value")
 # --- op registry ------------------------------------------------------------
 #
 # forward(input_values, meta) -> output ndarray
-# backward(grad_out, input_values, output, meta) -> tuple of per-input grads
-#   (None for an input that receives no gradient, e.g. through detach; a
-#   _RowGrad for the table of embedding_mean). grad_out is always dense.
+# backward(grad_out, input_values, output, meta, need) -> tuple of per-input
+#   grads. ``need`` holds, per input, whether the sweep reads its gradient;
+#   an op may skip an input it does not need and return None there, as it
+#   does for an input that receives no gradient (e.g. through detach). The
+#   sweep calls a backward only when some input is needed. The table of
+#   embedding_mean gets a _RowGrad. grad_out is always dense.
 
 
 def _fw_add(vals, meta):
@@ -160,10 +163,10 @@ def _fw_add(vals, meta):
     raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
 
 
-def _bw_add(g, vals, out, meta):
+def _bw_add(g, vals, out, meta, need):
     a, b = vals
-    gb = g if a.shape == b.shape else g.sum(axis=0)
-    return g, gb
+    gb = (g if a.shape == b.shape else g.sum(axis=0)) if need[1] else None
+    return g if need[0] else None, gb
 
 
 def _fw_matmul(vals, meta):
@@ -173,9 +176,9 @@ def _fw_matmul(vals, meta):
     return a @ b
 
 
-def _bw_matmul(g, vals, out, meta):
+def _bw_matmul(g, vals, out, meta, need):
     a, b = vals
-    return g @ b.T, a.T @ g
+    return g @ b.T if need[0] else None, a.T @ g if need[1] else None
 
 
 def _fw_dense(vals, meta):
@@ -193,7 +196,7 @@ def _fw_dense(vals, meta):
     return h
 
 
-def _bw_dense(g, vals, out, meta):
+def _bw_dense(g, vals, out, meta, need):
     # bitwise the gradients of the unfused matmul -> add -> act chain, whose
     # sweep skipped the add and matmul nodes when the pre-activation
     # gradient gh was all zero. A -0.0 in gh can only make a zero result
@@ -208,15 +211,17 @@ def _bw_dense(g, vals, out, meta):
         gh = g
     if not gh.any():
         return None, None, None
-    gb = gh if b.shape == gh.shape else gh.sum(axis=0)
-    return gh @ w.T, x.T @ gh, gb
+    gx = gh @ w.T if need[0] else None
+    gw = x.T @ gh if need[1] else None
+    gb = (gh if b.shape == gh.shape else gh.sum(axis=0)) if need[2] else None
+    return gx, gw, gb
 
 
 def _fw_scale(vals, meta):
     return vals[0] * meta["factor"]
 
 
-def _bw_scale(g, vals, out, meta):
+def _bw_scale(g, vals, out, meta, need):
     return (g * meta["factor"],)
 
 
@@ -224,7 +229,7 @@ def _fw_negate(vals, meta):
     return -vals[0]
 
 
-def _bw_negate(g, vals, out, meta):
+def _bw_negate(g, vals, out, meta, need):
     return (-g,)
 
 
@@ -239,7 +244,7 @@ def _fw_concat(vals, meta):
     return np.concatenate([a, b], axis=axis)
 
 
-def _bw_concat(g, vals, out, meta):
+def _bw_concat(g, vals, out, meta, need):
     a, _ = vals
     axis = meta["axis"]
     n = a.shape[axis]
@@ -247,14 +252,14 @@ def _bw_concat(g, vals, out, meta):
     idx_b = [slice(None)] * g.ndim
     idx_a[axis] = slice(0, n)
     idx_b[axis] = slice(n, None)
-    return g[tuple(idx_a)].copy(), g[tuple(idx_b)].copy()
+    return (g[tuple(idx_a)].copy() if need[0] else None), (g[tuple(idx_b)].copy() if need[1] else None)
 
 
 def _fw_tanh(vals, meta):
     return np.tanh(vals[0])
 
 
-def _bw_tanh(g, vals, out, meta):
+def _bw_tanh(g, vals, out, meta, need):
     return (g * (1.0 - out * out),)
 
 
@@ -262,7 +267,7 @@ def _fw_relu(vals, meta):
     return np.maximum(vals[0], 0.0)
 
 
-def _bw_relu(g, vals, out, meta):
+def _bw_relu(g, vals, out, meta, need):
     return (g * (vals[0] > 0.0),)
 
 
@@ -272,7 +277,7 @@ def _fw_log(vals, meta):
         return np.log(x)
 
 
-def _bw_log(g, vals, out, meta):
+def _bw_log(g, vals, out, meta, need):
     return (g / vals[0],)
 
 
@@ -286,7 +291,7 @@ def _fw_softmax(vals, meta):
     return _softmax(vals[0])
 
 
-def _bw_softmax(g, vals, out, meta):
+def _bw_softmax(g, vals, out, meta, need):
     inner = (g * out).sum(axis=-1, keepdims=True)
     return (out * (g - inner),)
 
@@ -295,7 +300,7 @@ def _fw_reduce_sum(vals, meta):
     return np.asarray(vals[0].sum())
 
 
-def _bw_reduce_sum(g, vals, out, meta):
+def _bw_reduce_sum(g, vals, out, meta, need):
     return (np.broadcast_to(g, vals[0].shape).copy(),)
 
 
@@ -326,10 +331,11 @@ def _fw_embedding_mean(vals, meta):
     return out
 
 
-def _bw_embedding_mean(g, vals, out, meta):
+def _bw_embedding_mean(g, vals, out, meta, need):
     # row-sparse: only the batch's distinct ids, sorted. One bincount over
-    # compact (slot, column) bins adds each bin's terms in sequence order
-    # from +0.0, as np.add.at over each sequence in turn would
+    # compact (column, slot) bins adds each bin's terms in sequence order
+    # from +0.0, as np.add.at over each sequence in turn would. Column-major
+    # bins keep the broadcasts' inner axis long (the ids, not the columns)
     vocab, dim = vals[0].shape
     ids, lengths = meta["ids"], meta["lengths"]
     mark = np.zeros(vocab, dtype=bool)
@@ -337,10 +343,10 @@ def _bw_embedding_mean(g, vals, out, meta):
     rows = np.flatnonzero(mark)
     slot = np.empty(vocab, dtype=np.int64)  # read only at the marked rows
     slot[rows] = np.arange(rows.size)
-    weights = np.repeat(g / lengths[:, None], lengths, axis=0)
-    bins = (slot[ids][:, None] * dim + np.arange(dim)).ravel()
+    weights = np.repeat(np.ascontiguousarray(g.T) / lengths, lengths, axis=1)
+    bins = (slot[ids] + (np.arange(dim) * rows.size)[:, None]).ravel()
     grad = np.bincount(bins, weights=weights.ravel(), minlength=rows.size * dim)
-    return (_RowGrad(rows, grad.reshape(rows.size, dim)),)
+    return (_RowGrad(rows, grad.reshape(dim, rows.size).T),)
 
 
 def _fw_softmax_xent(vals, meta):
@@ -354,20 +360,18 @@ def _fw_softmax_xent(vals, meta):
     return np.asarray(per_sample.mean())
 
 
-def _bw_softmax_xent(g, vals, out, meta):
+def _bw_softmax_xent(g, vals, out, meta, need):
     logits, onehot = vals
     n = logits.shape[0]
-    p = _softmax(logits)
-    g_logits = g * (p - onehot) / n
-    g_onehot = -g * logits / n
-    return g_logits, g_onehot
+    g_logits = g * (_softmax(logits) - onehot) / n if need[0] else None
+    return g_logits, -g * logits / n if need[1] else None
 
 
 def _fw_grl(vals, meta):
     return vals[0].copy()
 
 
-def _bw_grl(g, vals, out, meta):
+def _bw_grl(g, vals, out, meta, need):
     return (-meta["lam"] * g,)
 
 
@@ -375,7 +379,7 @@ def _fw_detach(vals, meta):
     return vals[0].copy()
 
 
-def _bw_detach(g, vals, out, meta):
+def _bw_detach(g, vals, out, meta, need):
     return (None,)
 
 
@@ -541,19 +545,22 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
         for nid in range(loss, first - 1, -1):
             node = nodes[nid]
             g = grads.get(nid)
-            if g is None or not node.inputs:
+            if g is None:
+                continue
+            need = [live[i] for i in node.inputs]
+            if not any(need):
                 continue
             g = _densify(g, node.value)
             if nid != loss and not g.any():
                 continue
             vals = [nodes[i].value for i in node.inputs]
-            in_grads = _OPS[node.op][1](g, vals, node.value, node.meta)
-            for inp, ig in zip(node.inputs, in_grads):
+            in_grads = _OPS[node.op][1](g, vals, node.value, node.meta, need)
+            for inp, ig, needed in zip(node.inputs, in_grads, need):
                 if ig is None:
                     continue
                 stored = ig.vals if isinstance(ig, _RowGrad) else ig
                 _check_finite(stored, node.op, nid, f"gradient for input node {inp}")
-                if live[inp]:
+                if needed:
                     grads[inp] = _accumulate(grads.get(inp), ig, nodes[inp].value)
     out = [_densify(grads[nid], nodes[nid].value) if nid in grads else np.zeros_like(nodes[nid].value) for nid in wrt]
     return out if every else tuple(out)

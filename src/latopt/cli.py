@@ -35,20 +35,36 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_kl(args) -> int:
-    from .data import load_dataset, unigram_kl
+def _load(cmd: str, *paths):
+    """The datasets at ``paths``; None after printing why one cannot be read."""
+    from .data import DatasetError, load_dataset
 
-    source = load_dataset(args.source)
-    target = load_dataset(args.target)
+    try:
+        return [load_dataset(path) for path in paths]
+    except DatasetError as e:
+        print(f"latopt {cmd}: {e}", file=sys.stderr)
+        return None
+
+
+def _cmd_kl(args) -> int:
+    from .data import unigram_kl
+
+    loaded = _load("kl", args.source, args.target)
+    if loaded is None:
+        return 2
+    source, target = loaded
     splits = tuple(args.split) if args.split else None
     print(f"{unigram_kl(source, target, splits):.6f}")
     return 0
 
 
 def _cmd_stats(args) -> int:
-    from .data import load_dataset, unigram_model
+    from .data import unigram_model
 
-    ds = load_dataset(args.data)
+    loaded = _load("stats", args.data)
+    if loaded is None:
+        return 2
+    (ds,) = loaded
     print(f"domain: {ds.domain}  vocab_size: {ds.vocab_size}  seed: {ds.seed}")
     for split in ("train", "dev", "test"):
         ex = ds.split(split)
@@ -114,8 +130,7 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .data import load_dataset
-    from .harness import _splits, _test_metrics, data_problem, select_model
+    from .harness import _test_metrics, checked_splits, select_model
     from .model import ModelConfig, init_params, save_checkpoint
     from .training import TrainingAborted, TrainingConfig, train_run
 
@@ -124,10 +139,12 @@ def _cmd_train(args) -> int:
     except ValueError as e:
         print(f"latopt train: {e}", file=sys.stderr)
         return 2
-    source = load_dataset(args.source)
-    target = load_dataset(args.target)
+    loaded = _load("train", args.source, args.target)
+    if loaded is None:
+        return 2
+    source, target = loaded
     # the model vocabulary is sized from the source
-    problem = data_problem(source.vocab_size, args.batch_size, {args.source: source, args.target: target})
+    problem, splits = checked_splits(source.vocab_size, args.batch_size, {args.source: source, args.target: target})
     if problem:
         print(f"latopt train: {problem}", file=sys.stderr)
         return 2
@@ -139,8 +156,8 @@ def _cmd_train(args) -> int:
             run = train_run(
                 args.strategy,
                 params,
-                _splits(source),
-                _splits(target),
+                splits[args.source],
+                splits[args.target],
                 config,
                 args.seed,
                 run_log=run_log,
@@ -150,7 +167,7 @@ def _cmd_train(args) -> int:
         return 1
     epoch = select_model(run.checkpoints, run.dev_f)
     chosen = run.checkpoints[epoch]
-    f, r, p = _test_metrics(chosen, _splits(target), "target")
+    f, r, p = _test_metrics(chosen, splits[args.target], "target")
     save_checkpoint(chosen, out / "model.json")
     metrics = {
         "strategy": args.strategy,
@@ -172,11 +189,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .data import DatasetError
     from .harness import ExperimentSpec, SpecError, format_summary, run_experiment
 
     try:
         reports, analysis = run_experiment(ExperimentSpec.from_json(args.spec), out_dir=args.out)
-    except SpecError as e:
+    except (SpecError, DatasetError) as e:
         print(f"latopt compare: {e}", file=sys.stderr)
         return 2
     print(format_summary(analysis))

@@ -300,13 +300,44 @@ def save_dataset(dataset: DomainDataset, path) -> None:
             fh.write(json.dumps({"tokens": list(e.tokens), "label": e.label, "split": e.split}) + "\n")
 
 
+class DatasetError(ValueError):
+    """A dataset file that cannot be read or does not hold a dataset; the
+    message starts with the file's path."""
+
+
+def _json_object(line: str) -> dict:
+    obj = json.loads(line)
+    if type(obj) is not dict:
+        raise ValueError("not a JSON object")
+    return obj
+
+
 def load_dataset(path) -> DomainDataset:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        examples = []
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            examples.append(Example(tuple(obj["tokens"]), int(obj["label"]), obj["split"]))
-    return DomainDataset(header["domain"], int(header["vocab_size"]), int(header["seed"]), examples)
+    """Read a file written by ``save_dataset``. A missing or unreadable file,
+    a line that is not JSON, or a header or example without its keys or
+    with a value of the wrong type raises ``DatasetError``."""
+    line_no = 1
+    try:
+        with open(path) as fh:
+            header = _json_object(fh.readline())
+            domain, vocab_size, seed = header["domain"], header["vocab_size"], header["seed"]
+            if type(domain) is not str or type(vocab_size) is not int or type(seed) is not int:
+                raise ValueError("the header needs a string domain and integer vocab_size and seed")
+            examples = []
+            for line_no, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                obj = _json_object(line)
+                tokens, label, split = obj["tokens"], obj["label"], obj["split"]
+                if type(tokens) is not list or not all(type(t) is int for t in tokens):
+                    raise ValueError("tokens must be a list of integers")
+                if type(label) is not int or type(split) is not str:
+                    raise ValueError("an example needs an integer label and a string split")
+                examples.append(Example(tuple(tokens), label, split))
+    except OSError as e:
+        raise DatasetError(f"{path}: {e.strerror or e}") from None
+    except KeyError as e:
+        raise DatasetError(f"{path}: line {line_no}: missing key {e}") from None
+    except ValueError as e:  # json.JSONDecodeError is a ValueError
+        raise DatasetError(f"{path}: line {line_no}: {e}") from None
+    return DomainDataset(domain, vocab_size, seed, examples)

@@ -10,14 +10,17 @@ default the comparison experiments rely on.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import time
-from dataclasses import dataclass, field, fields, asdict, replace
+import types
+import typing
+from dataclasses import dataclass, field, fields, asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .autodiff import ShapeError
 from .data import DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
 from .metrics import f_score, paired_sign_test
 from .model import ModelConfig, ModelParams, init_params, predict
@@ -50,20 +53,48 @@ class SpecError(ValueError):
     """An experiment spec that is malformed or does not fit its datasets."""
 
 
-def _known_keys(obj, cls, where: str) -> dict:
+def _json_kind(hint) -> tuple[str, typing.Callable]:
+    """(description, test) of the JSON values a field annotated ``hint``
+    takes: an int is not a bool, and a number is finite."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (inner,) = [h for h in typing.get_args(hint) if h is not type(None)]
+        what, ok = _json_kind(inner)
+        return f"{what} or null", lambda v: v is None or ok(v)
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        what, ok = _json_kind(item)
+        return f"a list of {what.split(' ', 1)[1]}s", lambda v: type(v) is list and all(map(ok, v))
+    if is_dataclass(hint):
+        return "a JSON object", lambda v: type(v) is dict
+    if hint is float:
+        return "a number", lambda v: type(v) in (int, float) and math.isfinite(v)
+    if hint is int:
+        return "an integer", lambda v: type(v) is int
+    return "a string", lambda v: type(v) is str
+
+
+def _checked_object(obj, cls, key: str | None = None) -> dict:
+    """``obj`` if it is a JSON object with only ``cls``'s fields as keys, each
+    holding a value of the field's JSON type; ``key`` names a nested object."""
+    where = key or "the spec"
     if not isinstance(obj, dict):
         raise SpecError(f"{where} must be a JSON object")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise SpecError(f"unknown key {unknown[0]!r} in {where}")
+    hints = typing.get_type_hints(cls)
+    for name, value in obj.items():
+        what, ok = _json_kind(hints[name])
+        if not ok(value):
+            raise SpecError(f"{key + ': ' if key else ''}{name} must be {what}, got {json.dumps(value)}")
     return obj
 
 
 @dataclass
 class ExperimentSpec:
-    strategies: list = field(default_factory=lambda: ["mtl", "mtl+lo", "adv", "adv+lo"])
-    seeds: list = field(default_factory=lambda: list(range(10)))
-    lr_grid: list = field(default_factory=lambda: [3e-4, 1e-3, 3e-3])
+    strategies: list[str] = field(default_factory=lambda: ["mtl", "mtl+lo", "adv", "adv+lo"])
+    seeds: list[int] = field(default_factory=lambda: list(range(10)))
+    lr_grid: list[float] = field(default_factory=lambda: [3e-4, 1e-3, 3e-3])
     gamma: float = 0.25  # lookahead step for the lo variants at experiment scale
     epochs: int = 5
     batch_size: int = 128
@@ -77,6 +108,8 @@ class ExperimentSpec:
             raise SpecError("spec needs at least one strategy")
         if not self.seeds:
             raise SpecError("spec needs at least one seed")
+        if min(self.seeds) < 0:
+            raise SpecError(f"spec seeds must be >= 0, got {self.seeds}")
         if not self.lr_grid:
             raise SpecError("spec needs a nonempty lr grid")
         if min(self.lr_grid) <= 0 or self.gamma < 0 or self.epochs < 1 or self.batch_size < 1:
@@ -87,20 +120,30 @@ class ExperimentSpec:
         unknown = [s for s in self.strategies if s not in SPEC_STRATEGIES]
         if unknown:
             raise SpecError(f"unknown strategy {unknown[0]!r} (choose from {', '.join(SPEC_STRATEGIES)})")
+        if (self.source_path is None) != (self.target_path is None):
+            raise SpecError("spec needs both source_path and target_path, or neither")
+        if self.source_path is not None and self.generator is not None:
+            raise SpecError("spec gives dataset paths and a generator; give one or the other")
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentSpec":
-        """A spec from a JSON file path or a decoded object. An unknown key,
-        at the top level or in ``generator`` or ``model``, an unknown
-        strategy or a ``generator`` or ``model`` value its config rejects
-        raises ``SpecError`` naming it."""
+        """A spec from a JSON file path or a decoded object. A file that
+        cannot be read or is not JSON, an unknown key or a value of the wrong
+        JSON type, at the top level or in ``generator`` or ``model``, an
+        unknown strategy or a ``generator`` or ``model`` value its config
+        rejects raises ``SpecError`` naming it."""
         if isinstance(obj, (str, Path)):
-            with open(obj) as fh:
-                obj = json.load(fh)
-        obj = dict(_known_keys(obj, cls, "the spec"))
+            try:
+                with open(obj) as fh:
+                    obj = json.load(fh)
+            except OSError as e:
+                raise SpecError(f"{obj}: {e.strerror or e}") from None
+            except ValueError as e:  # not JSON, or not UTF-8
+                raise SpecError(f"{obj}: {e}") from None
+        obj = dict(_checked_object(obj, cls))
         for key, config in (("generator", GeneratorConfig), ("model", ModelConfig)):
             if obj.get(key) is not None:
-                values = _known_keys(obj[key], config, key)
+                values = _checked_object(obj[key], config, key)
                 try:
                     obj[key] = config(**values)
                 except ValueError as e:
@@ -145,8 +188,8 @@ def select_model(checkpoints: list, dev_metrics: list) -> int:
 
 
 def _splits(ds: DomainDataset) -> dict:
-    """The dataset's train, dev and test splits, each packed once."""
-    return {name: pack_split(ds.pairs(name)) for name in ("train", "dev", "test")}
+    """The dataset's nonempty train, dev and test splits, each packed once."""
+    return {name: pack_split(pairs) for name in ("train", "dev", "test") if (pairs := ds.pairs(name))}
 
 
 def _test_metrics(params: ModelParams, splits: dict, domain: str):
@@ -247,34 +290,47 @@ def _failed_report(strategy, seed, lr, message) -> MetricsReport:
     return MetricsReport(strategy, seed, lr, 0.0, 0.0, 0.0, 0.0, -1, 0.0, 0, failed=True, error=message)
 
 
-def data_problem(vocab: int, batch_size: int, datasets: dict) -> str | None:
-    """Why a model with ``vocab`` tokens cannot train on ``datasets`` (name ->
-    dataset) in batches of ``batch_size``, or None when it can: every token
-    id must be embeddable, every label in {0, 1}, no split empty, and each
-    train split must hold at least one batch."""
+def checked_splits(vocab: int, batch_size: int, datasets: dict) -> tuple[str | None, dict]:
+    """(problem, splits): each dataset's splits packed once (name -> the
+    ``_splits`` of that dataset), and why a model with ``vocab`` tokens
+    cannot train on them in batches of ``batch_size``, or None when it can:
+    every token id must be embeddable, every label in {0, 1}, no split or
+    sequence empty, and each train split must hold at least one batch. The
+    checks read the packed splits, so an empty split is never packed."""
+    packed = {}
     for name, ds in datasets.items():
         if ds.vocab_size > vocab:
-            return f"{name}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens"
-        tokens = list(itertools.chain.from_iterable(e.tokens for e in ds.examples))
-        lo, hi = (min(tokens), max(tokens)) if tokens else (0, 0)
+            return f"{name}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens", packed
+        try:
+            splits = packed[name] = _splits(ds)
+        except ShapeError as e:
+            return f"{name}: {e}", packed
+        lo = min((s.seqs.ids.min() for s in splits.values()), default=0)
+        hi = max((s.seqs.ids.max() for s in splits.values()), default=0)
         if lo < 0 or hi >= vocab:
-            return f"{name}: token ids span [{lo}, {hi}], outside the model vocabulary of {vocab} tokens"
-        labels = {e.label for e in ds.examples}
-        if not labels <= {0, 1}:
-            return f"{name}: labels {sorted(labels - {0, 1})} are not in {{0, 1}}"
-        sizes = {split: len(ds.split(split)) for split in ("train", "dev", "test")}
-        empty = [split for split, n in sizes.items() if n == 0]
+            return f"{name}: token ids span [{lo}, {hi}], outside the model vocabulary of {vocab} tokens", packed
+        # sorted in Python: np.unique would import numpy.ma, about a megabyte
+        bad = {int(y) for s in splits.values() for y in s.labels[(s.labels != 0) & (s.labels != 1)]}
+        if bad:
+            return f"{name}: labels {sorted(bad)} are not in {{0, 1}}", packed
+        empty = [split for split in ("train", "dev", "test") if split not in splits]
         if empty:
-            return f"{name}: the {empty[0]} split is empty"
-        if batch_size > sizes["train"]:
-            return f"{name}: batch_size {batch_size} exceeds the {sizes['train']} train examples"
-    return None
+            return f"{name}: the {empty[0]} split is empty", packed
+        if batch_size > len(splits["train"].seqs):
+            return f"{name}: batch_size {batch_size} exceeds the {len(splits['train'].seqs)} train examples", packed
+    return None, packed
+
+
+def data_problem(vocab: int, batch_size: int, datasets: dict) -> str | None:
+    """The problem ``checked_splits`` finds with ``datasets``, or None."""
+    return checked_splits(vocab, batch_size, datasets)[0]
 
 
 def load_pair(spec: ExperimentSpec):
-    """The spec's dataset files, or the pair its generator config builds; a
-    config the pipeline cannot build both classes from raises ``SpecError``."""
-    if spec.source_path and spec.target_path:
+    """The spec's dataset files, or the pair its generator config builds. A
+    file that cannot be read as a dataset raises ``DatasetError``, a config
+    the pipeline cannot build both classes from ``SpecError``."""
+    if spec.source_path is not None:
         return load_dataset(spec.source_path), load_dataset(spec.target_path)
     try:
         return prepare_transfer_pair(spec.generator or GeneratorConfig())
@@ -294,14 +350,13 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None)
     """
     if source is None or target is None:
         source, target = load_pair(spec)
-    problem = data_problem(
-        spec.model.vocab_size,
-        spec.batch_size,
-        {spec.source_path or "source": source, spec.target_path or "target": target},
+    names = (spec.source_path or "source", spec.target_path or "target")
+    problem, splits = checked_splits(
+        spec.model.vocab_size, spec.batch_size, {names[0]: source, names[1]: target}
     )
     if problem:
         raise SpecError(problem)
-    source_splits, target_splits = _splits(source), _splits(target)
+    source_splits, target_splits = splits[names[0]], splits[names[1]]
 
     t0 = time.perf_counter()
     reports = [r for s in spec.seeds for r in _seed_jobs(spec, s, source_splits, target_splits)]

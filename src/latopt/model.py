@@ -173,9 +173,20 @@ def encode(params: ModelParams, sequences) -> np.ndarray:
     return tape.value(encode_on_tape(tape, p, sequences))
 
 
+DOMAINS = ("source", "target")
+
+
+def check_domain(domain: str) -> None:
+    """Raise ``ValueError`` unless ``domain`` is one of ``DOMAINS``."""
+    if domain not in DOMAINS:
+        raise ValueError(f"unknown domain {domain!r} (choose from {', '.join(DOMAINS)})")
+
+
 def classifier_logits(tape, p, z, domain: str) -> NodeId:
     """Task logits from latent features: the concatenation of
-    domain-specific and shared features through the 2-layer head."""
+    domain-specific and shared features through the 2-layer head. An
+    unknown ``domain`` raises ``ValueError`` before anything is recorded."""
+    check_domain(domain)
     if domain == "source":
         v = tape.dense(z, p["src_W"], p["src_b"], "tanh")
         c1w, c1b, c2w, c2b = "cls_s1_W", "cls_s1_b", "cls_s2_W", "cls_s2_b"
@@ -236,7 +247,8 @@ def domain_loss(params: ModelParams, u_s: np.ndarray, u_t: np.ndarray) -> float:
 def predict(params: ModelParams, sequences, domain: str, batch_size: int = 256) -> np.ndarray:
     """Argmax class predictions for one domain's classifier. ``sequences``
     is packed once (a ``Packed`` batch is used as it is) and encoded in
-    chunks of ``batch_size``."""
+    chunks of ``batch_size``. An unknown ``domain`` raises ``ValueError``."""
+    check_domain(domain)
     batch = pack(sequences)
     n = len(batch)
     out = []

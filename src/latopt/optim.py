@@ -16,7 +16,9 @@ class AdamState:
     One state covers all parameter groups of a model; accumulators are
     created lazily and mirror each parameter's shape. ``live`` holds, per
     2-D tensor, which rows have ever had a nonzero gradient or moment
-    (None once every row has).
+    (None once every row has). The tensors whose rows are all live are
+    ``fused``: their moments sit in one flat buffer each (``m[name]`` and
+    ``v[name]`` are views into it, at ``fused[name]``) and take one update.
     """
 
     beta1: float = 0.9
@@ -26,9 +28,26 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     live: dict[str, np.ndarray | None] = field(default_factory=dict)
+    fused: dict[str, slice] = field(default_factory=dict, init=False)
+    flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False, repr=False)
+    flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False, repr=False)
 
     def state_scalars(self) -> int:
         return sum(a.size for a in self.m.values()) + sum(a.size for a in self.v.values())
+
+    def fuse(self, names) -> None:
+        """Move the moments of ``names`` into the flat buffers, after the
+        tensors already there, and point every fused name's views at them."""
+        order = [*self.fused, *names]
+        self.flat_m = np.concatenate([self.m[n].ravel() for n in order])
+        self.flat_v = np.concatenate([self.v[n].ravel() for n in order])
+        at = 0
+        for n in order:
+            shape, size = self.m[n].shape, self.m[n].size
+            self.fused[n] = slice(at, at + size)
+            self.m[n] = self.flat_m[at : at + size].reshape(shape)
+            self.v[n] = self.flat_v[at : at + size].reshape(shape)
+            at += size
 
 
 def _adam_rows(state: AdamState, m, v, g, lr, c1, c2):
@@ -50,9 +69,14 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, 
 
     A row of a 2-D tensor whose gradient and moments have always been zero
     takes an exact identity step, so only the rows that ever had a nonzero
-    gradient are updated. The result is bitwise that of dense Adam; every
-    live row's moments decay every step (unlike TF's LazyAdam).
+    gradient are updated. The tensors whose rows are all live take one
+    update over their concatenated gradient. The result is bitwise that of
+    dense Adam on each tensor in turn: every update is elementwise, and
+    every live row's moments decay every step (unlike TF's LazyAdam).
     """
+    for name, g in grads.items():
+        if g.shape != params[name].shape:
+            raise ValueError(f"adam_step: gradient shape {g.shape} != param shape {params[name].shape} for '{name}'")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t
@@ -61,10 +85,11 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, 
         rest = _adam_rows(state, np.zeros(1), np.zeros(1), 0.0, lr, c1, c2)[0]
     # skipping the rows at rest is exact only if their step is exactly +0.0
     sparse_ok = rest == 0.0 and not np.signbit(rest)
+    joining = []
     for name, g in grads.items():
+        if name in state.fused:
+            continue
         p = params[name]
-        if g.shape != p.shape:
-            raise ValueError(f"adam_step: gradient shape {g.shape} != param shape {p.shape} for '{name}'")
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -78,14 +103,28 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, 
             live[np.flatnonzero(g != 0.0) // g.shape[1]] = True
             if live.all():
                 state.live[name] = live = None
-        if live is None or not sparse_ok:
+        if live is None:
+            joining.append(name)
+        elif not sparse_ok:
             p -= _adam_rows(state, m, v, g, lr, c1, c2)
-            continue
-        rows = np.flatnonzero(live)
-        m_r, v_r = m[rows], v[rows]
-        p[rows] -= _adam_rows(state, m_r, v_r, g[rows], lr, c1, c2)
-        m[rows] = m_r
-        v[rows] = v_r
+        else:
+            rows = np.flatnonzero(live)
+            m_r, v_r = m[rows], v[rows]
+            p[rows] -= _adam_rows(state, m_r, v_r, g[rows], lr, c1, c2)
+            m[rows] = m_r
+            v[rows] = v_r
+    if joining:
+        state.fuse(joining)
+    if state.fused and all(name in grads for name in state.fused):
+        g = np.concatenate([grads[name].ravel() for name in state.fused])
+        step = _adam_rows(state, state.flat_m, state.flat_v, g, lr, c1, c2)
+        for name, at in state.fused.items():
+            p = params[name]
+            p -= step[at].reshape(p.shape)
+        return
+    for name in state.fused:  # some fused tensors have no gradient this step
+        if name in grads:
+            params[name] -= _adam_rows(state, state.m[name], state.v[name], grads[name], lr, c1, c2)
 
 
 def cosine_lr(t: int, total: int, lr0: float) -> float:

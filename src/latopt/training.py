@@ -463,15 +463,17 @@ def train_run(
 
     ``source_splits``/``target_splits`` map split name -> :class:`Split`
     (``harness._splits`` builds them). Each epoch's snapshot is scored by the
-    positive-class F on ``eval_domain``'s dev split. ``run_log`` is an
+    positive-class F on ``eval_domain``'s dev split; an unknown
+    ``eval_domain`` raises ``ValueError`` before training. ``run_log`` is an
     optional file handle receiving one JSON line per epoch.
     """
     import json
 
     from .metrics import f_score
-    from .model import predict
+    from .model import check_domain, predict
     from .optim import AdamState
 
+    check_domain(eval_domain)
     rng = np.random.default_rng(seed)
     opt_state = AdamState(beta1=config.beta1, beta2=config.beta2, eps=config.eps)
     source_train, target_train = source_splits["train"], target_splits["train"]

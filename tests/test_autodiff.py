@@ -411,6 +411,22 @@ def test_nonfinite_embedding_gradient_names_op_and_node(wrt):
         backward(t, loss, wrt=wrt)
 
 
+@pytest.mark.parametrize("wrt", [None, (0,), (0, 1)])
+def test_nonfinite_frontier_gradient_names_op_node_and_input(wrt):
+    # x is zero, so the forward is finite; x's gradient sums two 1e308
+    # weights per row and overflows
+    t = Tape()
+    x = t.leaf(np.zeros((3, 2)))
+    w = t.leaf(np.full((2, 2), 1e308))
+    out = t.dense(x, w, t.leaf(np.zeros(2)))
+    loss = t.reduce_sum(out)
+    with pytest.raises(NonFiniteError, match=r"op 'dense' \(node 3\) .* gradient for input node 0"):
+        backward(t, loss, wrt=wrt)
+    # off the frontier, x's gradient is never computed
+    (gw,) = backward(t, loss, wrt=(w,))
+    assert not gw.any()
+
+
 def test_nonfinite_dense_preactivation_names_op_node_and_stage():
     # tanh(inf) is a finite 1.0: only the pre-activation shows the overflow
     t = Tape()

@@ -112,7 +112,11 @@ def test_gen_bad_input_exits_2_before_writing(tmp_path, capsys, flag, value, rea
     assert not out.exists()
 
 
-def test_train_single_run(tmp_path, data_dir, capsys):
+def test_train_single_run(tmp_path, data_dir, capsys, monkeypatch):
+    from latopt import harness
+
+    packed = []
+    monkeypatch.setattr(harness, "_splits", lambda ds, pack=harness._splits: packed.append(ds.domain) or pack(ds))
     out = tmp_path / "run"
     code = main(
         [
@@ -140,6 +144,7 @@ def test_train_single_run(tmp_path, data_dir, capsys):
     assert len(runlog) == 1
     assert set(runlog[0]["losses"]) == {"L_s", "L_t", "L_d", "joint"}
     assert (out / "model.json").exists()
+    assert packed == ["source", "target"]  # each dataset packed once
 
 
 @pytest.mark.parametrize("bad", ["vocab_size", "token_id"])
@@ -269,6 +274,12 @@ def test_compare_rejects_spec_that_does_not_fit_its_data(tmp_path, data_dir, cap
             {"source_path": None, "target_path": None, "generator": {**TINY_GENERATOR, "target_positive_rate": 0.0}},
             "generator: upsample: class 1 is empty",
         ),
+        ({"epochs": "5"}, 'epochs must be an integer, got "5"'),
+        ({"seeds": "0"}, 'seeds must be a list of integers, got "0"'),
+        ({"model": {"embed_dim": "16"}}, 'model: embed_dim must be an integer, got "16"'),
+        ({"generator": {"min_len": "3"}}, 'generator: min_len must be an integer, got "3"'),
+        ({"target_path": None}, "spec needs both source_path and target_path, or neither"),
+        ({"generator": {"seed": 3}}, "spec gives dataset paths and a generator; give one or the other"),
     ],
     ids=[
         "misspelled_key",
@@ -278,6 +289,12 @@ def test_compare_rejects_spec_that_does_not_fit_its_data(tmp_path, data_dir, cap
         "positive_rate",
         "fidelity",
         "no_positives",
+        "epochs_string",
+        "seeds_string",
+        "model_value_string",
+        "generator_value_string",
+        "source_path_alone",
+        "paths_and_generator",
     ],
 )
 def test_compare_rejects_malformed_spec(tmp_path, data_dir, capsys, change, reason):
@@ -293,4 +310,48 @@ def test_compare_rejects_malformed_spec(tmp_path, data_dir, capsys, change, reas
     out = tmp_path / "results"
     assert main(["compare", "--spec", str(spec_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"latopt compare: {reason}")
+    assert not out.exists()
+
+
+
+@pytest.mark.parametrize("content, reason", [(None, "No such file or directory"), ('{"seeds": [0],', "Expecting")], ids=["missing", "not_json"])
+def test_compare_unreadable_spec_exits_2_before_writing(tmp_path, capsys, content, reason):
+    spec = tmp_path / "spec.json"
+    if content is not None:
+        spec.write_text(content)
+    out = tmp_path / "out"
+    assert main(["compare", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"latopt compare: {spec}: ") and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "train", "kl", "stats"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "No such file or directory"),
+        ('{"domain": "source"', "line 1: "),
+        ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1, 2.5], "label": 0, "split": "train"}\n', "line 2: tokens must be a list of integers"),
+        ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1, 2], "split": "train"}\n', "line 2: missing key 'label'"),
+    ],
+    ids=["missing", "not_json", "float_token", "no_label"],
+)
+def test_unreadable_dataset_exits_2_before_writing(tmp_path, data_dir, capsys, command, content, reason):
+    bad = tmp_path / "bad.jsonl"
+    if content is not None:
+        bad.write_text(content)
+    out = tmp_path / "out"
+    good = str(data_dir / "target.jsonl")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"strategies": ["mtl"], "seeds": [0], "source_path": good, "target_path": str(bad)}))
+    argv = {
+        "compare": ["compare", "--spec", str(spec), "--out", str(out)],
+        "train": ["train", "--source", good, "--target", str(bad), "--epochs", "1", "--out", str(out)],
+        "kl": ["kl", "--source", str(bad), "--target", good],
+        "stats": ["stats", "--data", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"latopt {command}: {bad}: ") and reason in err
     assert not out.exists()

@@ -167,6 +167,8 @@ def _break(pair, bad):
         tgt.examples[0] = replace(first, label=2)
     elif bad == "empty_split":
         src.examples = [e for e in src.examples if e.split != "dev"]
+    elif bad == "empty_sequence":
+        tgt.examples[-1] = replace(tgt.examples[-1], tokens=())
     return src, tgt
 
 
@@ -175,6 +177,7 @@ SPEC_PROBLEMS = {
     "vocab_size": "target: vocab_size 40 exceeds the model vocabulary of 30 tokens",
     "label": "target: labels [2] are not in {0, 1}",
     "empty_split": "source: the dev split is empty",
+    "empty_sequence": "target: pack: empty token sequence",
     "batch_size": "source: batch_size 16 exceeds the 8 train examples",
 }
 
@@ -223,6 +226,22 @@ def test_data_problem_accepts_a_fitting_pair():
         ({"epochs": 0}, "epochs=0,"),
         ({"batch_size": 0}, "batch_size=0"),
         ({"lr_grid": [1e-3, 0.0]}, "lr_grid=[0.001, 0.0],"),
+        ({"epochs": "5"}, 'epochs must be an integer, got "5"'),
+        ({"seeds": "0"}, 'seeds must be a list of integers, got "0"'),
+        ({"seeds": [0, True]}, "seeds must be a list of integers, got [0, true]"),
+        ({"lr_grid": [1e-3, "3e-3"]}, 'lr_grid must be a list of numbers, got [0.001, "3e-3"]'),
+        ({"gamma": None}, "gamma must be a number, got null"),
+        ({"source_path": 3, "target_path": "t.jsonl"}, "source_path must be a string or null, got 3"),
+        ({"model": {"embed_dim": "16"}}, 'model: embed_dim must be an integer, got "16"'),
+        ({"generator": {"min_len": "3"}}, 'generator: min_len must be an integer, got "3"'),
+        ({"generator": {"cue_rate": [0.1]}}, "generator: cue_rate must be a number, got [0.1]"),
+        ({"seeds": [0, -1]}, "spec seeds must be >= 0, got [0, -1]"),
+        ({"source_path": "s.jsonl"}, "spec needs both source_path and target_path, or neither"),
+        ({"target_path": "t.jsonl"}, "spec needs both source_path and target_path, or neither"),
+        (
+            {"source_path": "s.jsonl", "target_path": "t.jsonl", "generator": {"seed": 1}},
+            "spec gives dataset paths and a generator; give one or the other",
+        ),
     ],
     ids=[
         "top_level_key",
@@ -236,6 +255,19 @@ def test_data_problem_accepts_a_fitting_pair():
         "epochs",
         "batch_size",
         "lr_grid",
+        "epochs_string",
+        "seeds_string",
+        "seed_bool",
+        "rate_string",
+        "gamma_null",
+        "path_number",
+        "model_value",
+        "generator_value",
+        "generator_list",
+        "negative_seed",
+        "source_path_alone",
+        "target_path_alone",
+        "paths_and_generator",
     ],
 )
 def test_spec_from_json_rejects_what_it_cannot_run(tmp_path, spec, message):
@@ -244,6 +276,17 @@ def test_spec_from_json_rejects_what_it_cannot_run(tmp_path, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     with pytest.raises(SpecError, match=re.escape(message)):
+        ExperimentSpec.from_json(path)
+
+
+@pytest.mark.parametrize("content", [None, "", "{\"seeds\": [0],", "\xff"], ids=["missing", "empty", "truncated", "not_utf8"])
+def test_spec_from_json_names_an_unreadable_file(tmp_path, content):
+    from latopt.harness import SpecError
+
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_bytes(content.encode("latin-1"))
+    with pytest.raises(SpecError, match=f"^{re.escape(str(path))}: "):
         ExperimentSpec.from_json(path)
 
 

@@ -76,6 +76,33 @@ def test_encode_rejects_empty_batch():
         encode(params, [])
 
 
+def test_unknown_domain_rejected_before_anything_is_recorded():
+    import io
+
+    from latopt.autodiff import Tape
+    from latopt.model import classifier_logits, predict, put_params
+    from latopt.training import TrainingConfig, pack_split, train_run
+
+    params = init_params(SMALL, 0)
+    tape = Tape()
+    p = put_params(tape, params)
+    z = tape.leaf(np.zeros((2, SMALL.latent_dim)))
+    with pytest.raises(ValueError, match="unknown domain 'bogus'"):
+        classifier_logits(tape, p, z, "bogus")
+    assert len(tape) == len(p) + 1
+    with pytest.raises(ValueError, match="unknown domain 'bogus'"):
+        predict(params, [(1, 2), (3,)], "bogus")
+    rng = np.random.default_rng(0)
+    split = pack_split([(tuple(rng.integers(0, SMALL.vocab_size, 3)), i % 2) for i in range(8)])
+    splits = {"train": split, "dev": split}
+    log = io.StringIO()
+    before = params.copy()
+    with pytest.raises(ValueError, match="unknown domain 'Target'"):
+        train_run("mtl", params, splits, splits, TrainingConfig(batch_size=4, epochs=1), 0, eval_domain="Target", run_log=log)
+    assert log.getvalue() == ""
+    assert all(params.tensors[k].tobytes() == before.tensors[k].tobytes() for k in params.tensors)
+
+
 def test_grl_schedule_endpoints_and_monotonicity():
     assert grl_weight(0.0) == 0.0
     assert grl_weight(1.0) <= 1.0

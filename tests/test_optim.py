@@ -39,6 +39,15 @@ def test_adam_shape_mismatch():
     state = AdamState()
     with pytest.raises(ValueError):
         adam_step(state, {"w": np.zeros(2)}, {"w": np.zeros(3)}, lr=0.1)
+    # named, and raised before any tensor or moment changes
+    params = {"a": np.ones(2), "b": np.ones((2, 2))}
+    adam_step(state, params, {"a": np.ones(2), "b": np.ones((2, 2))}, lr=0.1)
+    before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in params}
+    with pytest.raises(ValueError, match=r"\(3,\) != param shape \(2, 2\) for 'b'"):
+        adam_step(state, params, {"a": np.ones(2), "b": np.ones(3)}, lr=0.1)
+    assert state.step == 1
+    for k, arrays in before.items():
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in (params[k], state.m[k], state.v[k])]
 
 
 def test_adam_state_scalars_mirror_params():

@@ -51,6 +51,39 @@ def tiny_splits(rng, n=12, config=TINY):
 # --- latent lookahead ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("strategy", ["adv+lo", "mtl+lo"])
+def test_inner_sweep_computes_only_frontier_gradients(strategy, monkeypatch):
+    # every computed gradient is finite-checked, so the checks count them
+    from latopt import autodiff, training
+
+    checked, sweeps = [], []
+    check = autodiff._check_finite
+
+    def counting_check(value, op, node, what="value"):
+        if what.startswith("gradient for input node "):
+            checked[-1].append(int(what.rsplit(" ", 1)[1]))
+        return check(value, op, node, what)
+
+    def inner_backward(tape, loss, wrt=None):
+        checked.append([])
+        sweeps.append((tape, tuple(wrt)))
+        return backward(tape, loss, wrt=wrt)
+
+    monkeypatch.setattr(autodiff, "_check_finite", counting_check)
+    monkeypatch.setattr(training, "backward", inner_backward)
+    rng = np.random.default_rng(4)
+    strategy_forward(init_params(TINY, 4), tiny_batch(rng, b=3), tiny_batch(rng, b=3), strategy, lam=0.5, gamma=0.25)
+    ((tape, wrt),) = sweeps
+    frontier = set(wrt)
+    for nid, node in enumerate(tape.nodes):
+        if frontier & set(node.inputs):
+            frontier.add(nid)
+    (inputs,) = checked
+    assert set(wrt) <= set(inputs)  # the latents' own gradients are computed and checked
+    assert set(inputs) <= frontier
+    assert not any(tape.nodes[i].op == "leaf" for i in inputs)  # no parameter or one-hot label
+
+
 def test_latent_step_gamma_zero_returns_same_nodes():
     rng = np.random.default_rng(0)
     params = init_params(TINY, 0)
