@@ -7,8 +7,14 @@ frontier sweep (``backward(tape, loss, wrt=...)``) visits only the nodes
 between the requested ones and the loss and gives bitwise the same
 gradients there. All values are float64. Any operation that produces a
 NaN/Inf raises :class:`NonFiniteError` instead of letting the poison
-propagate. Inside the sweep an ``embedding_mean`` gradient holds only the
-batch's rows; ``backward`` returns dense arrays. A token batch can be
+propagate. A leaf is tested entry by entry; an op's output and every
+gradient by one dot product, since a finite sum of squares proves every
+entry finite, and only a non-finite sum is settled entry by entry. So every
+value on a tape is finite, and ``dense``, ``tanh``, ``relu``, ``concat``,
+``grl``, ``detach`` and ``negate``, which map finite inputs to finite
+outputs (a ``dense`` checks its pre-activation), skip the output test.
+Inside the sweep an ``embedding_mean`` gradient holds only the batch's
+rows; ``backward`` returns dense arrays. A token batch can be
 packed once (:class:`Packed`) and encoded as it is any number of times.
 
 A tape is single-writer: build it and run backward on one thread. The
@@ -18,6 +24,7 @@ returned gradient arrays are fresh allocations and safe to share.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -115,7 +122,7 @@ def _accumulate(prev, g, like: np.ndarray):
         # 0.0 + g, as a zero buffer would give: -0.0 becomes +0.0
         if isinstance(g, _RowGrad):
             return _RowGrad(g.rows, g.vals + 0.0)
-        return np.add(g, 0.0, out=np.empty_like(like))
+        return np.asarray(g + 0.0)  # a fresh buffer; asarray keeps a 0-d sum an array
     if not isinstance(g, _RowGrad):
         prev = _densify(prev, like)
         prev += g
@@ -138,8 +145,18 @@ def _as_f64(x) -> np.ndarray:
     return a
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite. One dot decides almost always:
+    the squares are >= 0, so nothing cancels and a NaN or Inf keeps the sum
+    non-finite. A non-finite sum (a NaN/Inf entry, or finite squares that
+    overflow) is settled entry by entry. The dot may overflow: call this
+    under an errstate that ignores overflow, as ``record`` and ``backward``
+    hold one. ``vdot`` flattens ``a`` itself, a view where it can."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def _check_finite(value: np.ndarray, op: str, node: NodeId, what: str = "value") -> None:
-    if not np.isfinite(value).all():
+    if not _all_finite(value):
         raise NonFiniteError(f"op '{op}' (node {node}) produced a non-finite {what}")
 
 
@@ -154,13 +171,16 @@ def _check_finite(value: np.ndarray, op: str, node: NodeId, what: str = "value")
 #   embedding_mean gets a _RowGrad. grad_out is always dense.
 
 
+def _check_add_shapes(a, b) -> None:
+    # equal shapes, or a row-vector bias broadcast over the batch
+    if a.shape != b.shape and not (a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]):
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
+
+
 def _fw_add(vals, meta):
     a, b = vals
-    if a.shape == b.shape:
-        return a + b
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        return a + b  # row-vector bias broadcast over the batch
-    raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
+    _check_add_shapes(a, b)
+    return a + b
 
 
 def _bw_add(g, vals, out, meta, need):
@@ -182,17 +202,20 @@ def _bw_matmul(g, vals, out, meta, need):
 
 
 def _fw_dense(vals, meta):
-    """act(x @ W + b) in one node. The pre-activation is checked here: tanh
-    would turn an overflowing matmul into a finite 1.0."""
+    """act(x @ W + b) in one node, in the matmul's buffer. The pre-activation
+    is checked here: tanh would turn an overflowing matmul into a finite 1.0.
+    Past this check the output is finite, so ``record`` does not test it."""
     x, w, b = vals
-    h = _fw_add((_fw_matmul((x, w), meta), b), meta)
-    if not np.isfinite(h).all():
+    h = _fw_matmul((x, w), meta)
+    _check_add_shapes(h, b)
+    h += b
+    if not _all_finite(h):
         raise NonFiniteError("pre-activation (matmul + bias)")
     act = meta["act"]
     if act == "tanh":
-        return np.tanh(h)
-    if act == "relu":
-        return np.maximum(h, 0.0)
+        np.tanh(h, out=h)
+    elif act == "relu":
+        np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -204,7 +227,9 @@ def _bw_dense(g, vals, out, meta, need):
     x, w, b = vals
     act = meta["act"]
     if act == "tanh":
-        gh = g * (1.0 - out * out)
+        gh = out * out  # g * (1.0 - out * out) in one buffer
+        np.subtract(1.0, gh, out=gh)
+        gh *= g
     elif act == "relu":
         gh = g * (out > 0.0)
     else:
@@ -403,6 +428,10 @@ _OPS = {
 
 DIFFERENTIABLE_OPS = tuple(k for k in _OPS if k not in ("detach",))
 
+# ops whose output is finite whenever their inputs are: every value on a tape
+# is, so ``record`` does not test these outputs again
+_FINITE_IF_INPUTS_FINITE = frozenset({"dense", "tanh", "relu", "concat", "grl", "detach", "negate"})
+
 
 class Tape:
     """Append-only record of ops; node ids are indices into ``nodes``.
@@ -426,9 +455,15 @@ class Tape:
                 raise IndexError(f"node id {nid} not on this tape")
 
     def leaf(self, value) -> NodeId:
-        """Record an input/constant leaf."""
+        """Record an input/constant leaf. The tape holds ``value`` itself when
+        it is a float64 array, so it must not be written while the tape is in
+        use. Its entries are tested one by one: a dot here would need an
+        errstate of its own to keep an overflow silent, which costs more
+        than the dot saves. Counting the finite entries costs about half of
+        ``.all()`` on small arrays."""
         v = _as_f64(value)
-        _check_finite(v, "leaf", len(self.nodes))
+        if np.count_nonzero(np.isfinite(v)) != v.size:
+            raise NonFiniteError(f"op 'leaf' (node {len(self.nodes)}) produced a non-finite value")
         self.nodes.append(Node("leaf", (), v))
         return len(self.nodes) - 1
 
@@ -437,13 +472,14 @@ class Tape:
             raise KeyError(f"unknown op kind '{op}'")
         self._check_ids(inputs)
         vals = [self.nodes[i].value for i in inputs]
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
                 out = _OPS[op][0](vals, meta)
-        except NonFiniteError as e:  # a non-finite intermediate, named by its stage
-            raise NonFiniteError(f"op '{op}' (node {len(self.nodes)}) produced a non-finite {e}") from None
-        out = _as_f64(out)
-        _check_finite(out, op, len(self.nodes))
+            except NonFiniteError as e:  # a non-finite intermediate, named by its stage
+                raise NonFiniteError(f"op '{op}' (node {len(self.nodes)}) produced a non-finite {e}") from None
+            out = _as_f64(out)
+            if op not in _FINITE_IF_INPUTS_FINITE:
+                _check_finite(out, op, len(self.nodes))
         self.nodes.append(Node(op, tuple(inputs), out, meta))
         return len(self.nodes) - 1
 

@@ -139,6 +139,9 @@ def _cmd_train(args) -> int:
     except ValueError as e:
         print(f"latopt train: {e}", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"latopt train: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     loaded = _load("train", args.source, args.target)
     if loaded is None:
         return 2

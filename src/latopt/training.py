@@ -20,6 +20,7 @@ strategy, which makes the reduction identities bitwise.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -271,10 +272,17 @@ class TrainingConfig:
     grl_lambda: float | None = None  # fixed reversal weight; None uses the schedule
 
     def __post_init__(self):
+        # a NaN compares False with everything, so it would slip past the bounds
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
+        if self.grl_lambda is not None and not (math.isfinite(self.grl_lambda) and self.grl_lambda >= 0):
+            raise ValueError(f"grl_lambda must be None or a finite number >= 0, got {self.grl_lambda}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:

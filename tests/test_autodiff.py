@@ -8,6 +8,7 @@ import pytest
 
 from latopt.autodiff import (
     DIFFERENTIABLE_OPS,
+    _FINITE_IF_INPUTS_FINITE,
     NonFiniteError,
     ShapeError,
     Tape,
@@ -435,6 +436,48 @@ def test_nonfinite_dense_preactivation_names_op_node_and_stage():
     with pytest.raises(NonFiniteError, match=r"op 'dense' \(node 2\) produced a non-finite pre-activation \(matmul \+ bias\)"):
         t.dense(x, x, b, "tanh")
     assert len(t) == 2
+
+
+# ``record`` does not test the outputs of these ops: each must map extreme
+# finite inputs to finite outputs (a dense raises on its pre-activation)
+EXTREME = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+UNCHECKED_CASES = {
+    "dense": lambda t, x: [t.dense(x, t.leaf(np.eye(2)), t.leaf(np.zeros(2)), act) for act in (None, "tanh", "relu")],
+    "tanh": lambda t, x: [t.tanh(x)],
+    "relu": lambda t, x: [t.relu(x)],
+    "concat": lambda t, x: [t.concat(x, x, axis=0), t.concat(x, x, axis=1)],
+    "grl": lambda t, x: [t.grl(x, 1e308)],
+    "detach": lambda t, x: [t.detach(x)],
+    "negate": lambda t, x: [t.negate(x)],
+}
+
+
+def test_unchecked_ops_are_the_cased_ones():
+    assert set(UNCHECKED_CASES) == _FINITE_IF_INPUTS_FINITE
+
+
+@pytest.mark.parametrize("op", sorted(UNCHECKED_CASES))
+def test_unchecked_op_maps_extreme_finite_inputs_to_finite_outputs(op):
+    t = Tape()
+    for nid in UNCHECKED_CASES[op](t, t.leaf(EXTREME)):
+        assert t.nodes[nid].op == op
+        assert np.isfinite(t.value(nid)).all()
+
+
+@pytest.mark.parametrize(
+    "op, build",
+    [
+        ("add", lambda t, x: t.add(x, x)),
+        ("scale", lambda t, x: t.scale(x, 2.0)),
+        ("matmul", lambda t, x: t.matmul(x, x)),
+        ("log", lambda t, x: t.log(t.leaf([0.0, 1.0]))),  # log cannot overflow; log(0) is its -inf
+    ],
+)
+def test_checked_op_still_raises_on_a_nonfinite_output(op, build):
+    t = Tape()
+    x = t.leaf(EXTREME)
+    with pytest.raises(NonFiniteError, match=rf"^op '{op}' \(node \d\) produced a non-finite value$"):
+        build(t, x)
 
 
 @pytest.mark.parametrize("act", ["sigmoid", "", "Tanh"])

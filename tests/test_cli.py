@@ -207,6 +207,11 @@ def test_train_accepts_only_trainable_strategies(tmp_path, data_dir, capsys, str
         ("--lr", "0", "lr must be > 0"),
         ("--gamma", "-1", "gamma must be >= 0"),
         ("--batch-size", "0", "batch_size must be >= 1"),
+        ("--lr", "nan", "lr must be finite, got nan"),
+        ("--lr", "inf", "lr must be finite, got inf"),
+        ("--gamma", "nan", "gamma must be finite, got nan"),
+        ("--gamma", "inf", "gamma must be finite, got inf"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
     ],
 )
 def test_train_rejects_bad_numeric_flags_before_writing(tmp_path, data_dir, capsys, flag, value, reason):

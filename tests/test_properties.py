@@ -1,12 +1,18 @@
 """Property tests: the embedding op on packed batches and sub-batches, its
 row-sparse gradient in the sweep, batches gathered from a packed
 split, the frontier backward, the fused dense op and touched-row Adam agree
-bit for bit with the straightforward computations they replace, and
-checkpoints round-trip exactly while tampered ones are refused."""
+bit for bit with the straightforward computations they replace, the finite
+checks raise exactly on a non-finite entry, and checkpoints round-trip
+exactly while tampered ones are refused."""
 
+import contextlib
 import json
+import math
+import re
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +21,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from latopt.autodiff import Packed, ShapeError, Tape, _accumulate, _densify, _RowGrad, backward, pack  # noqa: E402
+from latopt import autodiff  # noqa: E402
+from latopt.autodiff import (  # noqa: E402
+    NonFiniteError,
+    Packed,
+    ShapeError,
+    Tape,
+    _accumulate,
+    _densify,
+    _RowGrad,
+    backward,
+    pack,
+)
 from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, predict, save_checkpoint  # noqa: E402
 from latopt.optim import AdamState, adam_step  # noqa: E402
 from latopt.training import (  # noqa: E402
@@ -665,6 +682,77 @@ def test_fused_adam_matches_dense_adam(run):
     seen = {name for g in grads for name in g}
     assert {"b1", "b2"} & seen <= set(state.fused)  # 1-D tensors always take the fused update
     assert state.state_scalars() == 2 * sum(params[name].size for name in set(state.m))
+
+
+# --- finite checks ----------------------------------------------------------------
+
+# finite entries whose squares overflow or underflow, and both zeros
+FINITE_EDGES = (0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1e200, -1.3e200, 1.7e308, -1.7e308)
+NONFINITE = (np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def checked_arrays(draw):
+    """A float64 array of 0 to 3 dimensions, some of size 0, sometimes a
+    transposed or strided view; entries mix ordinary values, FINITE_EDGES
+    and, in about half the cases, NaN and +-Inf."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    layout = draw(st.sampled_from(["c", "transposed", "strided"])) if shape else "c"
+    if layout == "transposed":
+        base_shape = shape[::-1]
+    elif layout == "strided":
+        base_shape = shape[:-1] + (2 * shape[-1],)
+    else:
+        base_shape = shape
+    specials = FINITE_EDGES + (NONFINITE if draw(st.booleans()) else ())
+    entry = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(specials))
+    n = int(np.prod(base_shape, dtype=np.int64))
+    base = np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=np.float64).reshape(base_shape)
+    if layout == "transposed":
+        return base.T
+    if layout == "strided":
+        return base[..., ::2]  # the skipped entries may be NaN: only the view counts
+    return base
+
+
+def _probe_op():
+    """An op whose forward returns ``meta["out"]`` and whose backward hands
+    ``meta["grad"]`` to its input: the tape checks them as they are."""
+    return mock.patch.dict(
+        autodiff._OPS, {"probe": (lambda vals, meta: meta["out"], lambda g, vals, out, meta, need: (meta["grad"],))}
+    )
+
+
+def _raises_iff(bad, message):
+    if bad:
+        return pytest.raises(NonFiniteError, match="^" + re.escape(message) + "$")
+    return contextlib.nullcontext()
+
+
+@PROPERTY
+@given(checked_arrays())
+@example(np.array(np.nan))  # 0-d
+@example(np.array(1e200))  # 0-d, its square overflows
+@example(np.full((3, 2), 1.7e308))
+@example(np.full((4, 4), np.inf)[:, ::2])
+@example(np.zeros((0, 3)))
+@example(np.array([-0.0, 5e-324, -5e-324]))
+def test_finite_checks_raise_exactly_on_a_nonfinite_entry(a):
+    bad = not all(math.isfinite(v) for v in a.ravel().tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing check must not warn
+        with _raises_iff(bad, "op 'leaf' (node 0) produced a non-finite value"):
+            assert Tape().leaf(a) == 0
+        with _probe_op():
+            t = Tape()
+            x = t.leaf(np.zeros(a.shape))
+            with _raises_iff(bad, "op 'probe' (node 1) produced a non-finite value"):
+                assert t.value(t.record("probe", (x,), out=a)) is a
+            loss = t.record("probe", (x,), out=np.array(0.0), grad=a)
+            for wrt in (None, (x,)):
+                with _raises_iff(bad, f"op 'probe' (node {loss}) produced a non-finite gradient for input node {x}"):
+                    grads = backward(t, loss, wrt=wrt)
+                    assert _same(grads[0], a + 0.0)
 
 
 # --- checkpoints ----------------------------------------------------------------

@@ -4,6 +4,7 @@ and descent properties, and the epoch machinery."""
 
 import io
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -446,6 +447,24 @@ def test_training_config_validation():
         TrainingConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         TrainingConfig(batch_size=0)
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("lr", float("nan"), "lr must be finite, got nan"),
+        ("lr", float("inf"), "lr must be finite, got inf"),
+        ("lr", float("-inf"), "lr must be finite, got -inf"),
+        ("gamma", float("nan"), "gamma must be finite, got nan"),
+        ("gamma", float("inf"), "gamma must be finite, got inf"),
+        ("grl_lambda", float("nan"), "grl_lambda must be None or a finite number >= 0, got nan"),
+        ("grl_lambda", float("inf"), "grl_lambda must be None or a finite number >= 0, got inf"),
+        ("grl_lambda", -0.5, "grl_lambda must be None or a finite number >= 0, got -0.5"),
+    ],
+)
+def test_training_config_rejects_nonfinite_or_negative_values(field, value, reason):
+    with pytest.raises(ValueError, match="^" + re.escape(reason) + "$"):
+        TrainingConfig(**{field: value})
 
 
 def test_trainable_tensors_exclude_discriminator_for_mtl():
