@@ -53,13 +53,17 @@ def _cmd_kl(args) -> int:
     if loaded is None:
         return 2
     source, target = loaded
-    splits = tuple(args.split) if args.split else None
-    print(f"{unigram_kl(source, target, splits):.6f}")
+    try:
+        kl = unigram_kl(source, target, tuple(args.split) if args.split else None)
+    except ValueError as e:  # no token the two corpora share
+        print(f"latopt kl: {e}", file=sys.stderr)
+        return 2
+    print(f"{kl:.6f}")
     return 0
 
 
 def _cmd_stats(args) -> int:
-    from .data import unigram_model
+    from .data import unigram_counts
 
     loaded = _load("stats", args.data)
     if loaded is None:
@@ -75,7 +79,7 @@ def _cmd_stats(args) -> int:
             f"{split:>5}: {len(ex)} examples, positive rate {ds.positive_rate(split):.4f}, "
             f"mean length {np.mean(lengths):.1f}"
         )
-    print(f"distinct unigrams: {len(unigram_model(ds).counts)}")
+    print(f"distinct unigrams: {len(unigram_counts(ds))}")
     return 0
 
 
@@ -89,6 +93,9 @@ def _quad_inputs(args):
         start = ()
     if len(start) != 2 or not all(math.isfinite(v) for v in start):
         raise ValueError(f"--start must be two finite numbers x,y, got {args.start!r}")
+    for flag, value in (("--eta", args.eta), ("--gamma", args.gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     methods = args.method.split(",")
     for method in methods:
         if method not in TRAJECTORY_FNS:
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kl", help="unigram KL divergence d(target || source)")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--split", action="append", help="restrict to a split (repeatable)")
+    p.add_argument("--split", action="append", choices=("train", "dev", "test"), help="restrict to a split (repeatable)")
     p.set_defaults(fn=_cmd_kl)
 
     p = sub.add_parser("stats", help="dataset summary")

@@ -218,14 +218,14 @@ def upsample(dataset: DomainDataset, to_size: int, seed: int = 0) -> DomainDatas
     return replace(dataset, examples=out + rest)
 
 
-def prepare_transfer_pair(config: GeneratorConfig, max_len: int = 100, dev_frac: float = 0.1):
+def prepare_transfer_pair(config: GeneratorConfig, max_len: int = 100):
     """Full pipeline: generate, trim+dedup (cross-duplicates dropped from
-    the target), carve dev splits, and upsample the target train classes to
-    the source's larger class size."""
+    the target), carve a dev split of a tenth of each train split, and
+    upsample the target train classes to the source's larger class size."""
     source, target = generate_domain_pair(config)
     source, target = dedup_pair(source, target, max_len)
-    source = split_dev(source, dev_frac, config.seed + 1)
-    target = split_dev(target, dev_frac, config.seed + 2)
+    source = split_dev(source, seed=config.seed + 1)
+    target = split_dev(target, seed=config.seed + 2)
     to_size = max(
         sum(1 for e in source.split("train") if e.label == 0),
         sum(1 for e in source.split("train") if e.label == 1),
@@ -237,30 +237,15 @@ def prepare_transfer_pair(config: GeneratorConfig, max_len: int = 100, dev_frac:
 # --- unigram statistics -------------------------------------------------------
 
 
-@dataclass
-class UnigramModel:
-    counts: dict
-    total: int
-
-    @property
-    def vocabulary(self) -> set:
-        return set(self.counts)
-
-    def prob(self, token) -> float:
-        return self.counts[token] / self.total
-
-    def probs(self) -> dict:
-        return {g: c / self.total for g, c in self.counts.items()}
-
-
-def unigram_model(dataset: DomainDataset, splits=None) -> UnigramModel:
+def unigram_counts(dataset: DomainDataset, splits=None) -> dict:
+    """Token -> count over the examples of ``splits`` (all when None)."""
     counts: dict = {}
     for e in dataset.examples:
         if splits is not None and e.split not in splits:
             continue
         for t in e.tokens:
             counts[t] = counts.get(t, 0) + 1
-    return UnigramModel(counts, sum(counts.values()))
+    return counts
 
 
 def kl_over_overlap(target_counts: dict, source_counts: dict) -> float:
@@ -281,7 +266,7 @@ def kl_over_overlap(target_counts: dict, source_counts: dict) -> float:
 
 def unigram_kl(source: DomainDataset, target: DomainDataset, splits=None) -> float:
     """d_KL(P_target || P_source) over the overlapped vocabulary."""
-    return kl_over_overlap(unigram_model(target, splits).counts, unigram_model(source, splits).counts)
+    return kl_over_overlap(unigram_counts(target, splits), unigram_counts(source, splits))
 
 
 # --- file format ---------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 import time
 import types
 import typing
-from dataclasses import dataclass, field, fields, asdict, is_dataclass, replace
+from dataclasses import dataclass, field, fields, asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,13 +110,18 @@ class ExperimentSpec:
             raise SpecError("spec needs at least one seed")
         if min(self.seeds) < 0:
             raise SpecError(f"spec seeds must be >= 0, got {self.seeds}")
+        for name, one in (("strategies", "strategy"), ("seeds", "seed")):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise SpecError(f"spec repeats {one} {repeated[0]!r}")
         if not self.lr_grid:
             raise SpecError("spec needs a nonempty lr grid")
-        if min(self.lr_grid) <= 0 or self.gamma < 0 or self.epochs < 1 or self.batch_size < 1:
-            raise SpecError(
-                f"spec needs lr_grid rates > 0, gamma >= 0, epochs >= 1 and batch_size >= 1; got"
-                f" lr_grid={self.lr_grid}, gamma={self.gamma}, epochs={self.epochs}, batch_size={self.batch_size}"
-            )
+        for lr in self.lr_grid:  # every run's config: TrainingConfig owns the bounds
+            try:
+                TrainingConfig(lr=lr, gamma=self.gamma, batch_size=self.batch_size, epochs=self.epochs)
+            except ValueError as e:
+                raise SpecError(str(e)) from None
         unknown = [s for s in self.strategies if s not in SPEC_STRATEGIES]
         if unknown:
             raise SpecError(f"unknown strategy {unknown[0]!r} (choose from {', '.join(SPEC_STRATEGIES)})")
@@ -203,24 +208,17 @@ def sequential_finetune(
     target_splits: dict,
     config: TrainingConfig,
     seed: int,
-    phase1_epochs: int | None = None,
 ):
-    """Two-phase fine-tuning: single-task source training with source-dev
-    selection, then single-task target training (fresh target head, since
-    phase one never touches it) with target-dev selection.
+    """Two-phase fine-tuning, ``config.epochs`` each: source-task training
+    with source-dev selection, then target-task training (fresh target
+    head: phase one never touches it) with target-dev selection.
 
     Returns (selected params, phase-2 RunResult, selected epoch).
     """
-    p1_epochs = config.epochs if phase1_epochs is None else phase1_epochs
-    params = params.copy()
-    wall = 0.0
-    if p1_epochs > 0:
-        cfg1 = replace(config, epochs=p1_epochs)
-        run1 = train_run("single:source", params, source_splits, target_splits, cfg1, seed, eval_domain="source")
-        params = run1.checkpoints[select_model(run1.checkpoints, run1.dev_f)].copy()
-        wall += run1.wall_ms
+    run1 = train_run("single:source", params.copy(), source_splits, target_splits, config, seed, eval_domain="source")
+    params = run1.checkpoints[select_model(run1.checkpoints, run1.dev_f)].copy()
     run2 = train_run("single:target", params, source_splits, target_splits, config, seed + 1, eval_domain="target")
-    run2.wall_ms += wall
+    run2.wall_ms += run1.wall_ms
     chosen = select_model(run2.checkpoints, run2.dev_f)
     return run2.checkpoints[chosen], run2, chosen
 
@@ -321,11 +319,6 @@ def checked_splits(vocab: int, batch_size: int, datasets: dict) -> tuple[str | N
     return None, packed
 
 
-def data_problem(vocab: int, batch_size: int, datasets: dict) -> str | None:
-    """The problem ``checked_splits`` finds with ``datasets``, or None."""
-    return checked_splits(vocab, batch_size, datasets)[0]
-
-
 def load_pair(spec: ExperimentSpec):
     """The spec's dataset files, or the pair its generator config builds. A
     file that cannot be read as a dataset raises ``DatasetError``, a config
@@ -341,7 +334,7 @@ def load_pair(spec: ExperimentSpec):
 def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None):
     """Run every (strategy, seed) cell and aggregate.
 
-    The datasets are checked against the spec first (see ``data_problem``);
+    The datasets are checked against the spec first (see ``checked_splits``);
     a spec that does not fit them raises ``SpecError`` before any training.
     Returns (reports, analysis). ``analysis`` holds per-strategy mean/std
     test F, the paired sign-test p-values for the lookahead-vs-base

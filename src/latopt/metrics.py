@@ -7,15 +7,15 @@ import math
 import numpy as np
 
 
-def f_score(predictions, labels, positive_class: int = 1) -> tuple[float, float, float]:
-    """Positive-class (F, recall, precision). Zero denominators yield 0."""
+def f_score(predictions, labels) -> tuple[float, float, float]:
+    """Positive-class (label 1) (F, recall, precision). Zero denominators yield 0."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if predictions.shape != labels.shape:
         raise ValueError(f"f_score: {predictions.shape} predictions vs {labels.shape} labels")
-    tp = int(np.sum((predictions == positive_class) & (labels == positive_class)))
-    fp = int(np.sum((predictions == positive_class) & (labels != positive_class)))
-    fn = int(np.sum((predictions != positive_class) & (labels == positive_class)))
+    tp = int(np.sum((predictions == 1) & (labels == 1)))
+    fp = int(np.sum((predictions == 1) & (labels != 1)))
+    fn = int(np.sum((predictions != 1) & (labels == 1)))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0

@@ -25,6 +25,8 @@ import numpy as np
 from .autodiff import NodeId, Tape, pack
 
 CHECKPOINT_VERSION = 1
+GRL_K = 10.0  # steepness of the reversal-weight ramp
+PREDICT_CHUNK = 256  # sequences per tape in ``predict``
 
 
 @dataclass
@@ -113,12 +115,12 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     return ModelParams(config, t)
 
 
-def grl_weight(progress: float, k: float = 10.0) -> float:
-    """Reversal weight schedule: 0 at the start of training, saturating
-    toward 1. ``progress`` is the fraction of training completed."""
+def grl_weight(progress: float) -> float:
+    """Reversal weight 2/(1+exp(-GRL_K*p)) - 1: 0 at the start of training,
+    saturating toward 1. ``progress`` p is the fraction of training done."""
     if not 0.0 <= progress <= 1.0:
         raise ValueError(f"progress must be in [0, 1], got {progress}")
-    return 2.0 / (1.0 + math.exp(-k * progress)) - 1.0
+    return 2.0 / (1.0 + math.exp(-GRL_K * progress)) - 1.0
 
 
 def onehot(labels, n_classes: int = 2) -> np.ndarray:
@@ -244,16 +246,16 @@ def domain_loss(params: ModelParams, u_s: np.ndarray, u_t: np.ndarray) -> float:
     return float(tape.value(domain_loss_on_tape(tape, p, tape.leaf(u_s), tape.leaf(u_t))))
 
 
-def predict(params: ModelParams, sequences, domain: str, batch_size: int = 256) -> np.ndarray:
+def predict(params: ModelParams, sequences, domain: str) -> np.ndarray:
     """Argmax class predictions for one domain's classifier. ``sequences``
     is packed once (a ``Packed`` batch is used as it is) and encoded in
-    chunks of ``batch_size``. An unknown ``domain`` raises ``ValueError``."""
+    chunks of ``PREDICT_CHUNK``. An unknown ``domain`` raises ``ValueError``."""
     check_domain(domain)
     batch = pack(sequences)
     n = len(batch)
     out = []
-    for start in range(0, n, batch_size):
-        chunk = batch.take(np.arange(start, min(start + batch_size, n)))
+    for start in range(0, n, PREDICT_CHUNK):
+        chunk = batch.take(np.arange(start, min(start + PREDICT_CHUNK, n)))
         tape = Tape()
         p = put_params(tape, params)
         z = encode_on_tape(tape, p, chunk)

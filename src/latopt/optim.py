@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator's offset
+
 
 @dataclass
 class AdamState:
@@ -21,9 +23,6 @@ class AdamState:
     ``v[name]`` are views into it, at ``fused[name]``) and take one update.
     """
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -50,13 +49,13 @@ class AdamState:
             at += size
 
 
-def _adam_rows(state: AdamState, m, v, g, lr, c1, c2):
+def _adam_rows(m, v, g, lr, c1, c2):
     """Update the moments in place and return the parameter decrement."""
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    return lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    return lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 def _nonzero_rows(a: np.ndarray) -> np.ndarray:
@@ -67,24 +66,24 @@ def _nonzero_rows(a: np.ndarray) -> np.ndarray:
 def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
     """One in-place Adam update on every tensor present in ``grads``.
 
-    A row of a 2-D tensor whose gradient and moments have always been zero
-    takes an exact identity step, so only the rows that ever had a nonzero
-    gradient are updated. The tensors whose rows are all live take one
-    update over their concatenated gradient. The result is bitwise that of
-    dense Adam on each tensor in turn: every update is elementwise, and
-    every live row's moments decay every step (unlike TF's LazyAdam).
+    ``lr`` must be finite and >= +0.0, or ``ValueError`` is raised before
+    anything changes. Then a row of a 2-D tensor whose gradient and moments
+    have always been zero takes an exact identity step (+0.0), so only the
+    rows that ever had a nonzero gradient are updated. The tensors whose
+    rows are all live take one update over their concatenated gradient.
+    The result is bitwise that of dense Adam on each tensor in turn: every
+    update is elementwise, and every live row's moments decay every step
+    (unlike TF's LazyAdam).
     """
+    if not math.isfinite(lr) or math.copysign(1.0, lr) < 0:
+        raise ValueError(f"adam_step: lr must be finite and >= 0, got {lr}")
     for name, g in grads.items():
         if g.shape != params[name].shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} != param shape {params[name].shape} for '{name}'")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    with np.errstate(all="ignore"):
-        rest = _adam_rows(state, np.zeros(1), np.zeros(1), 0.0, lr, c1, c2)[0]
-    # skipping the rows at rest is exact only if their step is exactly +0.0
-    sparse_ok = rest == 0.0 and not np.signbit(rest)
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     joining = []
     for name, g in grads.items():
         if name in state.fused:
@@ -105,26 +104,24 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, 
                 state.live[name] = live = None
         if live is None:
             joining.append(name)
-        elif not sparse_ok:
-            p -= _adam_rows(state, m, v, g, lr, c1, c2)
         else:
             rows = np.flatnonzero(live)
             m_r, v_r = m[rows], v[rows]
-            p[rows] -= _adam_rows(state, m_r, v_r, g[rows], lr, c1, c2)
+            p[rows] -= _adam_rows(m_r, v_r, g[rows], lr, c1, c2)
             m[rows] = m_r
             v[rows] = v_r
     if joining:
         state.fuse(joining)
     if state.fused and all(name in grads for name in state.fused):
         g = np.concatenate([grads[name].ravel() for name in state.fused])
-        step = _adam_rows(state, state.flat_m, state.flat_v, g, lr, c1, c2)
+        step = _adam_rows(state.flat_m, state.flat_v, g, lr, c1, c2)
         for name, at in state.fused.items():
             p = params[name]
             p -= step[at].reshape(p.shape)
         return
     for name in state.fused:  # some fused tensors have no gradient this step
         if name in grads:
-            params[name] -= _adam_rows(state, state.m[name], state.v[name], grads[name], lr, c1, c2)
+            params[name] -= _adam_rows(state.m[name], state.v[name], grads[name], lr, c1, c2)
 
 
 def cosine_lr(t: int, total: int, lr0: float) -> float:

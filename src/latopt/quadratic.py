@@ -81,6 +81,7 @@ def default_quadratic() -> Quadratic:
 
 DEFAULT_START = (0.0, -0.15)
 CONVERGENCE_TOL = 1e-3
+DECAY_STEPS = 12  # steps ``measure_mode_decay`` reads
 
 
 @dataclass
@@ -179,12 +180,12 @@ def eg_mode_factor(lam: float, eta: float, gamma: float) -> float:
     return 1.0 - 2.0 * eta * lam * (1.0 - 2.0 * gamma * lam)
 
 
-def measure_mode_decay(q: Quadratic, traj: Trajectory, max_steps: int = 12, min_amp: float = 1e-8):
+def measure_mode_decay(q: Quadratic, traj: Trajectory, min_amp: float = 1e-8):
     """Observed per-mode contraction ratios along a trajectory.
 
     Projects the displacement from the minimizer onto A's eigenvectors and
     returns, per mode, the list of consecutive ratios over the first
-    ``max_steps`` steps where the amplitude stays meaningful.
+    ``DECAY_STEPS`` steps where the amplitude stays above ``min_amp``.
     """
     lam, vecs = q.eigen()
     w_star = q.minimizer()
@@ -192,7 +193,7 @@ def measure_mode_decay(q: Quadratic, traj: Trajectory, max_steps: int = 12, min_
     ratios: list[list[float]] = [[], []]
     for mode in range(2):
         amp = coords[:, mode]
-        for n in range(min(max_steps, len(amp) - 1)):
+        for n in range(min(DECAY_STEPS, len(amp) - 1)):
             if abs(amp[n]) > min_amp:
                 ratios[mode].append(float(amp[n + 1] / amp[n]))
     return lam, ratios

@@ -9,7 +9,6 @@ runs for identical inputs.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,41 +18,29 @@ CSV_COLUMNS = ("method", "step", "w1", "w2", "f", "gradnorm")
 
 _COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e")
 
-
-@dataclass
-class ContourGrid:
-    """Contour levels and plot bounds.
-
-    ``bounds`` is (xmin, xmax, ymin, ymax); None derives them from the
-    trajectories with a margin. ``levels`` overrides the automatic
-    geometric spacing of ``n_levels`` level sets.
-    """
-
-    bounds: tuple | None = None
-    levels: tuple | None = None
-    n_levels: int = 8
-    width: int = 640
-    height: int = 480
-    samples_per_contour: int = 180
+WIDTH, HEIGHT = 640, 480
+N_LEVELS = 8  # geometrically spaced level sets
+SAMPLES_PER_CONTOUR = 180
+PAD_FRAC = 0.15  # margin around the trajectories, as a share of their span
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _auto_bounds(trajectories, pad_frac=0.15):
+def _auto_bounds(trajectories):
     pts = np.concatenate([np.asarray(t.points) for t in trajectories])
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
     span = max(xmax - xmin, ymax - ymin)
     if span == 0.0:
         span = 1.0  # single point: pad a unit box around it
-    half = span / 2.0 + span * pad_frac
+    half = span / 2.0 + span * PAD_FRAC
     cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
     return (cx - half, cx + half, cy - half, cy + half)
 
 
-def _contour_levels(q: Quadratic, bounds, n_levels):
+def _contour_levels(q: Quadratic, bounds):
     f_star = q.f(q.minimizer())
     corners = [
         q.f((x, y))
@@ -62,23 +49,23 @@ def _contour_levels(q: Quadratic, bounds, n_levels):
     ]
     top = max(corners) - f_star
     lo = top * 2e-3
-    ratio = (top / lo) ** (1.0 / (n_levels - 1))
-    return [f_star + lo * ratio**i for i in range(n_levels)]
+    ratio = (top / lo) ** (1.0 / (N_LEVELS - 1))
+    return [f_star + lo * ratio**i for i in range(N_LEVELS)]
 
 
-def _ellipse_points(q: Quadratic, level: float, n: int):
+def _ellipse_points(q: Quadratic, level: float):
     lam, vecs = q.eigen()
     w_star = q.minimizer()
     excess = level - q.f(w_star)
     if excess <= 0:
         return None
     radii = np.sqrt(excess / lam)
-    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=True)
+    theta = np.linspace(0.0, 2.0 * np.pi, SAMPLES_PER_CONTOUR, endpoint=True)
     circle = np.stack([radii[0] * np.cos(theta), radii[1] * np.sin(theta)])
     return (vecs @ circle).T + w_star
 
 
-def render_trajectory(trajectories, q: Quadratic, grid: ContourGrid | None = None) -> tuple[str, str]:
+def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
     """Render trajectories over contour lines of f.
 
     Returns (svg document, csv text). CSV columns are fixed:
@@ -86,29 +73,26 @@ def render_trajectory(trajectories, q: Quadratic, grid: ContourGrid | None = Non
     """
     if not trajectories:
         raise ValueError("render_trajectory: need at least one trajectory")
-    grid = grid or ContourGrid()
-    bounds = grid.bounds if grid.bounds is not None else _auto_bounds(trajectories)
+    bounds = _auto_bounds(trajectories)
     xmin, xmax, ymin, ymax = bounds
-    if not (xmax > xmin and ymax > ymin):
+    if not (xmax > xmin and ymax > ymin):  # points too far out for the margin to register
         raise ValueError(f"render_trajectory: degenerate bounding box {bounds}")
-    w, h = grid.width, grid.height
 
     def sx(x):
-        return (x - xmin) / (xmax - xmin) * w
+        return (x - xmin) / (xmax - xmin) * WIDTH
 
     def sy(y):
-        return h - (y - ymin) / (ymax - ymin) * h
+        return HEIGHT - (y - ymin) / (ymax - ymin) * HEIGHT
 
     out = io.StringIO()
     out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
     )
-    out.write(f'<rect width="{w}" height="{h}" fill="white"/>\n')
+    out.write(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n')
 
-    levels = grid.levels if grid.levels is not None else _contour_levels(q, bounds, grid.n_levels)
-    for level in levels:
-        pts = _ellipse_points(q, level, grid.samples_per_contour)
+    for level in _contour_levels(q, bounds):
+        pts = _ellipse_points(q, level)
         if pts is None:
             continue
         path = " ".join(f"{_fmt(sx(p[0]))},{_fmt(sy(p[1]))}" for p in pts)
@@ -141,8 +125,8 @@ def render_trajectory(trajectories, q: Quadratic, grid: ContourGrid | None = Non
     return out.getvalue(), csv.getvalue()
 
 
-def write_outputs(trajectories, q, svg_path=None, csv_path=None, grid=None):
-    svg, csv = render_trajectory(trajectories, q, grid)
+def write_outputs(trajectories, q, svg_path=None, csv_path=None):
+    svg, csv = render_trajectory(trajectories, q)
     if svg_path:
         with open(svg_path, "w") as fh:
             fh.write(svg)

@@ -66,7 +66,6 @@ class LatentPair:
     z_t: np.ndarray
     z_s_prime: np.ndarray
     z_t_prime: np.ndarray
-    gamma: float
     id_s_prime: NodeId = -1
     id_t_prime: NodeId = -1
 
@@ -90,13 +89,13 @@ def latent_step(tape: Tape, z_s: NodeId, z_t: NodeId, loss: NodeId, gamma: float
     zs_val = tape.value(z_s)
     zt_val = tape.value(z_t)
     if gamma == 0.0:
-        return LatentPair(zs_val, zt_val, zs_val, zt_val, 0.0, z_s, z_t)
+        return LatentPair(zs_val, zt_val, zs_val, zt_val, z_s, z_t)
     grad_s, grad_t = backward(tape, loss, wrt=(z_s, z_t))
     step_s = tape.leaf(sign * gamma * grad_s)
     step_t = tape.leaf(sign * gamma * grad_t)
     id_s = tape.add(z_s, step_s)
     id_t = tape.add(z_t, step_t)
-    return LatentPair(zs_val, zt_val, tape.value(id_s), tape.value(id_t), gamma, id_s, id_t)
+    return LatentPair(zs_val, zt_val, tape.value(id_s), tape.value(id_t), id_s, id_t)
 
 
 def mtl_lo_step(tape: Tape, z_s: NodeId, z_t: NodeId, loss_s: NodeId, loss_t: NodeId, gamma: float) -> LatentPair:
@@ -105,7 +104,7 @@ def mtl_lo_step(tape: Tape, z_s: NodeId, z_t: NodeId, loss_s: NodeId, loss_t: No
     if gamma < 0:
         raise ValueError("mtl_lo_step: gamma must be >= 0")
     if gamma == 0.0:
-        return LatentPair(tape.value(z_s), tape.value(z_t), tape.value(z_s), tape.value(z_t), 0.0, z_s, z_t)
+        return LatentPair(tape.value(z_s), tape.value(z_t), tape.value(z_s), tape.value(z_t), z_s, z_t)
     both = tape.add(loss_s, loss_t)
     return latent_step(tape, z_s, z_t, both, gamma, sign=-1.0)
 
@@ -266,9 +265,6 @@ class TrainingConfig:
     gamma: float = 0.01  # lookahead step size (never reported upstream; a config choice)
     batch_size: int = 128
     epochs: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     grl_lambda: float | None = None  # fixed reversal weight; None uses the schedule
 
     def __post_init__(self):
@@ -276,24 +272,23 @@ class TrainingConfig:
         if not math.isfinite(self.lr):
             raise ValueError(f"lr must be finite, got {self.lr}")
         if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.grl_lambda is not None and not (math.isfinite(self.grl_lambda) and self.grl_lambda >= 0):
             raise ValueError(f"grl_lambda must be None or a finite number >= 0, got {self.grl_lambda}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
 class EpochReport:
     epoch: int
     strategy: str
-    batch_losses: list
     losses: dict
     lr: float
     wall_ms: float
@@ -444,7 +439,7 @@ def train_epoch(
         return float(np.mean(vals)) if vals else None
 
     losses = {k: mean_of(k) for k in ("L_s", "L_t", "L_d", "joint")}
-    return EpochReport(epoch, strategy, batch_losses, losses, lr_start, wall_ms, peak_aux, lam_start)
+    return EpochReport(epoch, strategy, losses, lr_start, wall_ms, peak_aux, lam_start)
 
 
 @dataclass
@@ -483,7 +478,7 @@ def train_run(
 
     check_domain(eval_domain)
     rng = np.random.default_rng(seed)
-    opt_state = AdamState(beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    opt_state = AdamState()
     source_train, target_train = source_splits["train"], target_splits["train"]
     if strategy.startswith("single:"):
         n_src = len(source_train.seqs) if strategy.endswith("source") else len(target_train.seqs)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from latopt.cli import main
-from latopt.data import GeneratorConfig, load_dataset, prepare_transfer_pair, save_dataset
+from latopt.data import DomainDataset, Example, GeneratorConfig, load_dataset, prepare_transfer_pair, save_dataset
 
 
 TINY_GENERATOR = {"source_train_size": 64, "target_train_size": 32, "test_size": 16}
@@ -34,6 +34,27 @@ def test_kl_prints_number(data_dir, capsys):
     assert main(["kl", "--source", str(data_dir / "source.jsonl"), "--target", str(data_dir / "target.jsonl")]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value >= 0.0
+
+
+def test_kl_rejects_an_unknown_split(data_dir, capsys):
+    argv = ["kl", "--source", str(data_dir / "source.jsonl"), "--target", str(data_dir / "target.jsonl")]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--split", "bogus"])
+    assert info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", [None, "dev"], ids=["disjoint_tokens", "empty_split"])
+def test_kl_without_shared_tokens_exits_2(tmp_path, capsys, split):
+    # the two corpora share no token, or the chosen split is empty
+    save_dataset(DomainDataset("source", 10, 0, [Example((1, 2), 0, "train")]), tmp_path / "s.jsonl")
+    target_tokens = (3, 4) if split is None else (1, 2)
+    save_dataset(DomainDataset("target", 10, 0, [Example(target_tokens, 1, "train")]), tmp_path / "t.jsonl")
+    argv = ["kl", "--source", str(tmp_path / "s.jsonl"), "--target", str(tmp_path / "t.jsonl")]
+    assert main(argv + (["--split", split] if split else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "latopt kl: kl_over_overlap: empty overlapped vocabulary\n"
+    assert captured.out == ""
 
 
 def test_stats_reports_splits(data_dir, capsys):
@@ -83,8 +104,10 @@ def test_quad_rejects_unknown_method(tmp_path):
         ("--start", "a,b", "--start must be two finite numbers x,y, got 'a,b'"),
         ("--method", "foo", "unknown method 'foo'"),
         ("--steps", "-1", "--steps must be >= 0, got -1"),
+        ("--eta", "nan", "--eta must be finite, got nan"),
+        ("--gamma", "inf", "--gamma must be finite, got inf"),
     ],
-    ids=["start_one_number", "start_not_numbers", "unknown_method", "negative_steps"],
+    ids=["start_one_number", "start_not_numbers", "unknown_method", "negative_steps", "eta_nan", "gamma_inf"],
 )
 def test_quad_bad_input_exits_2(tmp_path, capsys, flag, value, reason):
     svg = tmp_path / "t.svg"
@@ -203,15 +226,26 @@ def test_train_accepts_only_trainable_strategies(tmp_path, data_dir, capsys, str
 @pytest.mark.parametrize(
     "flag, value, reason",
     [
-        ("--epochs", "0", "epochs must be >= 1"),
-        ("--lr", "0", "lr must be > 0"),
-        ("--gamma", "-1", "gamma must be >= 0"),
-        ("--batch-size", "0", "batch_size must be >= 1"),
+        ("--epochs", "0", "epochs must be >= 1, got 0"),
+        ("--lr", "0", "lr must be > 0, got 0.0"),
+        ("--gamma", "-1", "gamma must be >= 0, got -1.0"),
+        ("--batch-size", "0", "batch_size must be >= 1, got 0"),
         ("--lr", "nan", "lr must be finite, got nan"),
         ("--lr", "inf", "lr must be finite, got inf"),
         ("--gamma", "nan", "gamma must be finite, got nan"),
         ("--gamma", "inf", "gamma must be finite, got inf"),
         ("--seed", "-1", "--seed must be >= 0, got -1"),
+    ],
+    ids=[
+        "--epochs-0-epochs must be >= 1",
+        "--lr-0-lr must be > 0",
+        "--gamma--1-gamma must be >= 0",
+        "--batch-size-0-batch_size must be >= 1",
+        "--lr-nan-lr must be finite, got nan",
+        "--lr-inf-lr must be finite, got inf",
+        "--gamma-nan-gamma must be finite, got nan",
+        "--gamma-inf-gamma must be finite, got inf",
+        "--seed--1---seed must be >= 0, got -1",
     ],
 )
 def test_train_rejects_bad_numeric_flags_before_writing(tmp_path, data_dir, capsys, flag, value, reason):
@@ -285,6 +319,7 @@ def test_compare_rejects_spec_that_does_not_fit_its_data(tmp_path, data_dir, cap
         ({"generator": {"min_len": "3"}}, 'generator: min_len must be an integer, got "3"'),
         ({"target_path": None}, "spec needs both source_path and target_path, or neither"),
         ({"generator": {"seed": 3}}, "spec gives dataset paths and a generator; give one or the other"),
+        ({"seeds": [0, 0]}, "spec repeats seed 0"),
     ],
     ids=[
         "misspelled_key",
@@ -300,6 +335,7 @@ def test_compare_rejects_spec_that_does_not_fit_its_data(tmp_path, data_dir, cap
         "generator_value_string",
         "source_path_alone",
         "paths_and_generator",
+        "repeated_seed",
     ],
 )
 def test_compare_rejects_malformed_spec(tmp_path, data_dir, capsys, change, reason):

@@ -19,8 +19,8 @@ from latopt.data import (
     prepare_transfer_pair,
     save_dataset,
     split_dev,
+    unigram_counts,
     unigram_kl,
-    unigram_model,
     upsample,
 )
 from latopt.metrics import f_score, spearman_rank_correlation
@@ -212,12 +212,12 @@ def test_split_dev_fraction():
     assert len(out.split("train")) == 90
 
 
-def test_unigram_model_probabilities_sum_to_one():
-    ds = DomainDataset("d", 10, 0, [Example((1, 1, 2), 0, "train"), Example((3,), 1, "train")])
-    m = unigram_model(ds)
-    assert abs(sum(m.probs().values()) - 1.0) < 1e-12
-    assert all(p > 0 for p in m.probs().values())
-    assert m.prob(1) == 0.5
+def test_unigram_counts_per_split():
+    examples = [Example((1, 1, 2), 0, "train"), Example((3,), 1, "train"), Example((2, 4), 1, "test")]
+    ds = DomainDataset("d", 10, 0, examples)
+    assert unigram_counts(ds) == {1: 2, 2: 2, 3: 1, 4: 1}
+    assert unigram_counts(ds, ("train",)) == {1: 2, 2: 1, 3: 1}
+    assert unigram_counts(ds, ("dev",)) == {}
 
 
 def test_kl_identical_corpora_zero():

@@ -92,19 +92,21 @@ def test_select_model_rules():
     assert select_model(list("abc"), [0.1, 0.2, 0.3]) == 2
 
 
-def test_sequential_finetune_zero_phase_one(fast_pair):
+def test_sequential_finetune_phase_two_starts_from_phase_one_selection(fast_pair):
     src, tgt = fast_pair
     ss, ts = _splits(src), _splits(tgt)
     config = TrainingConfig(lr=2e-3, batch_size=32, epochs=2)
     init = init_params(FAST_MODEL, 0)
-
-    selected, run, epoch = sequential_finetune(init, ss, ts, config, seed=0, phase1_epochs=0)
-    base = init.copy()
     from latopt.training import train_run
 
-    run_direct = train_run("single:target", base, ss, ts, config, seed=1)
+    selected, run, epoch = sequential_finetune(init, ss, ts, config, seed=0)
+    phase1 = train_run("single:source", init.copy(), ss, ts, config, seed=0, eval_domain="source")
+    start = phase1.checkpoints[select_model(phase1.checkpoints, phase1.dev_f)].copy()
+    run_direct = train_run("single:target", start, ss, ts, config, seed=1)
+    assert len(run.dev_f) == config.epochs
     assert run.dev_f == run_direct.dev_f  # phase 2 seed offset matches
-    sel_direct = run_direct.checkpoints[select_model(run_direct.checkpoints, run_direct.dev_f)]
+    assert epoch == select_model(run_direct.checkpoints, run_direct.dev_f)
+    sel_direct = run_direct.checkpoints[epoch]
     for name in selected.tensors:
         np.testing.assert_array_equal(selected.tensors[name], sel_direct.tensors[name])
 
@@ -121,7 +123,7 @@ def test_sequential_finetune_warm_start_helps_on_identical_domains(fast_pair):
     wins = 0
     for seed in range(5):
         init = init_params(FAST_MODEL, seed)
-        selected, _, _ = sequential_finetune(init, ss, ss, config, seed=seed, phase1_epochs=2)
+        selected, _, _ = sequential_finetune(init, ss, ss, config, seed=seed)
 
         seqs, labels = ss["dev"]
         f_warm = _f(predict(selected, seqs, "target"), labels)[0]
@@ -139,6 +141,13 @@ def test_spec_validation():
         ExperimentSpec(lr_grid=[])
     with pytest.raises(ValueError):
         ExperimentSpec(strategies=["adversary"])  # unknown name
+    # values no JSON spec can hold are checked as the spec is built, before any training
+    from latopt.harness import SpecError
+
+    with pytest.raises(SpecError, match=r"^gamma must be finite, got nan$"):
+        ExperimentSpec(gamma=float("nan"))
+    with pytest.raises(SpecError, match=r"^lr must be finite, got inf$"):
+        ExperimentSpec(lr_grid=[1e-3, float("inf")])
 
 
 def _fitting_pair(vocab=30):
@@ -206,10 +215,10 @@ def test_run_experiment_checks_spec_against_data_before_training(bad, monkeypatc
 
 
 def test_data_problem_accepts_a_fitting_pair():
-    from latopt.harness import data_problem
+    from latopt.harness import checked_splits
 
     src, tgt = _fitting_pair()
-    assert data_problem(30, 8, {"source": src, "target": tgt}) is None
+    assert checked_splits(30, 8, {"source": src, "target": tgt})[0] is None
 
 
 @pytest.mark.parametrize(
@@ -222,10 +231,10 @@ def test_data_problem_accepts_a_fitting_pair():
         ({"strategies": ["single:source"]}, "unknown strategy 'single:source'"),
         ({"model": [30]}, "model must be a JSON object"),
         (["adv"], "the spec must be a JSON object"),
-        ({"gamma": -1}, "gamma=-1,"),
-        ({"epochs": 0}, "epochs=0,"),
-        ({"batch_size": 0}, "batch_size=0"),
-        ({"lr_grid": [1e-3, 0.0]}, "lr_grid=[0.001, 0.0],"),
+        ({"gamma": -1}, "gamma must be >= 0, got -1"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"lr_grid": [1e-3, 0.0]}, "lr must be > 0, got 0.0"),
         ({"epochs": "5"}, 'epochs must be an integer, got "5"'),
         ({"seeds": "0"}, 'seeds must be a list of integers, got "0"'),
         ({"seeds": [0, True]}, "seeds must be a list of integers, got [0, true]"),
@@ -236,6 +245,8 @@ def test_data_problem_accepts_a_fitting_pair():
         ({"generator": {"min_len": "3"}}, 'generator: min_len must be an integer, got "3"'),
         ({"generator": {"cue_rate": [0.1]}}, "generator: cue_rate must be a number, got [0.1]"),
         ({"seeds": [0, -1]}, "spec seeds must be >= 0, got [0, -1]"),
+        ({"seeds": [3, 1, 2, 1, 3]}, "spec repeats seed 1"),
+        ({"strategies": ["adv", "adv+lo", "adv"]}, "spec repeats strategy 'adv'"),
         ({"source_path": "s.jsonl"}, "spec needs both source_path and target_path, or neither"),
         ({"target_path": "t.jsonl"}, "spec needs both source_path and target_path, or neither"),
         (
@@ -265,6 +276,8 @@ def test_data_problem_accepts_a_fitting_pair():
         "generator_value",
         "generator_list",
         "negative_seed",
+        "repeated_seed",
+        "repeated_strategy",
         "source_path_alone",
         "target_path_alone",
         "paths_and_generator",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latopt.optim import AdamState, adam_step, cosine_lr
+from latopt.optim import EPS, AdamState, adam_step, cosine_lr
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -19,7 +19,7 @@ def test_adam_first_step_scalar_oracle():
     g = np.array([0.37])
     params = {"w": np.array([0.0])}
     adam_step(state, params, {"w": g}, lr=0.01)
-    expected = -0.01 * g / (np.abs(g) + state.eps)
+    expected = -0.01 * g / (np.abs(g) + EPS)
     np.testing.assert_allclose(params["w"], expected, atol=1e-15)
 
 

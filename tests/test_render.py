@@ -12,7 +12,7 @@ from latopt.quadratic import (
     eg_full_hessian_trajectory,
     gd_trajectory,
 )
-from latopt.render import ContourGrid, render_trajectory
+from latopt.render import render_trajectory
 
 GOLDEN_SVG = Path(__file__).parent / "goldens" / "trajectories.svg"
 
@@ -49,10 +49,12 @@ def test_csv_row_count_is_sum_of_lengths():
     assert len(csv.strip().splitlines()) == 1 + expected
 
 
-def test_degenerate_explicit_bounds_rejected():
-    q, trajs = fig_trajectories()
-    with pytest.raises(ValueError):
-        render_trajectory(trajs, q, ContourGrid(bounds=(0.0, 0.0, -1.0, 1.0)))
+def test_degenerate_auto_bounds_rejected():
+    # at 1e17 the margin of a single point's unit box rounds away: zero width
+    q = default_quadratic()
+    traj = gd_trajectory(q, (1e17, 0.0), 0.025, 0)
+    with pytest.raises(ValueError, match="degenerate bounding box"):
+        render_trajectory([traj], q)
 
 
 def test_svg_byte_stable_and_matches_golden():
