@@ -15,6 +15,7 @@ from latopt.quadratic import (
 from latopt.render import render_trajectory
 
 GOLDEN_SVG = Path(__file__).parent / "goldens" / "trajectories.svg"
+GOLDEN_CSV = Path(__file__).parent / "goldens" / "trajectories.csv"
 
 
 def fig_trajectories():
@@ -63,6 +64,15 @@ def test_svg_byte_stable_and_matches_golden():
     svg2, _ = render_trajectory(trajs, q)
     assert svg1 == svg2
     assert svg1 == GOLDEN_SVG.read_text()
+
+
+def test_csv_byte_stable_and_matches_golden():
+    # the figure's three trajectories plus one cut short by a non-finite iterate
+    q, trajs = fig_trajectories()
+    truncated = gd_trajectory(q, DEFAULT_START, 5.0, 400)
+    assert truncated.truncated and len(truncated) == 59
+    _, csv = render_trajectory(trajs + [truncated], q)
+    assert csv == GOLDEN_CSV.read_text()
 
 
 def test_csv_column_order_fixed():
