@@ -83,9 +83,9 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _quad_inputs(args):
+def _quad_inputs(args, q):
     """(start, methods) from the quad flags; ``ValueError`` names a bad one."""
-    from .quadratic import TRAJECTORY_FNS
+    from .quadratic import TRAJECTORY_FNS, gd_trajectory
 
     try:
         start = tuple(float(v) for v in args.start.split(","))
@@ -93,6 +93,8 @@ def _quad_inputs(args):
         start = ()
     if len(start) != 2 or not all(math.isfinite(v) for v in start):
         raise ValueError(f"--start must be two finite numbers x,y, got {args.start!r}")
+    if not len(gd_trajectory(q, start, 0.0, 0)):  # the step-0 record every method starts from
+        raise ValueError(f"--start {args.start!r} is too far out: f or its gradient is not finite there")
     for flag, value in (("--eta", args.eta), ("--gamma", args.gamma)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -109,16 +111,16 @@ def _cmd_quad(args) -> int:
     from .quadratic import TRAJECTORY_FNS, default_quadratic
     from .render import write_outputs
 
+    q = default_quadratic()
     try:
-        start, methods = _quad_inputs(args)
+        start, methods = _quad_inputs(args, q)
+        trajectories = [TRAJECTORY_FNS[method](q, start, args.eta, args.gamma, args.steps) for method in methods]
+        # renders both documents before it opens a file, so a refusal writes nothing
+        write_outputs(trajectories, q, svg_path=args.out_svg, csv_path=args.out_csv)
     except ValueError as e:
         print(f"latopt quad: {e}", file=sys.stderr)
         raise SystemExit(2) from None
-    q = default_quadratic()
-    trajectories = []
-    for method in methods:
-        traj = TRAJECTORY_FNS[method](q, start, args.eta, args.gamma, args.steps)
-        trajectories.append(traj)
+    for method, traj in zip(methods, trajectories):
         reached = traj.steps_to()
         status = f"converged at step {reached}" if reached is not None else "not converged"
         if traj.truncated:
@@ -128,7 +130,6 @@ def _cmd_quad(args) -> int:
             f"final f={traj.f_values[-1]:.6g} {status}"
         )
     print(f"condition number: {q.condition_number():.6f} (reconstructed problem)")
-    write_outputs(trajectories, q, svg_path=args.out_svg, csv_path=args.out_csv)
     if args.out_svg:
         print(f"wrote {args.out_svg}")
     if args.out_csv:

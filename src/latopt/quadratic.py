@@ -107,22 +107,23 @@ class Trajectory:
 
 def _run(q: Quadratic, w0, steps: int, step_fn, method, eta, gamma) -> Trajectory:
     traj = Trajectory(method=method, eta=float(eta), gamma=float(gamma))
-    w = np.asarray(w0, dtype=np.float64).copy()
+    # every step returns a fresh array, so only the start needs a copy
+    w = np.array(w0, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps + 1):
             fval = q.f(w)
             g = q.grad(w)
-            gnorm = float(np.linalg.norm(g))
-            if not (np.isfinite(fval) and np.isfinite(gnorm)):
+            gnorm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a 1-D array
+            if not (math.isfinite(fval) and math.isfinite(gnorm)):
                 traj.truncated = True
                 break
-            traj.points.append(w.copy())
+            traj.points.append(w)
             traj.f_values.append(fval)
             traj.grad_norms.append(gnorm)
             if len(traj.points) == steps + 1:
                 break
             w = step_fn(w, g)
-            if not np.all(np.isfinite(w)):
+            if not (math.isfinite(w[0]) and math.isfinite(w[1])):
                 traj.truncated = True
                 break
     return traj
@@ -189,11 +190,11 @@ def measure_mode_decay(q: Quadratic, traj: Trajectory, min_amp: float = 1e-8):
     """
     lam, vecs = q.eigen()
     w_star = q.minimizer()
-    coords = np.array([vecs.T @ (p - w_star) for p in traj.points])
+    coords = [(vecs.T @ (p - w_star)).tolist() for p in traj.points[: DECAY_STEPS + 1]]
     ratios: list[list[float]] = [[], []]
-    for mode in range(2):
-        amp = coords[:, mode]
-        for n in range(min(DECAY_STEPS, len(amp) - 1)):
-            if abs(amp[n]) > min_amp:
-                ratios[mode].append(float(amp[n + 1] / amp[n]))
+    for (a0, a1), (b0, b1) in zip(coords, coords[1:]):
+        if abs(a0) > min_amp:
+            ratios[0].append(b0 / a0)
+        if abs(a1) > min_amp:
+            ratios[1].append(b1 / a1)
     return lam, ratios

@@ -24,10 +24,6 @@ SAMPLES_PER_CONTOUR = 180
 PAD_FRAC = 0.15  # margin around the trajectories, as a share of their span
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
 def _auto_bounds(trajectories):
     pts = np.concatenate([np.asarray(t.points) for t in trajectories])
     xmin, ymin = pts.min(axis=0)
@@ -40,8 +36,7 @@ def _auto_bounds(trajectories):
     return (cx - half, cx + half, cy - half, cy + half)
 
 
-def _contour_levels(q: Quadratic, bounds):
-    f_star = q.f(q.minimizer())
+def _contour_levels(q: Quadratic, f_star: float, bounds):
     corners = [
         q.f((x, y))
         for x in (bounds[0], bounds[1])
@@ -53,16 +48,10 @@ def _contour_levels(q: Quadratic, bounds):
     return [f_star + lo * ratio**i for i in range(N_LEVELS)]
 
 
-def _ellipse_points(q: Quadratic, level: float):
-    lam, vecs = q.eigen()
-    w_star = q.minimizer()
-    excess = level - q.f(w_star)
-    if excess <= 0:
-        return None
-    radii = np.sqrt(excess / lam)
-    theta = np.linspace(0.0, 2.0 * np.pi, SAMPLES_PER_CONTOUR, endpoint=True)
-    circle = np.stack([radii[0] * np.cos(theta), radii[1] * np.sin(theta)])
-    return (vecs @ circle).T + w_star
+def _fill(template: str, xy, sep: str = "") -> str:
+    """``template`` once per row of the (n, 2) array ``xy``, joined by ``sep``
+    and filled in one %-format call; ``%.6f`` formats as ``f"{x:.6f}"``."""
+    return sep.join([template] * len(xy)) % tuple(xy.ravel().tolist())
 
 
 def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
@@ -76,13 +65,14 @@ def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
     bounds = _auto_bounds(trajectories)
     xmin, xmax, ymin, ymax = bounds
     if not (xmax > xmin and ymax > ymin):  # points too far out for the margin to register
-        raise ValueError(f"render_trajectory: degenerate bounding box {bounds}")
+        raise ValueError(f"render_trajectory: degenerate bounding box {tuple(map(float, bounds))}")
 
-    def sx(x):
-        return (x - xmin) / (xmax - xmin) * WIDTH
-
-    def sy(y):
-        return HEIGHT - (y - ymin) / (ymax - ymin) * HEIGHT
+    def screen(pts):
+        """Canvas coordinates of the (n, 2) points: the scalar maps of x and y
+        applied per column, one IEEE op per element as in the scalar form."""
+        return np.column_stack(
+            ((pts[:, 0] - xmin) / (xmax - xmin) * WIDTH, HEIGHT - (pts[:, 1] - ymin) / (ymax - ymin) * HEIGHT)
+        )
 
     out = io.StringIO()
     out.write(
@@ -91,23 +81,29 @@ def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
     )
     out.write(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n')
 
-    for level in _contour_levels(q, bounds):
-        pts = _ellipse_points(q, level)
-        if pts is None:
+    # level sets are ellipses around the minimizer with radii sqrt(excess / lam)
+    lam, vecs = q.eigen()
+    w_star = q.minimizer()
+    f_star = q.f(w_star)
+    theta = np.linspace(0.0, 2.0 * np.pi, SAMPLES_PER_CONTOUR, endpoint=True)
+    cos, sin = np.cos(theta), np.sin(theta)
+    for level in _contour_levels(q, f_star, bounds):
+        excess = level - f_star
+        if excess <= 0:
             continue
-        path = " ".join(f"{_fmt(sx(p[0]))},{_fmt(sy(p[1]))}" for p in pts)
+        radii = np.sqrt(excess / lam)
+        pts = (vecs @ np.stack([radii[0] * cos, radii[1] * sin])).T + w_star
+        path = _fill("%.6f,%.6f", screen(pts), " ")
         out.write(f'<polyline points="{path}" fill="none" stroke="#bbbbbb" stroke-width="1"/>\n')
 
-    for k, traj in enumerate(trajectories):
+    points = [np.asarray(traj.points, dtype=np.float64) for traj in trajectories]
+    for k, (traj, pts) in enumerate(zip(trajectories, points)):
         color = _COLORS[k % len(_COLORS)]
-        pts = [(sx(p[0]), sy(p[1])) for p in traj.points]
-        if len(pts) > 1:
-            path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-            out.write(
-                f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
-            )
-        for x, y in pts:
-            out.write(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2" fill="{color}"/>\n')
+        xy = screen(pts)
+        if len(xy) > 1:
+            path = _fill("%.6f,%.6f", xy, " ")
+            out.write(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+        out.write(_fill(f'<circle cx="%.6f" cy="%.6f" r="2" fill="{color}"/>\n', xy))
         label = f"{traj.method} eta={traj.eta:g} gamma={traj.gamma:g}"
         out.write(
             f'<text x="10" y="{18 * (k + 1)}" font-family="monospace" font-size="12" '
@@ -117,11 +113,16 @@ def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
 
     csv = io.StringIO()
     csv.write(",".join(CSV_COLUMNS) + "\n")
-    for traj in trajectories:
-        for step, (p, fv, gn) in enumerate(zip(traj.points, traj.f_values, traj.grad_norms)):
-            csv.write(
-                f"{traj.method},{step},{float(p[0])!r},{float(p[1])!r},{float(fv)!r},{float(gn)!r}\n"
+    for traj, pts in zip(trajectories, points):
+        rows = zip(pts.tolist(), traj.f_values, traj.grad_norms)
+        csv.write(
+            "".join(
+                [
+                    f"{traj.method},{step},{w1!r},{w2!r},{float(fv)!r},{float(gn)!r}\n"
+                    for step, ((w1, w2), fv, gn) in enumerate(rows)
+                ]
             )
+        )
     return out.getvalue(), csv.getvalue()
 
 

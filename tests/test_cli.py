@@ -102,12 +102,17 @@ def test_quad_rejects_unknown_method(tmp_path):
     [
         ("--start", "1", "--start must be two finite numbers x,y, got '1'"),
         ("--start", "a,b", "--start must be two finite numbers x,y, got 'a,b'"),
+        ("--start", "1e200,0", "--start '1e200,0' is too far out"),  # f overflows: no first point
+        ("--start", "1e153,0", "--start '1e153,0' is too far out"),  # f finite, gradient norm overflows
         ("--method", "foo", "unknown method 'foo'"),
         ("--steps", "-1", "--steps must be >= 0, got -1"),
         ("--eta", "nan", "--eta must be finite, got nan"),
         ("--gamma", "inf", "--gamma must be finite, got inf"),
     ],
-    ids=["start_one_number", "start_not_numbers", "unknown_method", "negative_steps", "eta_nan", "gamma_inf"],
+    ids=[
+        "start_one_number", "start_not_numbers", "start_f_overflows", "start_gradnorm_overflows",
+        "unknown_method", "negative_steps", "eta_nan", "gamma_inf",
+    ],
 )
 def test_quad_bad_input_exits_2(tmp_path, capsys, flag, value, reason):
     svg = tmp_path / "t.svg"
@@ -116,6 +121,18 @@ def test_quad_bad_input_exits_2(tmp_path, capsys, flag, value, reason):
     assert info.value.code == 2
     assert capsys.readouterr().err.startswith(f"latopt quad: {reason}")
     assert not svg.exists()
+
+
+def test_quad_degenerate_bounding_box_exits_2_and_writes_nothing(tmp_path, capsys):
+    # f and its gradient are finite at 1e17, but the margin around one point rounds away
+    svg, csv = tmp_path / "t.svg", tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["quad", "--start", "1e17,0", "--steps", "0", "--out-svg", str(svg), "--out-csv", str(csv)])
+    assert info.value.code == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("latopt quad: render_trajectory: degenerate bounding box")
+    assert out.out == ""
+    assert not svg.exists() and not csv.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,10 @@ import pytest
 
 from latopt.quadratic import (
     CONVERGENCE_TOL,
+    DECAY_STEPS,
     DEFAULT_START,
     Quadratic,
+    Trajectory,
     default_quadratic,
     eg_first_order_trajectory,
     eg_full_hessian_trajectory,
@@ -117,6 +119,25 @@ def test_eg_full_hessian_decay_factors():
     for mode in range(2):
         expected = eg_mode_factor(lam[mode], 0.1, 0.01)
         assert max(abs(r - expected) for r in ratios[mode]) < 1e-9
+
+
+@pytest.mark.parametrize("min_amp", [1e-8, 1e-5, 0.0])
+def test_mode_decay_reads_only_the_first_decay_steps(min_amp):
+    q = default_quadratic()
+    trajs = [
+        gd_trajectory(q, DEFAULT_START, 0.025, 200),
+        eg_first_order_trajectory(q, DEFAULT_START, 0.1, 0.01, 200),
+        eg_full_hessian_trajectory(q, (0.4, 0.0), 0.05, 0.0125, 200),  # starts on the minimizer
+        gd_trajectory(q, DEFAULT_START, 5.0, 400),  # truncated after 59 points
+        gd_trajectory(q, DEFAULT_START, 0.025, 5),  # shorter than the window
+    ]
+    for traj in trajs:
+        head = Trajectory(traj.method, traj.eta, traj.gamma, points=traj.points[: DECAY_STEPS + 1])
+        lam, ratios = measure_mode_decay(q, traj, min_amp=min_amp)
+        lam_head, ratios_head = measure_mode_decay(q, head, min_amp=min_amp)
+        np.testing.assert_array_equal(lam, lam_head)
+        assert ratios == ratios_head
+        assert all(len(r) <= DECAY_STEPS for r in ratios)
 
 
 def test_eg_full_hessian_converges_where_gd_diverges():
