@@ -66,7 +66,7 @@ def test_svg_byte_stable_and_matches_golden():
     assert svg1 == GOLDEN_SVG.read_text()
 
 
-def test_csv_byte_stable_and_matches_golden():
+def test_csv_matches_golden():
     # the figure's three trajectories plus one cut short by a non-finite iterate
     q, trajs = fig_trajectories()
     truncated = gd_trajectory(q, DEFAULT_START, 5.0, 400)
