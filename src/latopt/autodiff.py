@@ -8,8 +8,9 @@ between the requested ones and the loss and gives bitwise the same
 gradients there. All values are float64. Any operation that produces a
 NaN/Inf raises :class:`NonFiniteError` instead of letting the poison
 propagate. A leaf is tested entry by entry; an op's output and every
-gradient by one dot product, since a finite sum of squares proves every
-entry finite, and only a non-finite sum is settled entry by entry. So every
+gradient of fewer than 10,000 entries by one dot product, since a finite
+sum of squares proves every entry finite, and only a non-finite sum is
+settled entry by entry, as a larger array is. So every
 value on a tape is finite, and ``dense``, ``tanh``, ``relu``, ``concat``,
 ``grl``, ``detach`` and ``negate``, which map finite inputs to finite
 outputs (a ``dense`` checks its pre-activation), skip the output test.
@@ -100,7 +101,7 @@ def pack(sequences) -> Packed:
     it is. An empty batch or an empty sequence raises ``ShapeError``."""
     if isinstance(sequences, Packed):
         return sequences
-    lengths = np.fromiter((len(s) for s in sequences), dtype=np.int64, count=len(sequences))
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
     ids = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
     return Packed(ids, lengths)
 
@@ -145,14 +146,20 @@ def _as_f64(x) -> np.ndarray:
     return a
 
 
+_DOT_CHECK_MAX = 10_000  # entries; from here on a BLAS may run the dot threaded
+
+
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite. One dot decides almost always:
-    the squares are >= 0, so nothing cancels and a NaN or Inf keeps the sum
-    non-finite. A non-finite sum (a NaN/Inf entry, or finite squares that
-    overflow) is settled entry by entry. The dot may overflow: call this
-    under an errstate that ignores overflow, as ``record`` and ``backward``
-    hold one. ``vdot`` flattens ``a`` itself, a view where it can."""
-    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+    """Whether every entry of ``a`` is finite. Below ``_DOT_CHECK_MAX``
+    entries one dot decides almost always: the squares are >= 0, so nothing
+    cancels and a NaN or Inf keeps the sum non-finite. A non-finite sum (a
+    NaN/Inf entry, or finite squares that overflow) is settled entry by
+    entry, as a larger array always is: a threaded dot costs more there
+    than the test it saves. ``vdot`` flattens ``a`` itself, a view where it
+    can, and raises nothing on an overflowing square."""
+    if a.size < _DOT_CHECK_MAX and math.isfinite(np.vdot(a, a)):
+        return True
+    return bool(np.isfinite(a).all())
 
 
 def _check_finite(value: np.ndarray, op: str, node: NodeId, what: str = "value") -> None:
@@ -220,10 +227,10 @@ def _fw_dense(vals, meta):
 
 
 def _bw_dense(g, vals, out, meta, need):
-    # bitwise the gradients of the unfused matmul -> add -> act chain, whose
-    # sweep skipped the add and matmul nodes when the pre-activation
-    # gradient gh was all zero. A -0.0 in gh can only make a zero result
-    # -0.0, and the sweep's buffers turn that into +0.0 as the chain's did.
+    # bitwise the gradients of the unfused matmul -> add -> act chain. An
+    # all-zero gh (dead relu units) gives all-+-0.0 terms, as the chain's
+    # add and matmul backwards did; the sweep's buffers hold no -0.0, so
+    # such a term changes no bit of a sum and +0.0 stands for a missing one.
     x, w, b = vals
     act = meta["act"]
     if act == "tanh":
@@ -234,8 +241,6 @@ def _bw_dense(g, vals, out, meta, need):
         gh = g * (out > 0.0)
     else:
         gh = g
-    if not gh.any():
-        return None, None, None
     gx = gh @ w.T if need[0] else None
     gw = x.T @ gh if need[1] else None
     gb = (gh if b.shape == gh.shape else gh.sum(axis=0)) if need[2] else None
@@ -336,6 +341,11 @@ def _fw_embedding_mean(vals, meta):
     form a prefix; positions are summed in order, then divided by the
     lengths. That is the order ``table[ids].mean(axis=0)`` sums in for a
     table of two or more columns (numpy sums a single column pairwise).
+    The positions every sequence reaches are summed in one reduce over the
+    position axis, which adds them in order from -0.0 (so an all -0.0
+    column stays -0.0), the rest one position at a time. With one sequence
+    of one column numpy would sum that reduce pairwise, so there the reduce
+    takes only the first position.
     """
     table = vals[0]
     ids, lengths = meta["ids"], meta["lengths"]
@@ -346,9 +356,11 @@ def _fw_embedding_mean(vals, meta):
     active = pos < sorted_len
     rows = table.take(ids[(starts + pos)[active]], axis=0)  # position-major, active rows only; take beats [] here
     n_active = active.sum(axis=1).tolist()
-    acc = rows[: n_active[0]].copy()
-    at = n_active[0]
-    for n in n_active[1:]:
+    batch, dim = len(lengths), table.shape[1]
+    full = int(sorted_len[-1]) if batch * dim > 1 else 1
+    acc = np.add.reduce(rows[: full * batch].reshape(full, batch, dim), axis=0, initial=-0.0)
+    at = full * batch
+    for n in n_active[full:]:
         acc[:n] += rows[at : at + n]
         at += n
     out = np.empty_like(acc)
@@ -457,10 +469,8 @@ class Tape:
     def leaf(self, value) -> NodeId:
         """Record an input/constant leaf. The tape holds ``value`` itself when
         it is a float64 array, so it must not be written while the tape is in
-        use. Its entries are tested one by one: a dot here would need an
-        errstate of its own to keep an overflow silent, which costs more
-        than the dot saves. Counting the finite entries costs about half of
-        ``.all()`` on small arrays."""
+        use. Its entries are tested one by one. Counting the finite entries
+        costs about half of ``.all()`` on small arrays."""
         v = _as_f64(value)
         if np.count_nonzero(np.isfinite(v)) != v.size:
             raise NonFiniteError(f"op 'leaf' (node {len(self.nodes)}) produced a non-finite value")
@@ -540,8 +550,11 @@ class Tape:
         return self.record("softmax_cross_entropy", (logits, onehot))
 
     def grl(self, a, lam):
-        if lam < 0:
-            raise ValueError("grl: lambda must be >= 0")
+        """The identity forward, ``-lam`` times the gradient backward. A
+        negative or non-finite ``lam`` raises ``ValueError``: an infinite one
+        would turn a zero gradient into NaN."""
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError(f"grl: lambda must be finite and >= 0, got {lam}")
         return self.record("grl", (a,), lam=float(lam))
 
     def detach(self, a):
@@ -587,8 +600,6 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
             if not any(need):
                 continue
             g = _densify(g, node.value)
-            if nid != loss and not g.any():
-                continue
             vals = [nodes[i].value for i in node.inputs]
             in_grads = _OPS[node.op][1](g, vals, node.value, node.meta, need)
             for inp, ig, needed in zip(node.inputs, in_grads, need):

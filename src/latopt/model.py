@@ -249,15 +249,19 @@ def domain_loss(params: ModelParams, u_s: np.ndarray, u_t: np.ndarray) -> float:
 def predict(params: ModelParams, sequences, domain: str) -> np.ndarray:
     """Argmax class predictions for one domain's classifier. ``sequences``
     is packed once (a ``Packed`` batch is used as it is) and encoded in
-    chunks of ``PREDICT_CHUNK``. An unknown ``domain`` raises ``ValueError``."""
+    chunks of ``PREDICT_CHUNK``; a batch of at most that many is encoded as
+    it is. Each chunk's tape holds only the tensors the encoder, ``w_sh``
+    and ``domain``'s head read. An unknown ``domain`` raises ``ValueError``."""
     check_domain(domain)
+    G = ModelParams.GROUPS
+    read = G["w_b"] + G["w_sh"] + G["phi_s" if domain == "source" else "phi_t"]
     batch = pack(sequences)
     n = len(batch)
     out = []
     for start in range(0, n, PREDICT_CHUNK):
-        chunk = batch.take(np.arange(start, min(start + PREDICT_CHUNK, n)))
+        chunk = batch if n <= PREDICT_CHUNK else batch.take(np.arange(start, min(start + PREDICT_CHUNK, n)))
         tape = Tape()
-        p = put_params(tape, params)
+        p = {name: tape.leaf(params.tensors[name]) for name in read}
         z = encode_on_tape(tape, p, chunk)
         logits = classifier_logits(tape, p, z, domain)
         out.append(np.argmax(tape.value(logits), axis=1))

@@ -25,6 +25,9 @@ PAD_FRAC = 0.15  # margin around the trajectories, as a share of their span
 
 
 def _auto_bounds(trajectories):
+    for k, t in enumerate(trajectories):
+        if len(t) == 0:
+            raise ValueError(f"render_trajectory: trajectory {k} ({t.method}) has no points")
     pts = np.concatenate([np.asarray(t.points) for t in trajectories])
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)

@@ -224,10 +224,13 @@ def test_grl_forward_identity_backward_reversal():
 
 
 def test_grl_rejects_negative_lambda():
+    # and a non-finite one: -inf * 0.0 in the sweep would be NaN
     t = Tape()
     x = t.leaf([1.0])
-    with pytest.raises(ValueError):
-        t.grl(x, -0.5)
+    for lam in (-0.5, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^grl: lambda must be finite and >= 0, got {lam}$"):
+            t.grl(x, lam)
+    assert len(t) == 1
 
 
 def test_detach_breaks_gradient_flow():

@@ -36,11 +36,14 @@ from latopt.autodiff import (  # noqa: E402
 from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, predict, save_checkpoint  # noqa: E402
 from latopt.optim import AdamState, adam_step  # noqa: E402
 from latopt.training import (  # noqa: E402
+    TrainingConfig,
     domain_loss_graph,
     latent_step,
     make_batches,
     pack_split,
     strategy_forward,
+    train_run,
+    trainable_tensors,
 )
 from latopt.training import paired_batches as pair_up  # noqa: E402
 
@@ -97,6 +100,50 @@ def test_embedding_mean_matches_per_sequence_reference(case):
     assert t.value(pooled).tobytes() == reference_mean(table, sequences).tobytes()
     grads = backward(t, loss)
     assert grads[tid].tobytes() == reference_grad(table, sequences, grads[pooled]).tobytes()
+
+
+def sequential_mean(table, sequences):
+    """Each sequence's rows added one position at a time, then divided by
+    its length: the order the op must sum in for any number of columns."""
+    out = np.empty((len(sequences), table.shape[1]))
+    for i, s in enumerate(sequences):
+        acc = table[s[0]].copy()
+        for token in s[1:]:
+            acc += table[token]
+        out[i] = acc / len(s)
+    return out
+
+
+@pytest.mark.parametrize("lengths", ["equal", "unequal"])
+@pytest.mark.parametrize("dim", [1, 16])
+@pytest.mark.parametrize("batch", [1, 2, 128])
+def test_embedding_mean_forward_matches_sequential_sums(batch, dim, lengths):
+    # the positions every sequence reaches are summed in one reduce; a -0.0
+    # row keeps a column -0.0 only when the sum starts from -0.0
+    rng = np.random.default_rng(batch * 100 + dim)
+    for _ in range(5):
+        table = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-3, 4)
+        table[rng.random(40) < 0.25] = -0.0
+        if lengths == "equal":
+            lens = [int(rng.integers(1, 30))] * batch
+        else:
+            lens = rng.integers(1, 30, size=batch).tolist()
+        sequences = [rng.integers(0, 40, size=n).tolist() for n in lens]
+        t = Tape()
+        assert _same(t.value(t.embedding_mean(t.leaf(table), sequences)), sequential_mean(table, sequences))
+    t = Tape()
+    assert _same(t.value(t.embedding_mean(t.leaf(np.full((3, dim), -0.0)), [[0, 1, 2]] * batch)), np.full((batch, dim), -0.0))
+
+
+@pytest.mark.parametrize("length", [9, 200])
+def test_embedding_mean_of_one_single_column_sequence_is_sequential(length):
+    # numpy would reduce a (length, 1, 1) block as one pairwise 1-D sum
+    rng = np.random.default_rng(length)
+    for _ in range(20):
+        table = rng.normal(size=(50, 1))
+        sequences = [rng.integers(0, 50, size=length).tolist()]
+        t = Tape()
+        assert _same(t.value(t.embedding_mean(t.leaf(table), sequences)), sequential_mean(table, sequences))
 
 
 # --- packed batches ------------------------------------------------------------
@@ -530,6 +577,33 @@ def test_fused_dense_matches_unfused_chain(case):
         assert _same(fgrads[fid], ugrads[uid]) and _same(fg, ugrads[uid])
 
 
+# --- the reversal at lambda 0 -------------------------------------------------
+
+
+def _tiny_splits(rng, n=16):
+    splits = {
+        "train": [(tuple(rng.integers(0, TINY.vocab_size, 4)), int(rng.integers(0, 2))) for _ in range(n)],
+        "dev": [(tuple(rng.integers(0, TINY.vocab_size, 4)), int(rng.integers(0, 2))) for _ in range(6)],
+    }
+    return {name: pack_split(examples) for name, examples in splits.items()}
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@example(0, 1)  # criterion 3's runs
+def test_adv_at_lambda_zero_trains_mtl_tensors_bitwise_as_mtl(split_seed, init_seed):
+    # the reversal hands the encoder only +-0.0 terms, which change no bit
+    # of a sweep buffer, so the discriminator leaves mtl's tensors alone
+    rng = np.random.default_rng(split_seed)
+    ss, ts = _tiny_splits(rng), _tiny_splits(rng)
+    config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
+    mtl = train_run("mtl", init_params(TINY, init_seed), ss, ts, config, 5).checkpoints[-1]
+    config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1, grl_lambda=0.0)
+    adv = train_run("adv", init_params(TINY, init_seed), ss, ts, config, 5).checkpoints[-1]
+    for name in trainable_tensors("mtl"):
+        assert _same(mtl.tensors[name], adv.tensors[name])
+
+
 # --- touched-row Adam ---------------------------------------------------------
 
 
@@ -775,6 +849,19 @@ def test_finite_checks_raise_exactly_on_a_nonfinite_entry(a):
                 with _raises_iff(bad, f"op 'probe' (node {loss}) produced a non-finite gradient for input node {x}"):
                     grads = backward(t, loss, wrt=wrt)
                     assert _same(grads[0], a + 0.0)
+
+
+@pytest.mark.parametrize("size", [autodiff._DOT_CHECK_MAX - 1, autodiff._DOT_CHECK_MAX])
+@pytest.mark.parametrize("entry", [0.5, -0.0, 1e200, np.nan, np.inf, -np.inf])
+def test_finite_check_gives_one_verdict_on_both_sides_of_the_dot_cut(size, entry):
+    # below the cut one dot decides a finite array; from the cut up no dot runs
+    a = np.ones(size)
+    a[size // 2] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(np, "vdot", wraps=np.vdot) as vdot:
+            assert autodiff._all_finite(a) == math.isfinite(entry)
+    assert vdot.called == (size < autodiff._DOT_CHECK_MAX)
 
 
 # --- checkpoints ----------------------------------------------------------------

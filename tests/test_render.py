@@ -58,6 +58,17 @@ def test_degenerate_auto_bounds_rejected():
         render_trajectory([traj], q)
 
 
+def test_empty_trajectory_rejected_by_index():
+    # a start where f overflows gives a trajectory with no points
+    q = default_quadratic()
+    empty = gd_trajectory(q, (1e200, 0.0), 0.025, 5)
+    assert len(empty) == 0
+    full = gd_trajectory(q, DEFAULT_START, 0.025, 5)
+    for trajs, k in (([empty], 0), ([full, empty], 1)):
+        with pytest.raises(ValueError, match=rf"^render_trajectory: trajectory {k} \(gd\) has no points$"):
+            render_trajectory(trajs, q)
+
+
 def test_svg_byte_stable_and_matches_golden():
     q, trajs = fig_trajectories()
     svg1, _ = render_trajectory(trajs, q)
