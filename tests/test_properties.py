@@ -1,7 +1,8 @@
 """Property tests: the embedding op on packed batches and sub-batches, its
 row-sparse gradient in the sweep, batches gathered from a packed
 split, the frontier backward, the fused dense op and touched-row Adam agree
-bit for bit with the straightforward computations they replace, the finite
+bit for bit with the straightforward computations they replace, the
+reversal at lambda 0 leaves mtl's training bitwise as it is, the finite
 checks raise exactly on a non-finite entry, and checkpoints round-trip
 exactly while tampered ones are refused."""
 
