@@ -140,7 +140,7 @@ def _cmd_quad(args) -> int:
 def _cmd_train(args) -> int:
     from .harness import _test_metrics, checked_splits, select_model
     from .model import ModelConfig, init_params, save_checkpoint
-    from .training import TrainingAborted, TrainingConfig, train_run
+    from .training import TrainingAborted, TrainingConfig, batch_schedule, train_run
 
     try:
         config = TrainingConfig(lr=args.lr, gamma=args.gamma, batch_size=args.batch_size, epochs=args.epochs)
@@ -160,25 +160,19 @@ def _cmd_train(args) -> int:
         print(f"latopt train: {problem}", file=sys.stderr)
         return 2
     params = init_params(ModelConfig(vocab_size=source.vocab_size), args.seed)
+    source_splits, target_splits = splits[args.source], splits[args.target]
+    schedule = batch_schedule(source_splits["train"], target_splits["train"], args.batch_size, args.epochs, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         with open(out / "runlog.jsonl", "w") as run_log:
-            run = train_run(
-                args.strategy,
-                params,
-                splits[args.source],
-                splits[args.target],
-                config,
-                args.seed,
-                run_log=run_log,
-            )
+            run = train_run(args.strategy, params, schedule, target_splits["dev"], config, run_log=run_log)
     except TrainingAborted as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 1
     epoch = select_model(run.checkpoints, run.dev_f)
     chosen = run.checkpoints[epoch]
-    f, r, p = _test_metrics(chosen, splits[args.target], "target")
+    f, r, p = _test_metrics(chosen, target_splits, "target")
     save_checkpoint(chosen, out / "model.json")
     metrics = {
         "strategy": args.strategy,

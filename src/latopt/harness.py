@@ -24,7 +24,7 @@ from .autodiff import ShapeError
 from .data import DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
 from .metrics import f_score, paired_sign_test
 from .model import ModelConfig, ModelParams, init_params, predict
-from .training import STRATEGIES, TrainingAborted, TrainingConfig, pack_split, train_run
+from .training import STRATEGIES, TrainingAborted, TrainingConfig, batch_schedule, pack_split, train_run
 
 SUMMARY_COLUMNS = (
     "strategy",
@@ -110,7 +110,7 @@ class ExperimentSpec:
             raise SpecError("spec needs at least one seed")
         if min(self.seeds) < 0:
             raise SpecError(f"spec seeds must be >= 0, got {self.seeds}")
-        for name, one in (("strategies", "strategy"), ("seeds", "seed")):
+        for name, one in (("strategies", "strategy"), ("seeds", "seed"), ("lr_grid", "rate")):
             values = getattr(self, name)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
@@ -213,48 +213,59 @@ def sequential_finetune(
     with source-dev selection, then target-task training (fresh target
     head: phase one never touches it) with target-dev selection.
 
-    Returns (selected params, phase-2 RunResult, selected epoch).
+    Each phase cuts its own single-domain ``batch_schedule``, from ``seed``
+    and ``seed + 1``. Returns (selected params, phase-2 RunResult, selected
+    epoch).
     """
-    run1 = train_run("single:source", params.copy(), source_splits, target_splits, config, seed, eval_domain="source")
+    schedule = batch_schedule(source_splits["train"], None, config.batch_size, config.epochs, seed)
+    run1 = train_run("single:source", params.copy(), schedule, source_splits["dev"], config, eval_domain="source")
     params = run1.checkpoints[select_model(run1.checkpoints, run1.dev_f)].copy()
-    run2 = train_run("single:target", params, source_splits, target_splits, config, seed + 1, eval_domain="target")
+    schedule = batch_schedule(target_splits["train"], None, config.batch_size, config.epochs, seed + 1)
+    run2 = train_run("single:target", params, schedule, target_splits["dev"], config)
     run2.wall_ms += run1.wall_ms
     chosen = select_model(run2.checkpoints, run2.dev_f)
     return run2.checkpoints[chosen], run2, chosen
 
 
-def _run_strategy(strategy, init, source_splits, target_splits, config, seed):
-    params = init.copy()
+def _run_strategy(strategy, init, schedule, source_splits, target_splits, config, seed):
+    """(selected params, selected epoch, its dev F, wall ms, peak aux state)
+    of one run from ``init``: ``seq`` cuts its own schedules, every other
+    strategy trains on ``schedule``."""
     if strategy == "seq":
-        selected, run, epoch = sequential_finetune(params, source_splits, target_splits, config, seed)
-        return run, selected, epoch
-    run = train_run(strategy, params, source_splits, target_splits, config, seed)
-    epoch = select_model(run.checkpoints, run.dev_f)
-    return run, run.checkpoints[epoch], epoch
+        selected, run, epoch = sequential_finetune(init.copy(), source_splits, target_splits, config, seed)
+    else:
+        run = train_run(strategy, init.copy(), schedule, target_splits["dev"], config)
+        epoch = select_model(run.checkpoints, run.dev_f)
+        selected = run.checkpoints[epoch]
+    return selected, epoch, run.dev_f[epoch], run.wall_ms, run.peak_aux
 
 
-def _grid_search(base, init, source_splits, target_splits, spec, seed):
+def _grid_search(base, init, schedule, source_splits, target_splits, spec, seed):
     """Best LR by target-dev F; ties break toward the smaller rate.
-    Returns (lr, cached run tuple) so the base run is not retrained."""
+    Returns (lr, the best run's ``_run_strategy`` tuple) so the base run is
+    not retrained; of its checkpoints only the selected one is kept."""
     best = None
     for lr in sorted(spec.lr_grid):
         config = TrainingConfig(lr=lr, gamma=0.0, batch_size=spec.batch_size, epochs=spec.epochs)
-        run, selected, epoch = _run_strategy(base, init, source_splits, target_splits, config, seed)
-        dev = run.dev_f[epoch]
-        if best is None or dev > best[0]:
-            best = (dev, lr, (run, selected, epoch))
-    return best[1], best[2]
+        result = _run_strategy(base, init, schedule, source_splits, target_splits, config, seed)
+        if best is None or result[2] > best[1][2]:  # the selected epoch's dev F
+            best = (lr, result)
+    return best
 
 
 def _seed_jobs(spec, seed, source_splits, target_splits):
-    """All reports for one seed: shared init, base grid search, variants."""
+    """All reports for one seed: shared init, base grid search, variants.
+    Every two-domain run of the seed, base or variant at any rate, trains
+    on the one batch schedule cut here, so a ``+lo`` run and its base see
+    the same batches in the same order."""
     init = init_params(spec.model, seed)
+    schedule = batch_schedule(source_splits["train"], target_splits["train"], spec.batch_size, spec.epochs, seed)
     reports = []
     best_lr: dict[str, float] = {}
     cached: dict[str, tuple] = {}
     for base in sorted({_base(s) for s in spec.strategies}):
         try:
-            best_lr[base], cached[base] = _grid_search(base, init, source_splits, target_splits, spec, seed)
+            best_lr[base], cached[base] = _grid_search(base, init, schedule, source_splits, target_splits, spec, seed)
         except TrainingAborted as e:
             reports.extend(_failed_report(s, seed, 0.0, str(e)) for s in spec.strategies if _base(s) == base)
 
@@ -265,20 +276,16 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
         lr = best_lr[base]
         try:
             if strategy == base:
-                run, selected, epoch = cached[base]
+                selected, epoch, dev_f, wall_ms, aux = cached[base]
             else:
                 config = TrainingConfig(
                     lr=lr, gamma=spec.gamma, batch_size=spec.batch_size, epochs=spec.epochs
                 )
-                run, selected, epoch = _run_strategy(
-                    strategy, init, source_splits, target_splits, config, seed
+                selected, epoch, dev_f, wall_ms, aux = _run_strategy(
+                    strategy, init, schedule, source_splits, target_splits, config, seed
                 )
             f, r, p = _test_metrics(selected, target_splits, "target")
-            reports.append(
-                MetricsReport(
-                    strategy, seed, lr, run.dev_f[epoch], f, r, p, epoch, run.wall_ms, run.peak_aux
-                )
-            )
+            reports.append(MetricsReport(strategy, seed, lr, dev_f, f, r, p, epoch, wall_ms, aux))
         except TrainingAborted as e:
             reports.append(_failed_report(strategy, seed, lr, str(e)))
     return reports

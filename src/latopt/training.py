@@ -347,7 +347,10 @@ def make_batches(examples, batch_size: int, rng) -> list:
     n = len(split.seqs)
     order = rng.permutation(n)
     cuts = (order[start : start + batch_size] for start in range(0, n - batch_size + 1, batch_size))
-    return [(split.seqs.take(idx), onehot(split.labels[idx])) for idx in cuts]
+    batches = [(split.seqs.take(idx), onehot(split.labels[idx])) for idx in cuts]
+    for _, y in batches:
+        y.flags.writeable = False  # every run of a seed trains on the same batches
+    return batches
 
 
 def paired_batches(source_examples, target_examples, batch_size: int, rng) -> list:
@@ -363,6 +366,17 @@ def paired_batches(source_examples, target_examples, batch_size: int, rng) -> li
     while len(bt) < n:
         bt.extend(make_batches(target, batch_size, rng))
     return list(zip(bs[:n], bt[:n]))
+
+
+def batch_schedule(source, target, batch_size: int, epochs: int, seed: int) -> list:
+    """Per epoch, the (batch_s, batch_t) pairs a run trains on, all drawn
+    from one ``default_rng(seed)``: the ``paired_batches`` of the two train
+    splits, or with ``target`` None, ``(b, b)`` for each batch ``b`` that
+    ``make_batches`` cuts from ``source`` alone (a ``single:*`` run)."""
+    rng = np.random.default_rng(seed)
+    if target is None:
+        return [[(b, b) for b in make_batches(source, batch_size, rng)] for _ in range(epochs)]
+    return [paired_batches(source, target, batch_size, rng) for _ in range(epochs)]
 
 
 def training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, gamma):
@@ -389,28 +403,12 @@ def training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, gamm
 
 
 def train_epoch(
-    strategy,
-    params,
-    opt_state,
-    source_examples,
-    target_examples,
-    config: TrainingConfig,
-    epoch: int,
-    total_steps: int,
-    step_offset: int,
-    rng,
+    strategy, params, opt_state, pairs, config: TrainingConfig, epoch: int, total_steps: int, step_offset: int
 ) -> EpochReport:
-    """One pass over paired batches with the cosine schedule and the
-    reversal-weight ramp. Aborts (with diagnostics) on a non-finite loss."""
+    """One pass over one epoch's (batch_s, batch_t) pairs with the cosine
+    schedule and the reversal-weight ramp. Aborts (with diagnostics) on a
+    non-finite loss."""
     from .optim import cosine_lr
-
-    if strategy.startswith("single:"):
-        examples = source_examples if strategy.endswith("source") else target_examples
-        pairs = [(b, b) for b in make_batches(examples, config.batch_size, rng)]
-        if not pairs:
-            raise ValueError("train_epoch: empty loader")
-    else:
-        pairs = paired_batches(source_examples, target_examples, config.batch_size, rng)
 
     def lam_at(step):
         return config.grl_lambda if config.grl_lambda is not None else grl_weight(step / total_steps)
@@ -455,20 +453,20 @@ class RunResult:
 def train_run(
     strategy: str,
     params: ModelParams,
-    source_splits: dict,
-    target_splits: dict,
+    schedule: list,
+    dev: Split,
     config: TrainingConfig,
-    seed: int,
     eval_domain: str = "target",
     run_log=None,
 ) -> RunResult:
     """Multi-epoch training with per-epoch snapshots and dev evaluation.
 
-    ``source_splits``/``target_splits`` map split name -> :class:`Split`
-    (``harness._splits`` builds them). Each epoch's snapshot is scored by the
-    positive-class F on ``eval_domain``'s dev split; an unknown
-    ``eval_domain`` raises ``ValueError`` before training. ``run_log`` is an
-    optional file handle receiving one JSON line per epoch.
+    ``schedule`` holds the (batch_s, batch_t) pairs of each epoch to train,
+    one entry per epoch (see ``batch_schedule``); a schedule with no batch
+    raises ``ValueError``. Each epoch's snapshot is scored by the
+    positive-class F of the ``eval_domain`` head on the ``dev`` split; an
+    unknown ``eval_domain`` raises ``ValueError`` before training.
+    ``run_log`` is an optional file handle receiving one JSON line per epoch.
     """
     import json
 
@@ -477,37 +475,15 @@ def train_run(
     from .optim import AdamState
 
     check_domain(eval_domain)
-    rng = np.random.default_rng(seed)
-    opt_state = AdamState()
-    source_train, target_train = source_splits["train"], target_splits["train"]
-    if strategy.startswith("single:"):
-        n_src = len(source_train.seqs) if strategy.endswith("source") else len(target_train.seqs)
-        steps_per_epoch = n_src // config.batch_size
-    else:
-        steps_per_epoch = max(
-            len(source_train.seqs) // config.batch_size,
-            len(target_train.seqs) // config.batch_size,
-        )
+    steps_per_epoch = len(schedule[0]) if schedule else 0
     if steps_per_epoch == 0:
-        raise ValueError("train_run: not enough examples for a single batch")
-    total_steps = steps_per_epoch * config.epochs
-
-    dev = target_splits["dev"] if eval_domain == "target" else source_splits["dev"]
+        raise ValueError("train_run: the schedule holds no batch")
+    total_steps = steps_per_epoch * len(schedule)
+    opt_state = AdamState()
     checkpoints, reports, dev_f = [], [], []
     t0 = time.perf_counter()
-    for epoch in range(config.epochs):
-        report = train_epoch(
-            strategy,
-            params,
-            opt_state,
-            source_train,
-            target_train,
-            config,
-            epoch,
-            total_steps,
-            epoch * steps_per_epoch,
-            rng,
-        )
+    for epoch, pairs in enumerate(schedule):
+        report = train_epoch(strategy, params, opt_state, pairs, config, epoch, total_steps, epoch * steps_per_epoch)
         reports.append(report)
         if run_log is not None:
             run_log.write(json.dumps(report.runlog_entry()) + "\n")

@@ -29,6 +29,7 @@ from latopt.quadratic import (
 )
 from latopt.training import (
     TrainingConfig,
+    batch_schedule,
     domain_loss_graph,
     latent_step,
     lookahead_joint_grads,
@@ -188,18 +189,19 @@ def test_criterion_3_reduction_identities():
     ss, ts = _tiny_splits(rng), _tiny_splits(rng)
 
     config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
+    schedule = batch_schedule(ss["train"], ts["train"], 4, 1, 5)
     final = {}
     for strategy in ("adv", "adv+lo"):
-        run = train_run(strategy, init_params(TINY, 1), ss, ts, config, 5)
+        run = train_run(strategy, init_params(TINY, 1), schedule, ts["dev"], config)
         final[strategy] = run.checkpoints[-1]
     bitwise = all(
         np.array_equal(final["adv"].tensors[n], final["adv+lo"].tensors[n])
         for n in final["adv"].tensors
     )
 
-    run_mtl = train_run("mtl", init_params(TINY, 1), ss, ts, config, 5)
+    run_mtl = train_run("mtl", init_params(TINY, 1), schedule, ts["dev"], config)
     config_l0 = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1, grl_lambda=0.0)
-    run_adv0 = train_run("adv", init_params(TINY, 1), ss, ts, config_l0, 5)
+    run_adv0 = train_run("adv", init_params(TINY, 1), schedule, ts["dev"], config_l0)
     mtl_close = all(
         np.allclose(
             run_mtl.checkpoints[-1].tensors[n], run_adv0.checkpoints[-1].tensors[n], atol=1e-12
@@ -387,6 +389,7 @@ def test_criterion_7_resource_accounting():
     source, target = prepare_transfer_pair(gen)
     ss, ts = _splits(source), _splits(target)
     config = TrainingConfig(lr=1e-3, gamma=spec.gamma, batch_size=spec.batch_size, epochs=1)
+    schedule = batch_schedule(ss["train"], ts["train"], config.batch_size, 1, 0)
 
     walls = {}
     aux = {}
@@ -394,7 +397,7 @@ def test_criterion_7_resource_accounting():
         best = math.inf
         for rep in range(2):
             params = init_params(model_cfg, 0)
-            run = train_run(strategy, params, ss, ts, config, 0)
+            run = train_run(strategy, params, schedule, ts["dev"], config)
             best = min(best, run.epoch_reports[0].wall_ms)
             aux[strategy] = run.peak_aux
         walls[strategy] = best

@@ -337,6 +337,7 @@ def test_compare_rejects_spec_that_does_not_fit_its_data(tmp_path, data_dir, cap
         ({"target_path": None}, "spec needs both source_path and target_path, or neither"),
         ({"generator": {"seed": 3}}, "spec gives dataset paths and a generator; give one or the other"),
         ({"seeds": [0, 0]}, "spec repeats seed 0"),
+        ({"lr_grid": [1e-3, 1e-3]}, "spec repeats rate 0.001"),
     ],
     ids=[
         "misspelled_key",
@@ -353,6 +354,7 @@ def test_compare_rejects_spec_that_does_not_fit_its_data(tmp_path, data_dir, cap
         "source_path_alone",
         "paths_and_generator",
         "repeated_seed",
+        "repeated_rate",
     ],
 )
 def test_compare_rejects_malformed_spec(tmp_path, data_dir, capsys, change, reason):

@@ -97,12 +97,13 @@ def test_sequential_finetune_phase_two_starts_from_phase_one_selection(fast_pair
     ss, ts = _splits(src), _splits(tgt)
     config = TrainingConfig(lr=2e-3, batch_size=32, epochs=2)
     init = init_params(FAST_MODEL, 0)
-    from latopt.training import train_run
+    from latopt.training import batch_schedule, train_run
 
     selected, run, epoch = sequential_finetune(init, ss, ts, config, seed=0)
-    phase1 = train_run("single:source", init.copy(), ss, ts, config, seed=0, eval_domain="source")
+    schedule = batch_schedule(ss["train"], None, 32, 2, 0)
+    phase1 = train_run("single:source", init.copy(), schedule, ss["dev"], config, eval_domain="source")
     start = phase1.checkpoints[select_model(phase1.checkpoints, phase1.dev_f)].copy()
-    run_direct = train_run("single:target", start, ss, ts, config, seed=1)
+    run_direct = train_run("single:target", start, batch_schedule(ts["train"], None, 32, 2, 1), ts["dev"], config)
     assert len(run.dev_f) == config.epochs
     assert run.dev_f == run_direct.dev_f  # phase 2 seed offset matches
     assert epoch == select_model(run_direct.checkpoints, run_direct.dev_f)
@@ -247,6 +248,7 @@ def test_data_problem_accepts_a_fitting_pair():
         ({"seeds": [0, -1]}, "spec seeds must be >= 0, got [0, -1]"),
         ({"seeds": [3, 1, 2, 1, 3]}, "spec repeats seed 1"),
         ({"strategies": ["adv", "adv+lo", "adv"]}, "spec repeats strategy 'adv'"),
+        ({"lr_grid": [1e-3, 3e-3, 1e-3]}, "spec repeats rate 0.001"),
         ({"source_path": "s.jsonl"}, "spec needs both source_path and target_path, or neither"),
         ({"target_path": "t.jsonl"}, "spec needs both source_path and target_path, or neither"),
         (
@@ -278,6 +280,7 @@ def test_data_problem_accepts_a_fitting_pair():
         "negative_seed",
         "repeated_seed",
         "repeated_strategy",
+        "repeated_rate",
         "source_path_alone",
         "target_path_alone",
         "paths_and_generator",
@@ -358,9 +361,43 @@ def test_run_experiment_grid_searches_seq_as_its_own_base(fast_pair):
     seq = {r.strategy: r for r in reports}["seq"]
     source_splits, target_splits = _splits(src), _splits(tgt)
     init = init_params(FAST_MODEL, 0)
-    lr, (run, selected, epoch) = _grid_search("seq", init, source_splits, target_splits, spec, 0)
+    # seq cuts its own schedules, so it is handed none
+    lr, (selected, epoch, dev_f, _, _) = _grid_search("seq", init, None, source_splits, target_splits, spec, 0)
     test_f = _test_metrics(selected, target_splits, "target")[0]
-    assert (seq.lr, seq.dev_f, seq.test_f) == (lr, run.dev_f[epoch], test_f)
+    assert (seq.lr, seq.dev_f, seq.test_f) == (lr, dev_f, test_f)
+
+
+def test_every_two_domain_run_of_a_seed_trains_on_one_schedule(fast_pair, monkeypatch):
+    # the pairing the sign test relies on: a +lo run and its base, at every
+    # grid rate, see the same batch objects; seq phases cut their own
+    from latopt import harness
+
+    train_run = harness.train_run
+    seen = []
+
+    def spy(strategy, params, schedule, *args, **kwargs):
+        seen.append((strategy, schedule))
+        return train_run(strategy, params, schedule, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_run", spy)
+    spec = ExperimentSpec(
+        strategies=["mtl", "mtl+lo", "adv", "adv+lo", "seq"],
+        seeds=[0, 1],
+        lr_grid=[1e-3, 3e-3],
+        epochs=1,
+        batch_size=32,
+        model=FAST_MODEL,
+    )
+    run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
+    paired = [schedule for strategy, schedule in seen if not strategy.startswith("single:")]
+    single = [schedule for strategy, schedule in seen if strategy.startswith("single:")]
+    # per seed (seeds run in order): 2 bases at 2 rates, then 2 variants
+    assert len(paired) == 2 * 6 and len(single) == 2 * 2 * 2
+    first, second = paired[:6], paired[6:]
+    assert all(s is first[0] for s in first) and all(s is second[0] for s in second)
+    assert first[0] is not second[0]
+    assert first[0][0][0][0][0].ids.tolist() != second[0][0][0][0][0].ids.tolist()
+    assert not any(s is first[0] or s is second[0] for s in single)
 
 
 def test_experiment_reproducible(fast_pair):

@@ -81,7 +81,7 @@ def test_unknown_domain_rejected_before_anything_is_recorded():
 
     from latopt.autodiff import Tape
     from latopt.model import classifier_logits, predict, put_params
-    from latopt.training import TrainingConfig, pack_split, train_run
+    from latopt.training import TrainingConfig, batch_schedule, pack_split, train_run
 
     params = init_params(SMALL, 0)
     tape = Tape()
@@ -94,11 +94,11 @@ def test_unknown_domain_rejected_before_anything_is_recorded():
         predict(params, [(1, 2), (3,)], "bogus")
     rng = np.random.default_rng(0)
     split = pack_split([(tuple(rng.integers(0, SMALL.vocab_size, 3)), i % 2) for i in range(8)])
-    splits = {"train": split, "dev": split}
     log = io.StringIO()
     before = params.copy()
+    schedule = batch_schedule(split, split, 4, 1, 0)
     with pytest.raises(ValueError, match="unknown domain 'Target'"):
-        train_run("mtl", params, splits, splits, TrainingConfig(batch_size=4, epochs=1), 0, eval_domain="Target", run_log=log)
+        train_run("mtl", params, schedule, split, TrainingConfig(batch_size=4, epochs=1), "Target", run_log=log)
     assert log.getvalue() == ""
     assert all(params.tensors[k].tobytes() == before.tensors[k].tobytes() for k in params.tensors)
 

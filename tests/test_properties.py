@@ -38,6 +38,7 @@ from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, pred
 from latopt.optim import AdamState, adam_step  # noqa: E402
 from latopt.training import (  # noqa: E402
     TrainingConfig,
+    batch_schedule,
     domain_loss_graph,
     latent_step,
     make_batches,
@@ -597,10 +598,11 @@ def test_adv_at_lambda_zero_trains_mtl_tensors_bitwise_as_mtl(split_seed, init_s
     # of a sweep buffer, so the discriminator leaves mtl's tensors alone
     rng = np.random.default_rng(split_seed)
     ss, ts = _tiny_splits(rng), _tiny_splits(rng)
+    schedule = batch_schedule(ss["train"], ts["train"], 4, 1, 5)
     config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
-    mtl = train_run("mtl", init_params(TINY, init_seed), ss, ts, config, 5).checkpoints[-1]
+    mtl = train_run("mtl", init_params(TINY, init_seed), schedule, ts["dev"], config).checkpoints[-1]
     config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1, grl_lambda=0.0)
-    adv = train_run("adv", init_params(TINY, init_seed), ss, ts, config, 5).checkpoints[-1]
+    adv = train_run("adv", init_params(TINY, init_seed), schedule, ts["dev"], config).checkpoints[-1]
     for name in trainable_tensors("mtl"):
         assert _same(mtl.tensors[name], adv.tensors[name])
 

@@ -23,6 +23,11 @@ def test_settable_surface_is_pinned():
     ]
     signatures = {
         optim.adam_step: ["state", "params", "grads", "lr"],
+        training.batch_schedule: ["source", "target", "batch_size", "epochs", "seed"],
+        training.train_epoch: [
+            "strategy", "params", "opt_state", "pairs", "config", "epoch", "total_steps", "step_offset"
+        ],
+        training.train_run: ["strategy", "params", "schedule", "dev", "config", "eval_domain", "run_log"],
         harness.sequential_finetune: ["params", "source_splits", "target_splits", "config", "seed"],
         render.render_trajectory: ["trajectories", "q"],
         render.write_outputs: ["trajectories", "q", "svg_path", "csv_path"],

@@ -16,12 +16,15 @@ from latopt.optim import AdamState
 from latopt.training import (
     EpochReport,
     TrainingConfig,
+    batch_schedule,
     domain_loss_graph,
     latent_step,
     lookahead_joint_grads,
+    make_batches,
     maml_lookahead_step,
     mtl_lo_step,
     pack_split,
+    paired_batches,
     strategy_forward,
     train_epoch,
     train_run,
@@ -396,7 +399,8 @@ def test_train_epoch_report_and_runlog_schema():
     splits = tiny_splits(rng)
     state = AdamState()
     config = TrainingConfig(lr=1e-3, gamma=0.01, batch_size=4, epochs=1)
-    report = train_epoch("adv+lo", params, state, splits["train"], splits["train"], config, 0, 3, 0, rng)
+    train = splits["train"]
+    report = train_epoch("adv+lo", params, state, paired_batches(train, train, 4, rng), config, 0, 3, 0)
     assert isinstance(report, EpochReport)
     entry = report.runlog_entry()
     assert set(entry) == {"epoch", "strategy", "losses", "lr", "lam", "wall_ms", "aux_state_scalars"}
@@ -406,13 +410,53 @@ def test_train_epoch_report_and_runlog_schema():
     json.dumps(entry)  # serializable
     # a later epoch starts further up the ramp; a fixed weight is reported as
     # is, and a strategy without a discriminator has none
-    later = train_epoch("adv", params, state, splits["train"], splits["train"], config, 1, 6, 3, rng)
+    later = train_epoch("adv", params, state, paired_batches(train, train, 4, rng), config, 1, 6, 3)
     assert later.runlog_entry()["lam"] == grl_weight(0.5)
     fixed = replace(config, grl_lambda=0.3)
-    assert train_epoch("adv+maml", params, state, splits["train"], splits["train"], fixed, 0, 3, 0, rng).lam == 0.3
-    entry = train_epoch("mtl+lo", params, state, splits["train"], splits["train"], config, 0, 3, 0, rng).runlog_entry()
+    assert train_epoch("adv+maml", params, state, paired_batches(train, train, 4, rng), fixed, 0, 3, 0).lam == 0.3
+    entry = train_epoch("mtl+lo", params, state, paired_batches(train, train, 4, rng), config, 0, 3, 0).runlog_entry()
     assert entry["lam"] is None
     json.dumps(entry)
+
+
+def _batch_key(batch):
+    seqs, y = batch
+    return seqs.ids.tolist(), seqs.lengths.tolist(), y.tolist()
+
+
+def test_batch_schedule_draws_every_epoch_from_one_rng():
+    rng = np.random.default_rng(21)
+    source, target = tiny_splits(rng, n=16)["train"], tiny_splits(rng, n=9)["train"]
+    rng = np.random.default_rng(5)
+    want = [paired_batches(source, target, 4, rng) for _ in range(3)]
+    got = batch_schedule(source, target, 4, 3, 5)
+    assert [[(_batch_key(s), _batch_key(t)) for s, t in e] for e in got] == [
+        [(_batch_key(s), _batch_key(t)) for s, t in e] for e in want
+    ]
+    # one domain: each batch is paired with itself
+    rng = np.random.default_rng(5)
+    want = [make_batches(target, 4, rng) for _ in range(3)]
+    got = batch_schedule(target, None, 4, 3, 5)
+    assert all(s is t for e in got for s, t in e)
+    assert [[_batch_key(s) for s, _ in e] for e in got] == [[_batch_key(b) for b in e] for e in want]
+
+
+def test_scheduled_batches_are_read_only():
+    # every run of a seed trains on the same batch objects
+    rng = np.random.default_rng(23)
+    train = tiny_splits(rng)["train"]
+    for (seqs, y), _ in batch_schedule(train, train, 4, 1, 23)[0]:
+        with pytest.raises(ValueError, match="read-only"):
+            y[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            seqs.ids[0] = 0
+
+
+@pytest.mark.parametrize("schedule", [[], [[]]], ids=["no_epoch", "empty_epoch"])
+def test_train_run_refuses_a_schedule_with_no_batch(schedule):
+    dev = tiny_splits(np.random.default_rng(22))["dev"]
+    with pytest.raises(ValueError, match="^train_run: the schedule holds no batch$"):
+        train_run("mtl", init_params(TINY, 22), schedule, dev, TrainingConfig(batch_size=4, epochs=1))
 
 
 def test_nodes_per_training_step_at_default_config(monkeypatch):
@@ -480,10 +524,11 @@ def test_mtl_equals_adv_with_zero_reversal_weight():
     config_mtl = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
     config_adv = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1, grl_lambda=0.0)
 
+    schedule = batch_schedule(splits_s["train"], splits_t["train"], 4, 1, 99)
     p_mtl = init_params(TINY, 15)
-    run_mtl = train_run("mtl", p_mtl, splits_s, splits_t, config_mtl, 99)
+    run_mtl = train_run("mtl", p_mtl, schedule, splits_t["dev"], config_mtl)
     p_adv = init_params(TINY, 15)
-    run_adv = train_run("adv", p_adv, splits_s, splits_t, config_adv, 99)
+    run_adv = train_run("adv", p_adv, schedule, splits_t["dev"], config_adv)
 
     final_mtl = run_mtl.checkpoints[-1]
     final_adv = run_adv.checkpoints[-1]
@@ -497,10 +542,11 @@ def test_lookahead_gamma_zero_reproduces_adv_bitwise_over_epoch():
     splits_t = tiny_splits(rng, n=16)
     config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
 
+    schedule = batch_schedule(splits_s["train"], splits_t["train"], 4, 1, 7)
     runs = {}
     for strategy in ("adv", "adv+lo"):
         params = init_params(TINY, 16)
-        runs[strategy] = train_run(strategy, params, splits_s, splits_t, config, 7)
+        runs[strategy] = train_run(strategy, params, schedule, splits_t["dev"], config)
     a = runs["adv"].checkpoints[-1]
     b = runs["adv+lo"].checkpoints[-1]
     for name in a.tensors:
@@ -513,7 +559,8 @@ def test_run_log_written(tmp_path):
     params = init_params(TINY, 17)
     config = TrainingConfig(lr=1e-3, batch_size=4, epochs=2)
     buf = io.StringIO()
-    train_run("mtl", params, splits, splits, config, 17, run_log=buf)
+    schedule = batch_schedule(splits["train"], splits["train"], 4, 2, 17)
+    train_run("mtl", params, schedule, splits["dev"], config, run_log=buf)
     lines = [json.loads(l) for l in buf.getvalue().strip().splitlines()]
     assert [l["epoch"] for l in lines] == [0, 1]
 
@@ -529,7 +576,7 @@ def test_nonfinite_loss_aborts_with_diagnostics():
     params.tensors["enc1_W"][:] = 1e200
     config = TrainingConfig(lr=1e-3, batch_size=4, epochs=1, grl_lambda=0.5)
     with pytest.raises(TrainingAborted) as info:
-        train_run("mtl", params, splits, splits, config, 18)
+        train_run("mtl", params, batch_schedule(splits["train"], splits["train"], 4, 1, 18), splits["dev"], config)
     aborted = info.value
     assert (aborted.strategy, aborted.epoch, aborted.batch) == ("mtl", 0, 0)
     assert (aborted.lr, aborted.lam) == (1e-3, 0.5)
@@ -544,7 +591,8 @@ def test_identical_config_and_seed_reproduce_reports():
     results = []
     for _ in range(2):
         params = init_params(TINY, 19)
-        run = train_run("adv+lo", params, splits, splits, config, 19)
+        schedule = batch_schedule(splits["train"], splits["train"], 4, 2, 19)
+        run = train_run("adv+lo", params, schedule, splits["dev"], config)
         results.append(run)
     for ra, rb in zip(results[0].epoch_reports, results[1].epoch_reports):
         assert ra.losses == rb.losses
