@@ -80,6 +80,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.target_cue_rate is None:
             self.target_cue_rate = 0.4 * self.cue_rate
+        for name in ("n_shared", "n_cues", "n_background"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         sets = self.token_sets()
         used = 2 * self.n_shared + 2 * self.n_cues + self.n_background
         if used > self.vocab_size:
@@ -94,6 +97,12 @@ class GeneratorConfig:
             total = self.signal_rate + getattr(self, name)
             if total > 1.0:
                 raise ValueError(f"signal_rate + {name} must not exceed 1, got {total}")
+        # an empty token set is allowed only where no draw can reach it
+        if self.n_shared == 0 and self.signal_rate > 0:
+            raise ValueError(f"n_shared is 0 but signal_rate {self.signal_rate} draws shared tokens")
+        share = self.signal_rate + (min(self.cue_rate, self.target_cue_rate) if self.n_cues > 0 else 0.0)
+        if self.n_background == 0 and share < 1.0:
+            raise ValueError(f"n_background is 0 but signal and cue tokens take only {share} of the positions")
         if min(self.source_train_size, self.target_train_size, self.test_size) < 1:
             raise ValueError("split sizes must be >= 1")
         if not 1 <= self.min_len <= self.max_len:
@@ -118,35 +127,36 @@ def _exact_count_labels(n: int, rate: float, rng) -> np.ndarray:
     return labels
 
 
-def _sample_example(rng, cfg: GeneratorConfig, sets, label: int, domain: str, split: str) -> Example:
+def _sample_example(rng, cfg: GeneratorConfig, table, label: int, split: str) -> Example:
+    """One example from one length draw and 3 x length uniform draws (kind,
+    flip, pick per position), turned into tokens by ``_generate_domain``'s
+    table. Every token set is a contiguous range, so ``first + int(pick *
+    size)`` is the member ``int(pick * size)`` of the set."""
+    edges, fidelity, first, size = table
     length = int(rng.integers(cfg.min_len, cfg.max_len + 1))
-    pos_cue, neg_cue = ("cue_a", "cue_b") if domain == "source" else ("cue_b", "cue_a")
-    cue_rate = cfg.cue_rate if domain == "source" else cfg.target_cue_rate
-    tokens = []
-    kinds = rng.random(length)
-    flips = rng.random(length)
-    picks = rng.random(length)
-    for r, flip, pick in zip(kinds, flips, picks):
-        if r < cfg.signal_rate:
-            right = flip < cfg.signal_fidelity
-            bucket = "shared_pos" if (label == 1) == right else "shared_neg"
-        elif cfg.n_cues > 0 and r < cfg.signal_rate + cue_rate:
-            right = flip < cfg.cue_fidelity
-            bucket = pos_cue if (label == 1) == right else neg_cue
-        else:
-            bucket = "background"
-        members = sets[bucket]
-        tokens.append(members[int(pick * len(members))])
-    return Example(tuple(tokens), int(label), split)
+    kinds, flips, picks = rng.random((3, length))
+    kind = edges.searchsorted(kinds, side="right")
+    code = 2 * kind + ((flips < fidelity[kind]) != (label == 1))
+    tokens = first[code] + (picks * size[code]).astype(np.int64)
+    return Example(tuple(tokens.tolist()), int(label), split)
 
 
 def _generate_domain(rng, cfg: GeneratorConfig, domain: str, rate: float) -> DomainDataset:
     sets = cfg.token_sets()
+    pos_cue, neg_cue = ("cue_a", "cue_b") if domain == "source" else ("cue_b", "cue_a")
+    cue_rate = cfg.cue_rate if domain == "source" else cfg.target_cue_rate
+    # a kind draw below edges[0] carries signal, one below edges[1] a cue, any
+    # other background; code 2 * kind + against picks from order[code], where
+    # against is 1 for the set against the label
+    edges = np.array([cfg.signal_rate, cfg.signal_rate + cue_rate if cfg.n_cues > 0 else cfg.signal_rate])
+    fidelity = np.array([cfg.signal_fidelity, cfg.cue_fidelity, 0.0])  # background ignores its flip
+    order = [sets[b] for b in ("shared_pos", "shared_neg", pos_cue, neg_cue, "background", "background")]
+    table = edges, fidelity, np.array([min(s, default=0) for s in order]), np.array([len(s) for s in order])
     train_size = cfg.source_train_size if domain == "source" else cfg.target_train_size
     examples = []
     for split, size in (("train", train_size), ("test", cfg.test_size)):
         for label in _exact_count_labels(size, rate, rng):
-            examples.append(_sample_example(rng, cfg, sets, label, domain, split))
+            examples.append(_sample_example(rng, cfg, table, label, split))
     return DomainDataset(domain, cfg.vocab_size, cfg.seed, examples)
 
 

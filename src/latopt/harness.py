@@ -257,9 +257,11 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
     """All reports for one seed: shared init, base grid search, variants.
     Every two-domain run of the seed, base or variant at any rate, trains
     on the one batch schedule cut here, so a ``+lo`` run and its base see
-    the same batches in the same order."""
+    the same batches in the same order; a spec of ``seq`` alone cuts none."""
     init = init_params(spec.model, seed)
-    schedule = batch_schedule(source_splits["train"], target_splits["train"], spec.batch_size, spec.epochs, seed)
+    schedule = None
+    if any(s != "seq" for s in spec.strategies):
+        schedule = batch_schedule(source_splits["train"], target_splits["train"], spec.batch_size, spec.epochs, seed)
     reports = []
     best_lr: dict[str, float] = {}
     cached: dict[str, tuple] = {}

@@ -286,7 +286,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         },
     }
     with open(path, "w") as f:
-        json.dump(payload, f)
+        f.write(json.dumps(payload))  # one call to the C encoder; json.dump streams through the Python one
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -1,8 +1,11 @@
 """Generator guarantees, preprocessing semantics, the unigram KL
 diagnostic against hand-computed values, and the file format."""
 
+import hashlib
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +30,44 @@ from latopt.metrics import f_score, spearman_rank_correlation
 
 FAST = dict(source_train_size=256, target_train_size=128, test_size=64)
 
+GOLDENS = Path(__file__).parent / "goldens" / "datasets.json"
+
+# Generator configs whose datasets are pinned byte for byte; the digests
+# were written with the per-token sampler that the array sampler replaced.
+PINNED = {
+    "seed0": dict(seed=0),
+    "seed7": dict(seed=7),
+    "seed61": dict(seed=61),
+    "hard": dict(target_train_size=256, signal_fidelity=0.75),
+    "no_cues": dict(n_cues=0),
+    "length1": dict(min_len=1, max_len=1),
+    "signal_plus_cue_is_1": dict(signal_rate=0.6, cue_rate=0.4),
+    "fidelity_extremes": dict(signal_fidelity=1.0, cue_fidelity=0.0),
+    "long": dict(min_len=40, max_len=100, **FAST),
+    "empty_shared_unreached": dict(n_shared=0, signal_rate=0.0, **FAST),
+    "empty_background_unreached": dict(
+        n_background=0, signal_rate=0.5, cue_rate=0.5, target_cue_rate=0.5, **FAST
+    ),
+}
+
+
+def dataset_sha256(source, target) -> str:
+    """sha256 of every example's (tokens, label, split), source then target."""
+    rows = [[[list(e.tokens), e.label, e.split] for e in ds.examples] for ds in (source, target)]
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
 
 def test_generation_deterministic_under_seed():
     a_s, a_t = generate_domain_pair(GeneratorConfig(seed=5, **FAST))
     b_s, b_t = generate_domain_pair(GeneratorConfig(seed=5, **FAST))
     assert a_s.examples == b_s.examples
     assert a_t.examples == b_t.examples
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_generated_datasets_match_byte_goldens(name):
+    want = json.loads(GOLDENS.read_text())["datasets"][name]
+    assert dataset_sha256(*generate_domain_pair(GeneratorConfig(**PINNED[name]))) == want
 
 
 def test_positive_rates_match_declared():
@@ -69,6 +104,25 @@ def test_infeasible_positive_rate_rejected():
     ],
 )
 def test_rates_outside_unit_interval_rejected(change, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        GeneratorConfig(**change)
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"n_shared": -1}, "n_shared must be >= 0"),
+        ({"n_cues": -2}, "n_cues must be >= 0"),
+        ({"n_background": -1}, "n_background must be >= 0"),
+        ({"n_shared": 0}, "n_shared is 0 but signal_rate 0.25 draws shared tokens"),
+        ({"n_shared": 0, "n_cues": 0}, "n_shared is 0 but signal_rate 0.25 draws shared tokens"),
+        ({"n_background": 0}, "n_background is 0 but signal and cue tokens take only 0.31 of the positions"),
+        ({"n_background": 0, "signal_rate": 0.5, "cue_rate": 0.5}, "cue tokens take only 0.7 of"),
+        ({"n_background": 0, "n_cues": 0, "signal_rate": 0.5, "cue_rate": 0.5}, "cue tokens take only 0.5 of"),
+    ],
+    ids=["n_shared", "n_cues", "n_background", "shared", "shared_no_cues", "background", "target_cue", "no_cues"],
+)
+def test_empty_token_set_a_draw_can_reach_rejected(change, reason):
     with pytest.raises(ValueError, match=re.escape(reason)):
         GeneratorConfig(**change)
 

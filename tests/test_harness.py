@@ -400,6 +400,32 @@ def test_every_two_domain_run_of_a_seed_trains_on_one_schedule(fast_pair, monkey
     assert not any(s is first[0] or s is second[0] for s in single)
 
 
+def test_seq_only_compare_cuts_no_two_domain_schedule(tmp_path, fast_pair, monkeypatch):
+    from latopt import harness
+
+    spec = ExperimentSpec(strategies=["seq"], seeds=[0], lr_grid=[1e-3], epochs=1, batch_size=32, model=FAST_MODEL)
+    cut = harness.batch_schedule
+    targets = []
+
+    def spy(source, target, *args):
+        targets.append(target)
+        return cut(source, target, *args)
+
+    monkeypatch.setattr(harness, "batch_schedule", spy)
+    run_experiment(spec, out_dir=tmp_path / "seq", source=fast_pair[0], target=fast_pair[1])
+    assert targets == [None, None]  # the two phases of the one seq run
+    # the report is the one seq gets beside a two-domain strategy, which cuts a schedule
+    both = replace(spec, strategies=["seq", "mtl"])
+    run_experiment(both, out_dir=tmp_path / "both", source=fast_pair[0], target=fast_pair[1])
+    assert any(t is not None for t in targets[2:])
+
+    def seq_reports(out):
+        rows = [json.loads(line) for line in (tmp_path / out / "reports.jsonl").read_text().splitlines()]
+        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows if r["strategy"] == "seq"]
+
+    assert seq_reports("seq") == seq_reports("both")
+
+
 def test_experiment_reproducible(fast_pair):
     src, tgt = fast_pair
     spec = ExperimentSpec(

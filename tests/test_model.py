@@ -1,6 +1,7 @@
 """Architecture contracts: encoder determinism, loss values against scalar
 oracles, the gradient-reversal sign contract, and checkpoint round-trips."""
 
+import hashlib
 import json
 import math
 import re
@@ -276,6 +277,13 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert loaded.config == params.config
     for name in params.tensors:
         np.testing.assert_array_equal(loaded.tensors[name], params.tensors[name])
+
+
+def test_checkpoint_bytes_match_golden(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(ModelConfig(), 7), path)
+    want = json.loads((GOLDEN.parent / "datasets.json").read_text())["checkpoint_seed7"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
 def test_checkpoint_loads_version_1_file_with_grl_k(tmp_path):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from latopt import autodiff  # noqa: E402
@@ -34,6 +34,7 @@ from latopt.autodiff import (  # noqa: E402
     backward,
     pack,
 )
+from latopt.data import Example, GeneratorConfig, _exact_count_labels, generate_domain_pair  # noqa: E402
 from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, predict, save_checkpoint  # noqa: E402
 from latopt.optim import AdamState, adam_step  # noqa: E402
 from latopt.training import (  # noqa: E402
@@ -920,3 +921,77 @@ def test_checkpoint_round_trip_and_tampering(case):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=repr(name + "_extra" if tamper == "unknown" else name)):
             load_checkpoint(path)
+
+
+# --- synthetic corpora ------------------------------------------------------------
+
+
+def reference_domain_pair(cfg):
+    """Source and target examples from the per-token sampler: the draws of
+    ``generate_domain_pair``, with one bucket chosen per position by an
+    ``if`` chain and the token looked up in the bucket's tuple."""
+    rng = np.random.default_rng(cfg.seed)
+    sets = cfg.token_sets()
+    out = []
+    for domain, rate, train_size in (
+        ("source", cfg.source_positive_rate, cfg.source_train_size),
+        ("target", cfg.target_positive_rate, cfg.target_train_size),
+    ):
+        pos_cue, neg_cue = ("cue_a", "cue_b") if domain == "source" else ("cue_b", "cue_a")
+        cue_rate = cfg.cue_rate if domain == "source" else cfg.target_cue_rate
+        examples = []
+        for split, size in (("train", train_size), ("test", cfg.test_size)):
+            for label in _exact_count_labels(size, rate, rng):
+                length = int(rng.integers(cfg.min_len, cfg.max_len + 1))
+                kinds, flips, picks = rng.random(length), rng.random(length), rng.random(length)
+                tokens = []
+                for r, flip, pick in zip(kinds, flips, picks):
+                    if r < cfg.signal_rate:
+                        bucket = "shared_pos" if (label == 1) == (flip < cfg.signal_fidelity) else "shared_neg"
+                    elif cfg.n_cues > 0 and r < cfg.signal_rate + cue_rate:
+                        bucket = pos_cue if (label == 1) == (flip < cfg.cue_fidelity) else neg_cue
+                    else:
+                        bucket = "background"
+                    members = sets[bucket]
+                    tokens.append(members[int(pick * len(members))])
+                examples.append(Example(tuple(tokens), int(label), split))
+        out.append(examples)
+    return out
+
+
+@st.composite
+def generator_configs(draw):
+    """Small configs over the whole valid range: empty token sets, rates and
+    fidelities of 0 and 1, and lengths down to 1. Configs the boundary
+    check refuses are discarded."""
+    unit = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    min_len = draw(st.integers(1, 8))
+    kwargs = dict(
+        n_shared=draw(st.integers(0, 3)),
+        n_cues=draw(st.integers(0, 3)),
+        n_background=draw(st.integers(0, 5)),
+        signal_rate=draw(unit),
+        cue_rate=draw(unit),
+        target_cue_rate=draw(st.none() | unit),
+        signal_fidelity=draw(unit),
+        cue_fidelity=draw(unit),
+        min_len=min_len,
+        max_len=min_len + draw(st.integers(0, 8)),
+        source_train_size=draw(st.integers(1, 12)),
+        target_train_size=draw(st.integers(1, 12)),
+        test_size=draw(st.integers(1, 6)),
+        source_positive_rate=draw(unit),
+        target_positive_rate=draw(unit),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    try:
+        return GeneratorConfig(**kwargs)
+    except ValueError:
+        assume(False)
+
+
+@PROPERTY
+@given(generator_configs())
+def test_generated_examples_match_per_token_reference(cfg):
+    source, target = generate_domain_pair(cfg)
+    assert [source.examples, target.examples] == reference_domain_pair(cfg)
