@@ -14,6 +14,8 @@ settled entry by entry, as a larger array is. So every
 value on a tape is finite, and ``dense``, ``tanh``, ``relu``, ``concat``,
 ``grl``, ``detach`` and ``negate``, which map finite inputs to finite
 outputs (a ``dense`` checks its pre-activation), skip the output test.
+Finite gradient terms can sum to Inf, so ``backward`` tests a gradient it
+returns once more when two or more terms were summed into it.
 Inside the sweep an ``embedding_mean`` gradient holds only the batch's
 rows; ``backward`` returns dense arrays. A token batch can be
 packed once (:class:`Packed`) and encoded as it is any number of times.
@@ -590,6 +592,7 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
         if not live[nid]:
             live[nid] = any(live[i] for i in nodes[nid].inputs)
     grads: dict[NodeId, np.ndarray] = {loss: np.ones_like(loss_node.value)}
+    summed = set()  # nodes whose gradient adds two or more checked terms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for nid in range(loss, first - 1, -1):
             node = nodes[nid]
@@ -608,7 +611,17 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
                 stored = ig.vals if isinstance(ig, _RowGrad) else ig
                 _check_finite(stored, node.op, nid, f"gradient for input node {inp}")
                 if needed:
-                    grads[inp] = _accumulate(grads.get(inp), ig, nodes[inp].value)
+                    prev = grads.get(inp)
+                    if prev is not None:
+                        summed.add(inp)
+                    grads[inp] = _accumulate(prev, ig, nodes[inp].value)
+    # a sum of finite terms can overflow; one that feeds an op reaches that
+    # op's checked gradients, so only the requested ones are tested here
+    for nid in wrt:
+        if nid in summed:
+            g = grads[nid]
+            if not _all_finite(g.vals if isinstance(g, _RowGrad) else g):
+                raise NonFiniteError(f"op '{nodes[nid].op}' (node {nid}) has a gradient that summed to a non-finite value")
     out = [_densify(grads[nid], nodes[nid].value) if nid in grads else np.zeros_like(nodes[nid].value) for nid in wrt]
     return out if every else tuple(out)
 

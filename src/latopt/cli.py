@@ -11,15 +11,32 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 
+def _out_ok(cmd: str, path) -> bool:
+    """Whether ``--out path`` is, or can be made, a directory to write into:
+    the path, or else its nearest existing ancestor, must be a writable
+    directory. Nothing is made here, so a later refusal leaves no trace;
+    False after printing why not."""
+    p = Path(path).absolute()
+    here = next(q for q in (p, *p.parents) if q.exists())
+    if here.is_dir() and os.access(here, os.W_OK | os.X_OK):
+        return True
+    problem = "is not writable" if here.is_dir() else "is not a directory"
+    print(f"latopt {cmd}: --out {path}: {here} {problem}", file=sys.stderr)
+    return False
+
+
 def _cmd_gen(args) -> int:
     from .data import GeneratorConfig, prepare_transfer_pair, save_dataset
 
+    if not _out_ok("gen", args.out):
+        return 2
     # the pair is a function of the flags alone, so any ValueError is bad input
     try:
         source, target = prepare_transfer_pair(GeneratorConfig(seed=args.seed, cue_rate=args.cue_share), args.max_len)
@@ -150,6 +167,8 @@ def _cmd_train(args) -> int:
     if args.seed < 0:
         print(f"latopt train: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
+    if not _out_ok("train", args.out):
+        return 2
     loaded = _load("train", args.source, args.target)
     if loaded is None:
         return 2
@@ -197,6 +216,8 @@ def _cmd_compare(args) -> int:
     from .data import DatasetError
     from .harness import ExperimentSpec, SpecError, format_summary, run_experiment
 
+    if not _out_ok("compare", args.out):
+        return 2
     try:
         reports, analysis = run_experiment(ExperimentSpec.from_json(args.spec), out_dir=args.out)
     except (SpecError, DatasetError) as e:

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+CHUNK = 128  # examples whose tokens are computed together; larger chunks raise peak RSS
+
 
 @dataclass(frozen=True)
 class Example:
@@ -127,21 +129,13 @@ def _exact_count_labels(n: int, rate: float, rng) -> np.ndarray:
     return labels
 
 
-def _sample_example(rng, cfg: GeneratorConfig, table, label: int, split: str) -> Example:
-    """One example from one length draw and 3 x length uniform draws (kind,
-    flip, pick per position), turned into tokens by ``_generate_domain``'s
-    table. Every token set is a contiguous range, so ``first + int(pick *
-    size)`` is the member ``int(pick * size)`` of the set."""
-    edges, fidelity, first, size = table
-    length = int(rng.integers(cfg.min_len, cfg.max_len + 1))
-    kinds, flips, picks = rng.random((3, length))
-    kind = edges.searchsorted(kinds, side="right")
-    code = 2 * kind + ((flips < fidelity[kind]) != (label == 1))
-    tokens = first[code] + (picks * size[code]).astype(np.int64)
-    return Example(tuple(tokens.tolist()), int(label), split)
-
-
 def _generate_domain(rng, cfg: GeneratorConfig, domain: str, rate: float) -> DomainDataset:
+    """Each split's labels, then per example one length draw and 3 x length
+    uniform draws (kind, flip, pick per position). The draws are made one
+    example at a time, in that order; the tokens are computed once per
+    ``CHUNK`` examples from a table of (first token, set size) per code.
+    Every token set is a contiguous range, so ``first + int(pick * size)`` is
+    the member ``int(pick * size)`` of the set."""
     sets = cfg.token_sets()
     pos_cue, neg_cue = ("cue_a", "cue_b") if domain == "source" else ("cue_b", "cue_a")
     cue_rate = cfg.cue_rate if domain == "source" else cfg.target_cue_rate
@@ -151,12 +145,26 @@ def _generate_domain(rng, cfg: GeneratorConfig, domain: str, rate: float) -> Dom
     edges = np.array([cfg.signal_rate, cfg.signal_rate + cue_rate if cfg.n_cues > 0 else cfg.signal_rate])
     fidelity = np.array([cfg.signal_fidelity, cfg.cue_fidelity, 0.0])  # background ignores its flip
     order = [sets[b] for b in ("shared_pos", "shared_neg", pos_cue, neg_cue, "background", "background")]
-    table = edges, fidelity, np.array([min(s, default=0) for s in order]), np.array([len(s) for s in order])
+    first, size = np.array([min(s, default=0) for s in order]), np.array([len(s) for s in order])
     train_size = cfg.source_train_size if domain == "source" else cfg.target_train_size
     examples = []
-    for split, size in (("train", train_size), ("test", cfg.test_size)):
-        for label in _exact_count_labels(size, rate, rng):
-            examples.append(_sample_example(rng, cfg, table, label, split))
+    for split, n in (("train", train_size), ("test", cfg.test_size)):
+        labels = _exact_count_labels(n, rate, rng)
+        for start in range(0, n, CHUNK):
+            chunk = labels[start : start + CHUNK]
+            lengths, draws = [], []
+            for _ in range(len(chunk)):
+                length = int(rng.integers(cfg.min_len, cfg.max_len + 1))
+                lengths.append(length)
+                draws.append(rng.random((3, length)))
+            kinds, flips, picks = np.concatenate(draws, axis=1)
+            kind = edges.searchsorted(kinds, side="right")
+            code = 2 * kind + ((flips < fidelity[kind]) != np.repeat(chunk == 1, lengths))
+            tokens = (first[code] + (picks * size[code]).astype(np.int64)).tolist()
+            end = 0
+            for label, length in zip(chunk.tolist(), lengths):
+                examples.append(Example(tuple(tokens[end : end + length]), label, split))
+                end += length
     return DomainDataset(domain, cfg.vocab_size, cfg.seed, examples)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -290,29 +290,58 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint written by ``save_checkpoint``. Every tensor must sit
-    in its own group of ``ModelParams.GROUPS`` with the shape the config
-    gives it; otherwise ``ValueError`` names the tensor."""
+    """Read a checkpoint written by ``save_checkpoint``. The file must be a
+    JSON object whose ``config`` holds an integer for each field of
+    ``ModelConfig`` and nothing else (a bool is not an integer), and whose
+    ``groups`` hold every tensor in its own group of ``ModelParams.GROUPS``,
+    with the shape the config gives it and finite numbers as data;
+    otherwise ``ValueError`` names the key or tensor."""
     with open(path) as f:
         payload = json.load(f)
+    if type(payload) is not dict:
+        raise ValueError("checkpoint: not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    for key in ("config", "groups"):
+        if type(payload.get(key)) is not dict:
+            raise ValueError(f"checkpoint: {key!r} must be a JSON object")
     config = dict(payload["config"])
     config.pop("grl_k", None)  # written by older version-1 files; nothing reads it
+    keys = [f.name for f in fields(ModelConfig)]
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ValueError(f"checkpoint: unknown config key {unknown[0]!r}")
+    for key in keys:
+        if key not in config:
+            raise ValueError(f"checkpoint: config key {key!r} is missing")
+        if type(config[key]) is not int:
+            raise ValueError(f"checkpoint: config {key!r} must be an integer, got {json.dumps(config[key])}")
     cfg = ModelConfig(**config)
     shapes = param_shapes(cfg)
     tensors = {}
     for g, names in payload["groups"].items():
+        if type(names) is not dict:
+            raise ValueError(f"checkpoint: group {g!r} must be a JSON object")
         for name, spec in names.items():
             if name not in ModelParams.GROUPS.get(g, ()):
                 raise ValueError(f"checkpoint: tensor {name!r} is not a member of group {g!r}")
-            data = np.array(spec["data"], dtype=np.float64)
+            if type(spec) is not dict or type(spec.get("shape")) is not list or type(spec.get("data")) is not list:
+                raise ValueError(f"checkpoint: tensor {name!r} needs a list 'shape' and a list 'data'")
+            try:
+                data = np.array(spec["data"])  # float64 for numbers, another kind for anything else
+            except ValueError:  # ragged nesting
+                data = np.array(None)
+            if data.dtype.kind not in "fi":
+                raise ValueError(f"checkpoint: tensor {name!r} data must be a list of numbers")
+            data = data.astype(np.float64, copy=False)
             shape = shapes[name]
             if tuple(spec["shape"]) != shape or data.shape != (math.prod(shape),):
                 raise ValueError(
                     f"checkpoint: tensor {name!r} has shape {spec['shape']} and {data.size} values,"
                     f" but the config needs shape {list(shape)}"
                 )
+            if not np.isfinite(data).all():
+                raise ValueError(f"checkpoint: tensor {name!r} holds a non-finite value")
             tensors[name] = data.reshape(shape)
     missing = [name for name in shapes if name not in tensors]
     if missing:

@@ -431,6 +431,29 @@ def test_nonfinite_frontier_gradient_names_op_node_and_input(wrt):
     assert not gw.any()
 
 
+@pytest.mark.parametrize("wrt", [None, (0,)])
+@pytest.mark.parametrize(
+    "value, read",
+    [
+        pytest.param([1e-10], lambda t, x: x, id="dense"),
+        pytest.param([[1e-10]], lambda t, x: t.embedding_mean(x, [(0,)]), id="row_sparse"),
+    ],
+)
+def test_gradient_that_overflows_when_summed_raises(value, read, wrt):
+    # each read of x gets a finite 1e308 gradient; their sum overflows
+    t = Tape()
+    x = t.leaf(value)
+    loss = t.add(t.reduce_sum(t.scale(read(t, x), 1e308)), t.reduce_sum(t.scale(read(t, x), 1e308)))
+    with pytest.raises(NonFiniteError, match=r"op 'leaf' \(node 0\) has a gradient that summed to a non-finite value"):
+        backward(t, loss, wrt=wrt)
+    # a finite sum passes
+    t = Tape()
+    x = t.leaf(value)
+    loss = t.add(t.reduce_sum(t.scale(read(t, x), 1e307)), t.reduce_sum(t.scale(read(t, x), 1e307)))
+    (g,) = backward(t, loss, wrt=(x,))
+    assert g.tolist() == np.full_like(np.asarray(value), 2e307).tolist()
+
+
 def test_nonfinite_dense_preactivation_names_op_node_and_stage():
     # tanh(inf) is a finite 1.0: only the pre-activation shows the overflow
     t = Tape()

@@ -415,3 +415,38 @@ def test_unreadable_dataset_exits_2_before_writing(tmp_path, data_dir, capsys, c
     err = capsys.readouterr().err
     assert err.startswith(f"latopt {command}: {bad}: ") and reason in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "compare"])
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
+def test_out_that_cannot_be_a_directory_exits_2_before_any_run(tmp_path, data_dir, capsys, monkeypatch, command, nested):
+    from latopt import harness, training
+
+    runs = []
+    monkeypatch.setattr(harness, "train_run", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(training, "train_run", lambda *a, **k: runs.append(a))
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    out = blocker / "sub" if nested else blocker
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "strategies": ["mtl", "adv"],
+                "seeds": [0],
+                "epochs": 1,
+                "batch_size": 32,
+                "source_path": str(data_dir / "source.jsonl"),
+                "target_path": str(data_dir / "target.jsonl"),
+            }
+        )
+    )
+    pair = ["--source", str(data_dir / "source.jsonl"), "--target", str(data_dir / "target.jsonl")]
+    argv = {
+        "gen": ["gen", "--seed", "5"],
+        "train": ["train", *pair, "--epochs", "1", "--batch-size", "32"],
+        "compare": ["compare", "--spec", str(spec)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"latopt {command}: --out {out}: {blocker} is not a directory\n"
+    assert runs == [] and blocker.read_text() == "kept"

@@ -343,3 +343,56 @@ def test_checkpoint_rejects_tensors_that_do_not_fit(tmp_path, tamper, message):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(path)
+
+
+def _malformed(payload, how):
+    config, groups = payload["config"], payload["groups"]
+    if how == "list":
+        return [payload]
+    if how in ("no_config", "no_groups"):
+        del payload[how[3:]]
+    elif how == "unknown_config_key":
+        config["depth"] = 2
+    elif how == "missing_config_key":
+        del config["latent_dim"]
+    elif how == "string_vocab":
+        config["vocab_size"] = "8"
+    elif how == "bool_dim":
+        config["embed_dim"] = True
+    elif how == "group_list":
+        groups["w_sh"] = list(groups["w_sh"].values())
+    elif how == "tensor_list":
+        groups["w_sh"]["sh_W"] = groups["w_sh"]["sh_W"]["data"]
+    elif how == "string_data":
+        groups["w_sh"]["sh_W"]["data"][3] = "0.5"
+    elif how == "ragged_data":
+        groups["w_sh"]["sh_W"]["data"][3] = [0.5, 0.5]
+    elif how in ("nan", "inf"):
+        groups["w_sh"]["sh_W"]["data"][3] = float(how)
+    return payload
+
+
+MALFORMED_CHECKPOINTS = [
+    ("list", "checkpoint: not a JSON object"),
+    ("no_config", "checkpoint: 'config' must be a JSON object"),
+    ("no_groups", "checkpoint: 'groups' must be a JSON object"),
+    ("unknown_config_key", "checkpoint: unknown config key 'depth'"),
+    ("missing_config_key", "checkpoint: config key 'latent_dim' is missing"),
+    ("string_vocab", "checkpoint: config 'vocab_size' must be an integer, got \"8\""),
+    ("bool_dim", "checkpoint: config 'embed_dim' must be an integer, got true"),
+    ("group_list", "checkpoint: group 'w_sh' must be a JSON object"),
+    ("tensor_list", "checkpoint: tensor 'sh_W' needs a list 'shape' and a list 'data'"),
+    ("string_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),
+    ("ragged_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),
+    ("nan", "checkpoint: tensor 'sh_W' holds a non-finite value"),
+    ("inf", "checkpoint: tensor 'sh_W' holds a non-finite value"),
+]
+
+
+@pytest.mark.parametrize("how, message", MALFORMED_CHECKPOINTS, ids=[how for how, _ in MALFORMED_CHECKPOINTS])
+def test_checkpoint_rejects_malformed_file(tmp_path, how, message):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(init_params(SMALL, 0), path)
+    path.write_text(json.dumps(_malformed(json.loads(path.read_text()), how)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)

@@ -34,7 +34,7 @@ from latopt.autodiff import (  # noqa: E402
     backward,
     pack,
 )
-from latopt.data import Example, GeneratorConfig, _exact_count_labels, generate_domain_pair  # noqa: E402
+from latopt.data import CHUNK, Example, GeneratorConfig, _exact_count_labels, generate_domain_pair  # noqa: E402
 from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, predict, save_checkpoint  # noqa: E402
 from latopt.optim import AdamState, adam_step  # noqa: E402
 from latopt.training import (  # noqa: E402
@@ -990,8 +990,20 @@ def generator_configs(draw):
         assume(False)
 
 
+def chunk_boundary_config(size):
+    """Splits of ``size`` examples of 1-4 tokens: with ``CHUNK - 1``,
+    ``CHUNK`` and ``CHUNK + 1`` a split ends just before, on and just after
+    a chunk boundary, with ``2 * CHUNK + 1`` it spans three chunks."""
+    return GeneratorConfig(min_len=1, max_len=4, source_train_size=size, target_train_size=size, test_size=size, seed=size)
+
+
 @PROPERTY
 @given(generator_configs())
+@example(chunk_boundary_config(CHUNK - 1))
+@example(chunk_boundary_config(CHUNK))
+@example(chunk_boundary_config(CHUNK + 1))
+@example(chunk_boundary_config(2 * CHUNK + 1))
 def test_generated_examples_match_per_token_reference(cfg):
     source, target = generate_domain_pair(cfg)
     assert [source.examples, target.examples] == reference_domain_pair(cfg)
+
