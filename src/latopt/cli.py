@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -19,17 +18,14 @@ import numpy as np
 
 
 def _out_ok(cmd: str, path) -> bool:
-    """Whether ``--out path`` is, or can be made, a directory to write into:
-    the path, or else its nearest existing ancestor, must be a writable
-    directory. Nothing is made here, so a later refusal leaves no trace;
-    False after printing why not."""
-    p = Path(path).absolute()
-    here = next(q for q in (p, *p.parents) if q.exists())
-    if here.is_dir() and os.access(here, os.W_OK | os.X_OK):
-        return True
-    problem = "is not writable" if here.is_dir() else "is not a directory"
-    print(f"latopt {cmd}: --out {path}: {here} {problem}", file=sys.stderr)
-    return False
+    """Whether ``--out path`` can be a directory to write into (see
+    ``harness.out_dir_problem``); False after printing why not."""
+    from .harness import out_dir_problem
+
+    problem = out_dir_problem(path)
+    if problem:
+        print(f"latopt {cmd}: --out {path}: {problem}", file=sys.stderr)
+    return problem is None
 
 
 def _cmd_gen(args) -> int:
@@ -155,7 +151,7 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .harness import _test_metrics, checked_splits, select_model
+    from .harness import _test_metrics, checked_splits
     from .model import ModelConfig, init_params, save_checkpoint
     from .training import TrainingAborted, TrainingConfig, batch_schedule, train_run
 
@@ -189,17 +185,15 @@ def _cmd_train(args) -> int:
     except TrainingAborted as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 1
-    epoch = select_model(run.checkpoints, run.dev_f)
-    chosen = run.checkpoints[epoch]
-    f, r, p = _test_metrics(chosen, target_splits, "target")
-    save_checkpoint(chosen, out / "model.json")
+    f, r, p = _test_metrics(run.selected, target_splits, "target")
+    save_checkpoint(run.selected, out / "model.json")
     metrics = {
         "strategy": args.strategy,
         "seed": args.seed,
         "lr": args.lr,
         "gamma": args.gamma,
-        "selected_epoch": epoch,
-        "dev_f": run.dev_f[epoch],
+        "selected_epoch": run.epoch,
+        "dev_f": run.dev_f[run.epoch],
         "test_f": f,
         "test_recall": r,
         "test_precision": p,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import types
 import typing
@@ -24,7 +25,7 @@ from .autodiff import ShapeError
 from .data import DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
 from .metrics import f_score, paired_sign_test
 from .model import ModelConfig, ModelParams, init_params, predict
-from .training import STRATEGIES, TrainingAborted, TrainingConfig, batch_schedule, pack_split, train_run
+from .training import STRATEGIES, RunResult, TrainingAborted, TrainingConfig, batch_schedule, pack_split, train_run
 
 SUMMARY_COLUMNS = (
     "strategy",
@@ -178,20 +179,6 @@ class MetricsReport:
         return asdict(self)
 
 
-def select_model(checkpoints: list, dev_metrics: list) -> int:
-    """Index of the checkpoint with the best dev metric; ties go to the
-    earliest epoch."""
-    if not checkpoints:
-        raise ValueError("select_model: no checkpoints")
-    if len(checkpoints) != len(dev_metrics):
-        raise ValueError("select_model: metric/checkpoint length mismatch")
-    best = 0
-    for i, m in enumerate(dev_metrics):
-        if m > dev_metrics[best]:
-            best = i
-    return best
-
-
 def _splits(ds: DomainDataset) -> dict:
     """The dataset's nonempty train, dev and test splits, each packed once."""
     return {name: pack_split(pairs) for name in ("train", "dev", "test") if (pairs := ds.pairs(name))}
@@ -208,48 +195,42 @@ def sequential_finetune(
     target_splits: dict,
     config: TrainingConfig,
     seed: int,
-):
-    """Two-phase fine-tuning, ``config.epochs`` each: source-task training
-    with source-dev selection, then target-task training (fresh target
-    head: phase one never touches it) with target-dev selection.
+) -> RunResult:
+    """Two-phase fine-tuning of a copy of ``params``, ``config.epochs`` each:
+    source-task training with source-dev selection, then target-task
+    training (fresh target head: phase one never touches it) from the
+    phase-1 selection, with target-dev selection.
 
     Each phase cuts its own single-domain ``batch_schedule``, from ``seed``
-    and ``seed + 1``. Returns (selected params, phase-2 RunResult, selected
-    epoch).
+    and ``seed + 1``. Returns the phase-2 ``RunResult``, whose ``wall_ms``
+    counts both phases.
     """
     schedule = batch_schedule(source_splits["train"], None, config.batch_size, config.epochs, seed)
     run1 = train_run("single:source", params.copy(), schedule, source_splits["dev"], config, eval_domain="source")
-    params = run1.checkpoints[select_model(run1.checkpoints, run1.dev_f)].copy()
     schedule = batch_schedule(target_splits["train"], None, config.batch_size, config.epochs, seed + 1)
-    run2 = train_run("single:target", params, schedule, target_splits["dev"], config)
+    run2 = train_run("single:target", run1.selected, schedule, target_splits["dev"], config)
     run2.wall_ms += run1.wall_ms
-    chosen = select_model(run2.checkpoints, run2.dev_f)
-    return run2.checkpoints[chosen], run2, chosen
+    return run2
 
 
-def _run_strategy(strategy, init, schedule, source_splits, target_splits, config, seed):
-    """(selected params, selected epoch, its dev F, wall ms, peak aux state)
-    of one run from ``init``: ``seq`` cuts its own schedules, every other
-    strategy trains on ``schedule``."""
+def _run_strategy(strategy, init, schedule, source_splits, target_splits, config, seed) -> RunResult:
+    """One run from ``init``, which it leaves untouched: ``seq`` cuts its own
+    schedules, every other strategy trains on ``schedule``."""
     if strategy == "seq":
-        selected, run, epoch = sequential_finetune(init.copy(), source_splits, target_splits, config, seed)
-    else:
-        run = train_run(strategy, init.copy(), schedule, target_splits["dev"], config)
-        epoch = select_model(run.checkpoints, run.dev_f)
-        selected = run.checkpoints[epoch]
-    return selected, epoch, run.dev_f[epoch], run.wall_ms, run.peak_aux
+        return sequential_finetune(init, source_splits, target_splits, config, seed)
+    return train_run(strategy, init.copy(), schedule, target_splits["dev"], config)
 
 
 def _grid_search(base, init, schedule, source_splits, target_splits, spec, seed):
     """Best LR by target-dev F; ties break toward the smaller rate.
-    Returns (lr, the best run's ``_run_strategy`` tuple) so the base run is
-    not retrained; of its checkpoints only the selected one is kept."""
+    Returns (lr, the best rate's ``RunResult``) so the base run is not
+    retrained."""
     best = None
     for lr in sorted(spec.lr_grid):
         config = TrainingConfig(lr=lr, gamma=0.0, batch_size=spec.batch_size, epochs=spec.epochs)
-        result = _run_strategy(base, init, schedule, source_splits, target_splits, config, seed)
-        if best is None or result[2] > best[1][2]:  # the selected epoch's dev F
-            best = (lr, result)
+        run = _run_strategy(base, init, schedule, source_splits, target_splits, config, seed)
+        if best is None or run.dev_f[run.epoch] > best[1].dev_f[best[1].epoch]:
+            best = (lr, run)
     return best
 
 
@@ -264,7 +245,7 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
         schedule = batch_schedule(source_splits["train"], target_splits["train"], spec.batch_size, spec.epochs, seed)
     reports = []
     best_lr: dict[str, float] = {}
-    cached: dict[str, tuple] = {}
+    cached: dict[str, RunResult] = {}
     for base in sorted({_base(s) for s in spec.strategies}):
         try:
             best_lr[base], cached[base] = _grid_search(base, init, schedule, source_splits, target_splits, spec, seed)
@@ -278,16 +259,16 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
         lr = best_lr[base]
         try:
             if strategy == base:
-                selected, epoch, dev_f, wall_ms, aux = cached[base]
+                run = cached[base]
             else:
                 config = TrainingConfig(
                     lr=lr, gamma=spec.gamma, batch_size=spec.batch_size, epochs=spec.epochs
                 )
-                selected, epoch, dev_f, wall_ms, aux = _run_strategy(
-                    strategy, init, schedule, source_splits, target_splits, config, seed
-                )
-            f, r, p = _test_metrics(selected, target_splits, "target")
-            reports.append(MetricsReport(strategy, seed, lr, dev_f, f, r, p, epoch, wall_ms, aux))
+                run = _run_strategy(strategy, init, schedule, source_splits, target_splits, config, seed)
+            f, r, p = _test_metrics(run.selected, target_splits, "target")
+            reports.append(
+                MetricsReport(strategy, seed, lr, run.dev_f[run.epoch], f, r, p, run.epoch, run.wall_ms, run.peak_aux)
+            )
         except TrainingAborted as e:
             reports.append(_failed_report(strategy, seed, lr, str(e)))
     return reports
@@ -340,16 +321,31 @@ def load_pair(spec: ExperimentSpec):
         raise SpecError(f"generator: {e}") from None
 
 
+def out_dir_problem(path) -> str | None:
+    """Why ``path`` cannot be, or be made, a directory to write into, or None
+    when it can: the path, or else its nearest existing ancestor, must be a
+    writable directory. Nothing is made here, so a refusal leaves no trace."""
+    p = Path(path).absolute()
+    here = next(q for q in (p, *p.parents) if q.exists())
+    if here.is_dir() and os.access(here, os.W_OK | os.X_OK):
+        return None
+    return f"{here} is not writable" if here.is_dir() else f"{here} is not a directory"
+
+
 def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None):
     """Run every (strategy, seed) cell and aggregate.
 
-    The datasets are checked against the spec first (see ``checked_splits``);
+    An ``out_dir`` that cannot be a directory (see ``out_dir_problem``)
+    raises ``SpecError`` first, before any dataset is read or generated.
+    The datasets are checked against the spec next (see ``checked_splits``);
     a spec that does not fit them raises ``SpecError`` before any training.
     Returns (reports, analysis). ``analysis`` holds per-strategy mean/std
     test F, the paired sign-test p-values for the lookahead-vs-base
     comparisons, and the relative resource table. Failed runs are kept in
     the reports with ``failed=True``.
     """
+    if out_dir is not None and (problem := out_dir_problem(out_dir)):
+        raise SpecError(f"out_dir {out_dir}: {problem}")
     if source is None or target is None:
         source, target = load_pair(spec)
     names = (spec.source_path or "source", spec.target_path or "target")

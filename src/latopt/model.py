@@ -327,13 +327,13 @@ def load_checkpoint(path) -> ModelParams:
                 raise ValueError(f"checkpoint: tensor {name!r} is not a member of group {g!r}")
             if type(spec) is not dict or type(spec.get("shape")) is not list or type(spec.get("data")) is not list:
                 raise ValueError(f"checkpoint: tensor {name!r} needs a list 'shape' and a list 'data'")
+            not_numbers = f"checkpoint: tensor {name!r} data must be a list of numbers"
+            if not set(map(type, spec["data"])) <= {int, float}:  # a bool, a string or a list is not
+                raise ValueError(not_numbers)
             try:
-                data = np.array(spec["data"])  # float64 for numbers, another kind for anything else
-            except ValueError:  # ragged nesting
-                data = np.array(None)
-            if data.dtype.kind not in "fi":
-                raise ValueError(f"checkpoint: tensor {name!r} data must be a list of numbers")
-            data = data.astype(np.float64, copy=False)
+                data = np.array(spec["data"], dtype=np.float64)
+            except OverflowError:  # an int beyond float range
+                raise ValueError(not_numbers) from None
             shape = shapes[name]
             if tuple(spec["shape"]) != shape or data.shape != (math.prod(shape),):
                 raise ValueError(

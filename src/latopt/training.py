@@ -98,17 +98,6 @@ def latent_step(tape: Tape, z_s: NodeId, z_t: NodeId, loss: NodeId, gamma: float
     return LatentPair(zs_val, zt_val, tape.value(id_s), tape.value(id_t), id_s, id_t)
 
 
-def mtl_lo_step(tape: Tape, z_s: NodeId, z_t: NodeId, loss_s: NodeId, loss_t: NodeId, gamma: float) -> LatentPair:
-    """Task-loss lookahead for the non-adversarial variant: a descent step
-    z' = z - gamma*dL_task/dz on each domain's latents."""
-    if gamma < 0:
-        raise ValueError("mtl_lo_step: gamma must be >= 0")
-    if gamma == 0.0:
-        return LatentPair(tape.value(z_s), tape.value(z_t), tape.value(z_s), tape.value(z_t), z_s, z_t)
-    both = tape.add(loss_s, loss_t)
-    return latent_step(tape, z_s, z_t, both, gamma, sign=-1.0)
-
-
 @dataclass
 class ForwardResult:
     """One strategy forward graph plus its reported loss values.
@@ -153,6 +142,10 @@ def strategy_forward(
     discriminator, the shared features it reads; for a ``+lo`` variant with
     gamma != 0, the inner loss and the latent step; both heads and task
     losses; with a discriminator, the reversed domain loss; the objective.
+    The ``+lo`` inner loss is the raw domain loss, stepped up, with a
+    discriminator, and the summed task losses, stepped down, without one.
+    ``adv+maml`` records the ``adv`` graph: its lookahead is a shift of the
+    encoder parameters, which ``training_step`` makes before the call.
     """
     tape = Tape()
     p = put_params(tape, params)
@@ -191,11 +184,11 @@ def strategy_forward(
         u_t = tape.dense(refs.z_t, p["sh_W"], p["sh_b"], "tanh")
     latents = None
     if strategy.endswith("+lo") and gamma != 0.0:
-        if with_disc:
-            raw_loss_d = domain_loss_on_tape(tape, p, u_s, u_t, lam=None)
-            latents = latent_step(tape, refs.z_s, refs.z_t, raw_loss_d, gamma, sign=1.0)
-        else:
-            latents = mtl_lo_step(tape, refs.z_s, refs.z_t, *heads(refs.z_s, refs.z_t)[2:], gamma)
+        if with_disc:  # ascent on the raw domain loss
+            inner, sign = domain_loss_on_tape(tape, p, u_s, u_t, lam=None), 1.0
+        else:  # descent on the summed task losses
+            inner, sign = tape.add(*heads(refs.z_s, refs.z_t)[2:]), -1.0
+        latents = latent_step(tape, refs.z_s, refs.z_t, inner, gamma, sign)
         z_s_in, z_t_in = latents.id_s_prime, latents.id_t_prime
     refs.logits_s, refs.logits_t, refs.loss_s, refs.loss_t = heads(z_s_in, z_t_in)
     if with_disc:
@@ -210,19 +203,6 @@ def strategy_forward(
         float(tape.value(refs.loss_d)) if with_disc else None,
         latents,
     )
-
-
-def lookahead_joint_grads(params, batch_s, batch_t, gamma: float, lam: float = 1.0):
-    """Per-group gradients of the lookahead objective (first-order).
-
-    phi_s sees only the source task pathway, phi_t only the target one;
-    w_sh and w_b combine the task pathways (evaluated at the updated
-    latents) with the reversed domain-loss pathway; theta_d receives the
-    unreversed +dL_d/d(theta_d).
-    """
-    fwd = strategy_forward(params, batch_s, batch_t, "adv+lo", lam, gamma)
-    grads = fwd.refs.param_grads(backward(fwd.refs.tape, fwd.refs.objective))
-    return {g: {n: grads[n] for n in names} for g, names in ModelParams.GROUPS.items()}, fwd
 
 
 W_B_TENSORS = ModelParams.GROUPS["w_b"]
@@ -383,17 +363,12 @@ def training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, gamm
     """One gradient step; returns (loss record, aux state scalars)."""
     from .optim import adam_step
 
-    aux = 0
+    forward_params, shift = params, {}
     if strategy == "adv+maml" and gamma != 0.0:
-        refs = domain_loss_graph(params, batch_s, batch_t)
-        wb_prime = maml_lookahead_step(params, refs, gamma)
-        aux = sum(v.size for v in wb_prime.values())
-        shifted = ModelParams(params.config, {**params.tensors, **wb_prime})
-        fwd = strategy_forward(shifted, batch_s, batch_t, "adv", lam)
-    else:
-        graph_strategy = "adv" if strategy == "adv+maml" else strategy
-        fwd = strategy_forward(params, batch_s, batch_t, graph_strategy, lam, gamma)
-        aux = fwd.aux_scalars
+        shift = maml_lookahead_step(params, domain_loss_graph(params, batch_s, batch_t), gamma)
+        forward_params = ModelParams(params.config, {**params.tensors, **shift})
+    fwd = strategy_forward(forward_params, batch_s, batch_t, strategy, lam, gamma)
+    aux = fwd.aux_scalars + sum(v.size for v in shift.values())
     refs = fwd.refs
     wanted = trainable_tensors(strategy)
     grads = backward(refs.tape, refs.objective, wrt=[refs.param_nodes[k] for k in wanted])
@@ -443,7 +418,8 @@ def train_epoch(
 @dataclass
 class RunResult:
     strategy: str
-    checkpoints: list  # per-epoch parameter snapshots
+    selected: ModelParams  # a copy of the parameters after epoch ``epoch``
+    epoch: int  # the dev-selected epoch: best dev F, the earliest on a tie
     epoch_reports: list
     dev_f: list  # selection metric per epoch
     wall_ms: float = 0.0
@@ -459,14 +435,17 @@ def train_run(
     eval_domain: str = "target",
     run_log=None,
 ) -> RunResult:
-    """Multi-epoch training with per-epoch snapshots and dev evaluation.
+    """Multi-epoch training of ``params`` in place, with dev selection.
 
     ``schedule`` holds the (batch_s, batch_t) pairs of each epoch to train,
     one entry per epoch (see ``batch_schedule``); a schedule with no batch
-    raises ``ValueError``. Each epoch's snapshot is scored by the
-    positive-class F of the ``eval_domain`` head on the ``dev`` split; an
-    unknown ``eval_domain`` raises ``ValueError`` before training.
-    ``run_log`` is an optional file handle receiving one JSON line per epoch.
+    raises ``ValueError``. After each epoch the parameters are scored by the
+    positive-class F of the ``eval_domain`` head on the ``dev`` split, and
+    copied only when that F beats every earlier epoch's: the result holds
+    that copy as ``selected`` and its index as ``epoch``. An unknown
+    ``eval_domain`` raises ``ValueError`` before training. ``run_log`` is an
+    optional file handle receiving one JSON line per epoch, written before
+    the epoch is scored.
     """
     import json
 
@@ -480,15 +459,16 @@ def train_run(
         raise ValueError("train_run: the schedule holds no batch")
     total_steps = steps_per_epoch * len(schedule)
     opt_state = AdamState()
-    checkpoints, reports, dev_f = [], [], []
+    reports, dev_f, best = [], [], 0
     t0 = time.perf_counter()
     for epoch, pairs in enumerate(schedule):
         report = train_epoch(strategy, params, opt_state, pairs, config, epoch, total_steps, epoch * steps_per_epoch)
         reports.append(report)
         if run_log is not None:
             run_log.write(json.dumps(report.runlog_entry()) + "\n")
-        checkpoints.append(params.copy())
         dev_f.append(f_score(predict(params, dev.seqs, eval_domain), dev.labels)[0])
+        if epoch == 0 or dev_f[epoch] > dev_f[best]:
+            best, selected = epoch, params.copy()
     wall_ms = (time.perf_counter() - t0) * 1000.0
     peak_aux = max((r.aux_state_scalars for r in reports), default=0)
-    return RunResult(strategy, checkpoints, reports, dev_f, wall_ms, peak_aux)
+    return RunResult(strategy, selected, best, reports, dev_f, wall_ms, peak_aux)

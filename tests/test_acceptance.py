@@ -32,8 +32,6 @@ from latopt.training import (
     batch_schedule,
     domain_loss_graph,
     latent_step,
-    lookahead_joint_grads,
-    mtl_lo_step,
     pack_split,
     strategy_forward,
     train_run,
@@ -190,23 +188,21 @@ def test_criterion_3_reduction_identities():
 
     config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
     schedule = batch_schedule(ss["train"], ts["train"], 4, 1, 5)
-    final = {}
+    final = {}  # train_run leaves the final parameters in the params it trains
     for strategy in ("adv", "adv+lo"):
-        run = train_run(strategy, init_params(TINY, 1), schedule, ts["dev"], config)
-        final[strategy] = run.checkpoints[-1]
+        final[strategy] = init_params(TINY, 1)
+        train_run(strategy, final[strategy], schedule, ts["dev"], config)
     bitwise = all(
         np.array_equal(final["adv"].tensors[n], final["adv+lo"].tensors[n])
         for n in final["adv"].tensors
     )
 
-    run_mtl = train_run("mtl", init_params(TINY, 1), schedule, ts["dev"], config)
+    final_mtl, final_adv0 = init_params(TINY, 1), init_params(TINY, 1)
+    train_run("mtl", final_mtl, schedule, ts["dev"], config)
     config_l0 = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1, grl_lambda=0.0)
-    run_adv0 = train_run("adv", init_params(TINY, 1), schedule, ts["dev"], config_l0)
+    train_run("adv", final_adv0, schedule, ts["dev"], config_l0)
     mtl_close = all(
-        np.allclose(
-            run_mtl.checkpoints[-1].tensors[n], run_adv0.checkpoints[-1].tensors[n], atol=1e-12
-        )
-        for n in trainable_tensors("mtl")
+        np.allclose(final_mtl.tensors[n], final_adv0.tensors[n], atol=1e-12) for n in trainable_tensors("mtl")
     )
 
     q = default_quadratic()
@@ -237,7 +233,8 @@ def test_criterion_4_first_order_pathway_equivalence():
     bt = (tuple(tuple(rng.integers(0, 12, 4)) for _ in range(2)), onehot(rng.integers(0, 2, 2)))
     gamma = 0.05
 
-    grads, fwd = lookahead_joint_grads(params, bs, bt, gamma=gamma, lam=1.0)
+    fwd = strategy_forward(params, bs, bt, "adv+lo", 1.0, gamma)
+    grads = fwd.refs.param_grads(backward(fwd.refs.tape, fwd.refs.objective))
     raw = domain_loss_graph(params, bs, bt)
     g_d = raw.param_grads(backward(raw.tape, raw.loss_d))
 
@@ -257,17 +254,17 @@ def test_criterion_4_first_order_pathway_equivalence():
     isolated = True
     G = ModelParams.GROUPS
     for name in G["phi_s"]:
-        worst = max(worst, float(np.abs(grads["phi_s"][name] - gs[name]).max()))
+        worst = max(worst, float(np.abs(grads[name] - gs[name]).max()))
         isolated &= not gt[name].any()
     for name in G["phi_t"]:
-        worst = max(worst, float(np.abs(grads["phi_t"][name] - gt[name]).max()))
+        worst = max(worst, float(np.abs(grads[name] - gt[name]).max()))
         isolated &= not gs[name].any()
     for group in ("w_sh", "w_b"):
         for name in G[group]:
             hand = gs[name] + gt[name] - g_d[name]
-            worst = max(worst, float(np.abs(grads[group][name] - hand).max()))
+            worst = max(worst, float(np.abs(grads[name] - hand).max()))
     for name in G["theta_d"]:
-        worst = max(worst, float(np.abs(grads["theta_d"][name] - g_d[name]).max()))
+        worst = max(worst, float(np.abs(grads[name] - g_d[name]).max()))
 
     ok = worst < 1e-10 and isolated
     check("criterion 4", ok, f"max pathway error {worst:.2e}; phi isolation {isolated}")
@@ -308,9 +305,8 @@ def test_criterion_5_latent_ascent_and_descent():
 
         fwd = strategy_forward(params, bs, bt, "mtl")
         for gamma in gammas:
-            pair = mtl_lo_step(
-                fwd.refs.tape, fwd.refs.z_s, fwd.refs.z_t, fwd.refs.loss_s, fwd.refs.loss_t, gamma
-            )
+            task_loss = fwd.refs.tape.add(fwd.refs.loss_s, fwd.refs.loss_t)
+            pair = latent_step(fwd.refs.tape, fwd.refs.z_s, fwd.refs.z_t, task_loss, gamma, sign=-1.0)
             t = Tape()
             p = put_params(t, params)
             for z_prime, b_, domain, base_node in (

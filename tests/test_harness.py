@@ -1,5 +1,5 @@
-"""Harness contracts: metric arithmetic, model selection, the sequential
-baseline, experiment orchestration, and report/summary outputs."""
+"""Harness contracts: metric arithmetic, the sequential baseline, experiment
+orchestration, and report/summary outputs."""
 
 import json
 import math
@@ -16,7 +16,6 @@ from latopt.harness import (
     _splits,
     analyze,
     run_experiment,
-    select_model,
     sequential_finetune,
     summary_rows,
     SUMMARY_COLUMNS,
@@ -84,14 +83,6 @@ def test_spearman_perfect_and_reversed():
     assert spearman_rank_correlation([1, 2, 3], [3, 1, 0]) == pytest.approx(-1.0)
 
 
-def test_select_model_rules():
-    with pytest.raises(ValueError):
-        select_model([], [])
-    assert select_model(["a"], [0.3]) == 0
-    assert select_model(list("abcd"), [0.3, 0.5, 0.5, 0.4]) == 1  # earliest max
-    assert select_model(list("abc"), [0.1, 0.2, 0.3]) == 2
-
-
 def test_sequential_finetune_phase_two_starts_from_phase_one_selection(fast_pair):
     src, tgt = fast_pair
     ss, ts = _splits(src), _splits(tgt)
@@ -99,17 +90,17 @@ def test_sequential_finetune_phase_two_starts_from_phase_one_selection(fast_pair
     init = init_params(FAST_MODEL, 0)
     from latopt.training import batch_schedule, train_run
 
-    selected, run, epoch = sequential_finetune(init, ss, ts, config, seed=0)
+    run = sequential_finetune(init, ss, ts, config, seed=0)
     schedule = batch_schedule(ss["train"], None, 32, 2, 0)
     phase1 = train_run("single:source", init.copy(), schedule, ss["dev"], config, eval_domain="source")
-    start = phase1.checkpoints[select_model(phase1.checkpoints, phase1.dev_f)].copy()
-    run_direct = train_run("single:target", start, batch_schedule(ts["train"], None, 32, 2, 1), ts["dev"], config)
+    run_direct = train_run(
+        "single:target", phase1.selected, batch_schedule(ts["train"], None, 32, 2, 1), ts["dev"], config
+    )
     assert len(run.dev_f) == config.epochs
     assert run.dev_f == run_direct.dev_f  # phase 2 seed offset matches
-    assert epoch == select_model(run_direct.checkpoints, run_direct.dev_f)
-    sel_direct = run_direct.checkpoints[epoch]
-    for name in selected.tensors:
-        np.testing.assert_array_equal(selected.tensors[name], sel_direct.tensors[name])
+    assert run.epoch == run_direct.epoch
+    for name in run.selected.tensors:
+        np.testing.assert_array_equal(run.selected.tensors[name], run_direct.selected.tensors[name])
 
 
 def test_sequential_finetune_warm_start_helps_on_identical_domains(fast_pair):
@@ -124,7 +115,7 @@ def test_sequential_finetune_warm_start_helps_on_identical_domains(fast_pair):
     wins = 0
     for seed in range(5):
         init = init_params(FAST_MODEL, seed)
-        selected, _, _ = sequential_finetune(init, ss, ss, config, seed=seed)
+        selected = sequential_finetune(init, ss, ss, config, seed=seed).selected
 
         seqs, labels = ss["dev"]
         f_warm = _f(predict(selected, seqs, "target"), labels)[0]
@@ -213,6 +204,23 @@ def test_run_experiment_checks_spec_against_data_before_training(bad, monkeypatc
     with pytest.raises(SpecError) as info:
         run_experiment(spec, source=src, target=tgt)
     assert str(info.value) == SPEC_PROBLEMS[bad]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
+def test_run_experiment_refuses_an_out_dir_that_cannot_be_a_directory_before_any_work(tmp_path, monkeypatch, nested):
+    from latopt import harness
+    from latopt.harness import SpecError
+
+    runs, pairs = [], []
+    monkeypatch.setattr(harness, "train_run", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(harness, "prepare_transfer_pair", lambda *a, **k: pairs.append(a))
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    out = blocker / "sub" if nested else blocker
+    spec = ExperimentSpec(strategies=["mtl"], seeds=[0], lr_grid=[1e-3], epochs=1, batch_size=32, generator=FAST_GEN)
+    with pytest.raises(SpecError, match=f"^{re.escape(f'out_dir {out}: {blocker} is not a directory')}$"):
+        run_experiment(spec, out_dir=out)
+    assert runs == [] and pairs == [] and blocker.read_text() == "kept"
 
 
 def test_data_problem_accepts_a_fitting_pair():
@@ -362,9 +370,9 @@ def test_run_experiment_grid_searches_seq_as_its_own_base(fast_pair):
     source_splits, target_splits = _splits(src), _splits(tgt)
     init = init_params(FAST_MODEL, 0)
     # seq cuts its own schedules, so it is handed none
-    lr, (selected, epoch, dev_f, _, _) = _grid_search("seq", init, None, source_splits, target_splits, spec, 0)
-    test_f = _test_metrics(selected, target_splits, "target")[0]
-    assert (seq.lr, seq.dev_f, seq.test_f) == (lr, dev_f, test_f)
+    lr, run = _grid_search("seq", init, None, source_splits, target_splits, spec, 0)
+    test_f = _test_metrics(run.selected, target_splits, "target")[0]
+    assert (seq.lr, seq.dev_f, seq.test_f) == (lr, run.dev_f[run.epoch], test_f)
 
 
 def test_every_two_domain_run_of_a_seed_trains_on_one_schedule(fast_pair, monkeypatch):

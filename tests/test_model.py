@@ -367,6 +367,10 @@ def _malformed(payload, how):
         groups["w_sh"]["sh_W"]["data"][3] = "0.5"
     elif how == "ragged_data":
         groups["w_sh"]["sh_W"]["data"][3] = [0.5, 0.5]
+    elif how == "bool_data":
+        groups["w_sh"]["sh_W"]["data"][3] = True
+    elif how == "huge_int_data":
+        groups["w_sh"]["sh_W"]["data"][3] = 10**400
     elif how in ("nan", "inf"):
         groups["w_sh"]["sh_W"]["data"][3] = float(how)
     return payload
@@ -384,6 +388,8 @@ MALFORMED_CHECKPOINTS = [
     ("tensor_list", "checkpoint: tensor 'sh_W' needs a list 'shape' and a list 'data'"),
     ("string_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),
     ("ragged_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),
+    ("bool_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),
+    ("huge_int_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),
     ("nan", "checkpoint: tensor 'sh_W' holds a non-finite value"),
     ("inf", "checkpoint: tensor 'sh_W' holds a non-finite value"),
 ]

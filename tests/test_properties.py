@@ -600,10 +600,11 @@ def test_adv_at_lambda_zero_trains_mtl_tensors_bitwise_as_mtl(split_seed, init_s
     rng = np.random.default_rng(split_seed)
     ss, ts = _tiny_splits(rng), _tiny_splits(rng)
     schedule = batch_schedule(ss["train"], ts["train"], 4, 1, 5)
+    mtl, adv = init_params(TINY, init_seed), init_params(TINY, init_seed)  # train_run trains them in place
     config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
-    mtl = train_run("mtl", init_params(TINY, init_seed), schedule, ts["dev"], config).checkpoints[-1]
+    train_run("mtl", mtl, schedule, ts["dev"], config)
     config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1, grl_lambda=0.0)
-    adv = train_run("adv", init_params(TINY, init_seed), schedule, ts["dev"], config).checkpoints[-1]
+    train_run("adv", adv, schedule, ts["dev"], config)
     for name in trainable_tensors("mtl"):
         assert _same(mtl.tensors[name], adv.tensors[name])
 

@@ -2,10 +2,15 @@
 on the training, optimizer, rendering and data paths. A value with one
 setting in use is a module constant, not a knob; this pins that."""
 
+import ast
+import importlib.util
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 from latopt import data, harness, metrics, model, optim, quadratic, render, training
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _names(fn):
@@ -40,5 +45,52 @@ def test_settable_surface_is_pinned():
         quadratic.measure_mode_decay: ["q", "traj", "min_amp"],
     }
     assert {fn.__name__: _names(fn) for fn in signatures} == {fn.__name__: names for fn, names in signatures.items()}
-    gone = [(render, "ContourGrid"), (harness, "data_problem"), (data, "UnigramModel"), (data, "unigram_model")]
+    assert [f.name for f in fields(training.RunResult)] == [
+        "strategy", "selected", "epoch", "epoch_reports", "dev_f", "wall_ms", "peak_aux"
+    ]
+    gone = [
+        (render, "ContourGrid"),
+        (harness, "data_problem"),
+        (data, "UnigramModel"),
+        (data, "unigram_model"),
+        (harness, "select_model"),
+        (training, "mtl_lo_step"),
+        (training, "lookahead_joint_grads"),
+    ]
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_attribute_the_benchmark_tracer_wraps_exists():
+    # the tracer skips a missing attribute, so a rename would zero a metric silently
+    spans = _bench_module("spans")
+    missing = []
+    for owner_path, attr, _, _ in spans.WRAPS:
+        owner = spans._resolve(owner_path)
+        found = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
+        if not found:
+            missing.append(f"{owner_path}.{attr}")
+    assert missing == []
+
+
+def test_every_name_the_benchmark_reference_calls_exists():
+    tree = ast.parse((BENCH / "reference.py").read_text())
+    imported = {
+        alias.asname or alias.name: importlib.import_module(f"latopt.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "latopt"
+        for alias in node.names
+    }
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported
+    }
+    assert {"strategy_forward", "backward", "domain_loss_graph", "maml_lookahead_step"} <= {a for _, a in used}
+    assert sorted(f"{m}.{a}" for m, a in used if not hasattr(imported[m], a)) == []

@@ -19,10 +19,8 @@ from latopt.training import (
     batch_schedule,
     domain_loss_graph,
     latent_step,
-    lookahead_joint_grads,
     make_batches,
     maml_lookahead_step,
-    mtl_lo_step,
     pack_split,
     paired_batches,
     strategy_forward,
@@ -142,6 +140,12 @@ def test_latent_ascent_property():
     assert wins / trials >= 0.95
 
 
+def _mtl_lo_step(refs, gamma):
+    """The ``mtl+lo`` lookahead on an ``mtl`` graph: descent on the summed
+    task losses, the nodes ``strategy_forward`` records for it."""
+    return latent_step(refs.tape, refs.z_s, refs.z_t, refs.tape.add(refs.loss_s, refs.loss_t), gamma, sign=-1.0)
+
+
 def test_mtl_lo_descent_property():
     rng = np.random.default_rng(53)
     wins = trials = 0
@@ -150,7 +154,7 @@ def test_mtl_lo_descent_property():
         bs, bt = tiny_batch(rng, 4), tiny_batch(rng, 4)
         fwd = strategy_forward(params, bs, bt, "mtl")
         for gamma in (1e-4, 1e-3, 1e-2):
-            pair = mtl_lo_step(fwd.refs.tape, fwd.refs.z_s, fwd.refs.z_t, fwd.refs.loss_s, fwd.refs.loss_t, gamma)
+            pair = _mtl_lo_step(fwd.refs, gamma)
             after = strategy_forward(params, bs, bt, "mtl")  # fresh graph for evaluation
             # evaluate task losses at the updated latents by rebuilding heads
             from latopt.autodiff import Tape
@@ -175,11 +179,17 @@ def test_mtl_lo_step_stub_definition():
     bs, bt = tiny_batch(rng), tiny_batch(rng)
     fwd = strategy_forward(params, bs, bt, "mtl")
     g = backward(fwd.refs.tape, fwd.refs.tape.add(fwd.refs.loss_s, fwd.refs.loss_t))
-    pair = mtl_lo_step(fwd.refs.tape, fwd.refs.z_s, fwd.refs.z_t, fwd.refs.loss_s, fwd.refs.loss_t, 0.05)
+    pair = _mtl_lo_step(fwd.refs, 0.05)
     np.testing.assert_allclose(pair.z_s_prime, pair.z_s - 0.05 * g[fwd.refs.z_s], atol=1e-15)
 
 
 # --- lookahead objective -------------------------------------------------------
+
+
+def _lookahead_grads(params, batch_s, batch_t, gamma, lam=1.0):
+    """Per-tensor gradients of the ``adv+lo`` objective, and its forward."""
+    fwd = strategy_forward(params, batch_s, batch_t, "adv+lo", lam, gamma)
+    return fwd.refs.param_grads(backward(fwd.refs.tape, fwd.refs.objective)), fwd
 
 
 def test_lookahead_joint_loss_gamma_zero_equals_adv_bitwise():
@@ -215,12 +225,11 @@ def test_lookahead_grads_gamma_zero_equal_adv_grads():
     rng = np.random.default_rng(6)
     params = init_params(TINY, 6)
     bs, bt = tiny_batch(rng), tiny_batch(rng)
-    lo, _ = lookahead_joint_grads(params, bs, bt, gamma=0.0)
+    lo, _ = _lookahead_grads(params, bs, bt, gamma=0.0)
     fwd = strategy_forward(params, bs, bt, "adv")
     base = fwd.refs.param_grads(backward(fwd.refs.tape, fwd.refs.objective))
-    for group in lo:
-        for name in lo[group]:
-            np.testing.assert_array_equal(lo[group][name], base[name])
+    for name in params.tensors:
+        np.testing.assert_array_equal(lo[name], base[name])
 
 
 def test_lookahead_grads_match_hand_composition():
@@ -231,7 +240,7 @@ def test_lookahead_grads_match_hand_composition():
     bs, bt = tiny_batch(rng, 2), tiny_batch(rng, 2)
     gamma = 0.05
 
-    grads, fwd = lookahead_joint_grads(params, bs, bt, gamma=gamma, lam=1.0)
+    grads, fwd = _lookahead_grads(params, bs, bt, gamma=gamma, lam=1.0)
 
     # raw domain-loss pathway (no reversal): +dL_d/d{w_sh, w_b, theta_d}
     raw = domain_loss_graph(params, bs, bt)
@@ -254,17 +263,17 @@ def test_lookahead_grads_match_hand_composition():
 
     groups = ModelParams.GROUPS
     for name in groups["phi_s"]:
-        np.testing.assert_allclose(grads["phi_s"][name], gs[name], atol=1e-10)
+        np.testing.assert_allclose(grads[name], gs[name], atol=1e-10)
         np.testing.assert_allclose(gt[name], 0.0, atol=0)  # phi isolation
     for name in groups["phi_t"]:
-        np.testing.assert_allclose(grads["phi_t"][name], gt[name], atol=1e-10)
+        np.testing.assert_allclose(grads[name], gt[name], atol=1e-10)
         np.testing.assert_allclose(gs[name], 0.0, atol=0)
     for name in groups["w_sh"]:
-        np.testing.assert_allclose(grads["w_sh"][name], gs[name] + gt[name] - g_d[name], atol=1e-10)
+        np.testing.assert_allclose(grads[name], gs[name] + gt[name] - g_d[name], atol=1e-10)
     for name in groups["w_b"]:
-        np.testing.assert_allclose(grads["w_b"][name], gs[name] + gt[name] - g_d[name], atol=1e-10)
+        np.testing.assert_allclose(grads[name], gs[name] + gt[name] - g_d[name], atol=1e-10)
     for name in groups["theta_d"]:
-        np.testing.assert_allclose(grads["theta_d"][name], g_d[name], atol=1e-10)
+        np.testing.assert_allclose(grads[name], g_d[name], atol=1e-10)
 
 
 def test_phi_isolation_under_perturbation():
@@ -273,15 +282,15 @@ def test_phi_isolation_under_perturbation():
     rng = np.random.default_rng(8)
     params = init_params(TINY, 8)
     bs, bt = tiny_batch(rng), tiny_batch(rng)
-    grads, _ = lookahead_joint_grads(params, bs, bt, gamma=0.0)
+    grads, _ = _lookahead_grads(params, bs, bt, gamma=0.0)
 
     params2 = params.copy()
     for name in ModelParams.GROUPS["theta_d"]:
         params2.tensors[name][:] = 0.0
     bt2 = (bt[0], onehot(np.zeros(len(bt[0]), dtype=int)))
-    grads2, _ = lookahead_joint_grads(params2, bs, bt2, gamma=0.0)
+    grads2, _ = _lookahead_grads(params2, bs, bt2, gamma=0.0)
     for name in ModelParams.GROUPS["phi_s"]:
-        np.testing.assert_allclose(grads["phi_s"][name], grads2["phi_s"][name], atol=1e-12)
+        np.testing.assert_allclose(grads[name], grads2[name], atol=1e-12)
 
 
 def test_detached_gradient_factor_is_inert():
@@ -328,14 +337,14 @@ def test_gamma_continuity_slope():
     rng = np.random.default_rng(10)
     params = init_params(TINY, 10)
     bs, bt = tiny_batch(rng, 3), tiny_batch(rng, 3)
-    base, _ = lookahead_joint_grads(params, bs, bt, gamma=0.0)
+    base, _ = _lookahead_grads(params, bs, bt, gamma=0.0)
 
     def flat_diff(gamma):
-        g, _ = lookahead_joint_grads(params, bs, bt, gamma=gamma)
+        g, _ = _lookahead_grads(params, bs, bt, gamma=gamma)
         total = 0.0
-        for group in g:
-            for name in g[group]:
-                total += float(np.sum((g[group][name] - base[group][name]) ** 2))
+        for group in ModelParams.GROUPS.values():
+            for name in group:
+                total += float(np.sum((g[name] - base[name]) ** 2))
         return np.sqrt(total)
 
     gammas = np.array([1e-5, 1e-4, 1e-3, 1e-2])
@@ -530,10 +539,8 @@ def test_mtl_equals_adv_with_zero_reversal_weight():
     p_adv = init_params(TINY, 15)
     run_adv = train_run("adv", p_adv, schedule, splits_t["dev"], config_adv)
 
-    final_mtl = run_mtl.checkpoints[-1]
-    final_adv = run_adv.checkpoints[-1]
-    for name in trainable_tensors("mtl"):
-        np.testing.assert_allclose(final_mtl.tensors[name], final_adv.tensors[name], atol=1e-12)
+    for name in trainable_tensors("mtl"):  # train_run leaves the final parameters in its params
+        np.testing.assert_allclose(p_mtl.tensors[name], p_adv.tensors[name], atol=1e-12)
 
 
 def test_lookahead_gamma_zero_reproduces_adv_bitwise_over_epoch():
@@ -543,14 +550,49 @@ def test_lookahead_gamma_zero_reproduces_adv_bitwise_over_epoch():
     config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
 
     schedule = batch_schedule(splits_s["train"], splits_t["train"], 4, 1, 7)
-    runs = {}
-    for strategy in ("adv", "adv+lo"):
-        params = init_params(TINY, 16)
-        runs[strategy] = train_run(strategy, params, schedule, splits_t["dev"], config)
-    a = runs["adv"].checkpoints[-1]
-    b = runs["adv+lo"].checkpoints[-1]
+    a, b = init_params(TINY, 16), init_params(TINY, 16)
+    train_run("adv", a, schedule, splits_t["dev"], config)
+    train_run("adv+lo", b, schedule, splits_t["dev"], config)
     for name in a.tensors:
         np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
+
+
+class SnapshotLog:
+    """A ``run_log`` that copies the parameters at each epoch's line, which
+    ``train_run`` writes after the epoch's training and before its dev F."""
+
+    def __init__(self, params):
+        self.params, self.snapshots = params, []
+
+    def write(self, line):
+        self.snapshots.append(self.params.copy())
+
+
+@pytest.mark.parametrize(
+    "curve, best",
+    [([0.3, 0.5, 0.5, 0.4], 1), ([0.3], 0), ([0.1, 0.2, 0.3], 2)],
+    ids=["earliest_of_a_tie", "one_epoch", "last_epoch"],
+)
+def test_train_run_selects_the_earliest_best_dev_epoch(monkeypatch, curve, best):
+    from latopt import metrics
+
+    dev_f = iter(curve)
+    monkeypatch.setattr(metrics, "f_score", lambda predictions, labels: (next(dev_f), 0.0, 0.0))
+    rng = np.random.default_rng(20)
+    splits = tiny_splits(rng, n=8)
+    params = init_params(TINY, 20)
+    log = SnapshotLog(params)
+    config = TrainingConfig(lr=1e-2, batch_size=4, epochs=len(curve))
+    schedule = batch_schedule(splits["train"], splits["train"], 4, len(curve), 20)
+    run = train_run("mtl", params, schedule, splits["dev"], config, run_log=log)
+    assert run.dev_f == curve
+    assert run.epoch == best
+    # every epoch moves the parameters, so the bitwise checks tell the epochs apart
+    assert len({b"".join(t.tobytes() for t in snap.tensors.values()) for snap in log.snapshots}) == len(curve)
+    assert run.selected is not params
+    for name in params.tensors:
+        np.testing.assert_array_equal(run.selected.tensors[name], log.snapshots[best].tensors[name])
+        np.testing.assert_array_equal(params.tensors[name], log.snapshots[-1].tensors[name])
 
 
 def test_run_log_written(tmp_path):
@@ -588,14 +630,15 @@ def test_identical_config_and_seed_reproduce_reports():
     rng1 = np.random.default_rng(19)
     splits = tiny_splits(rng1, n=16)
     config = TrainingConfig(lr=2e-3, gamma=0.01, batch_size=4, epochs=2)
-    results = []
+    results, snapshots = [], []
     for _ in range(2):
         params = init_params(TINY, 19)
         schedule = batch_schedule(splits["train"], splits["train"], 4, 2, 19)
-        run = train_run("adv+lo", params, schedule, splits["dev"], config)
-        results.append(run)
+        log = SnapshotLog(params)
+        results.append(train_run("adv+lo", params, schedule, splits["dev"], config, run_log=log))
+        snapshots.append(log.snapshots)
     for ra, rb in zip(results[0].epoch_reports, results[1].epoch_reports):
         assert ra.losses == rb.losses
-    for ca, cb in zip(results[0].checkpoints, results[1].checkpoints):
+    for ca, cb in zip(*snapshots):
         for name in ca.tensors:
             np.testing.assert_array_equal(ca.tensors[name], cb.tensors[name])
