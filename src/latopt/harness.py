@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import time
 import types
 import typing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, is_dataclass
 from pathlib import Path
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .autodiff import ShapeError
 from .data import DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
-from .metrics import f_score, paired_sign_test
+from .metrics import f_score, paired_sign_test, t_interval_95
 from .model import ModelConfig, ModelParams, init_params, predict
 from .training import STRATEGIES, RunResult, TrainingAborted, TrainingConfig, batch_schedule, pack_split, train_run
 
@@ -332,17 +334,67 @@ def out_dir_problem(path) -> str | None:
     return f"{here} is not writable" if here.is_dir() else f"{here} is not a directory"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    reports one (Linux), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# what a pool worker reads: set in each worker by the pool's initializer from
+# the arguments it inherits through fork, so nothing large is pickled
+_worker_args: tuple = ()
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_seed_jobs(seed: int) -> list:
+    spec, source_splits, target_splits = _worker_args
+    return _seed_jobs(spec, seed, source_splits, target_splits)
+
+
+def _all_seed_jobs(spec, source_splits, target_splits) -> list:
+    """Every seed's reports, in seed order. With one usable CPU or one seed
+    the seeds run here, in turn; otherwise in a pool of forked workers, one
+    per CPU and at most one per seed, each seed a task. A seed's reports
+    depend only on the spec, the seed and the splits, so both ways compute
+    the same bits. A worker that dies raises ``BrokenProcessPool``; any
+    exception a worker raises is raised here once the workers still running
+    finish, and the seeds not yet started are dropped."""
+    workers = min(_usable_cpus(), len(spec.seeds))
+    if workers == 1:
+        return [r for s in spec.seeds for r in _seed_jobs(spec, s, source_splits, target_splits)]
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(spec, source_splits, target_splits),
+    ) as pool:
+        per_seed = list(pool.map(_worker_seed_jobs, spec.seeds))
+    return [r for reports in per_seed for r in reports]
+
+
 def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None):
     """Run every (strategy, seed) cell and aggregate.
+
+    The seeds run in forked worker processes, one per CPU this process may
+    use and never more than there are seeds (see ``_all_seed_jobs``); with
+    one CPU or one seed they run in this process and none is started. The
+    reports are the same bits either way, apart from ``wall_ms``, which is
+    measured in whichever process trains the run.
 
     An ``out_dir`` that cannot be a directory (see ``out_dir_problem``)
     raises ``SpecError`` first, before any dataset is read or generated.
     The datasets are checked against the spec next (see ``checked_splits``);
     a spec that does not fit them raises ``SpecError`` before any training.
     Returns (reports, analysis). ``analysis`` holds per-strategy mean/std
-    test F, the paired sign-test p-values for the lookahead-vs-base
-    comparisons, and the relative resource table. Failed runs are kept in
-    the reports with ``failed=True``.
+    test F, the lookahead-vs-base comparisons (see ``analyze``), and the
+    relative resource table. Failed runs are kept in the reports with
+    ``failed=True``.
     """
     if out_dir is not None and (problem := out_dir_problem(out_dir)):
         raise SpecError(f"out_dir {out_dir}: {problem}")
@@ -357,7 +409,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None)
     source_splits, target_splits = splits[names[0]], splits[names[1]]
 
     t0 = time.perf_counter()
-    reports = [r for s in spec.seeds for r in _seed_jobs(spec, s, source_splits, target_splits)]
+    reports = _all_seed_jobs(spec, source_splits, target_splits)
     wall_s = time.perf_counter() - t0
 
     reports.sort(key=lambda r: (r.strategy, r.seed))
@@ -381,6 +433,11 @@ def _rel_state(strategy: str, spec: ExperimentSpec, report: MetricsReport) -> fl
 
 
 def analyze(spec: ExperimentSpec, reports: list) -> dict:
+    """Per-strategy test and dev F over the runs that did not fail, and for
+    each lookahead variant and its base, over the seeds where both ran: the
+    seeds whose test F ties exactly (the sign test drops them), the mean and
+    sample sd of the paired differences, their 95% t interval (see
+    ``metrics.t_interval_95``; None below two seeds) and the sign-test p."""
     ok = [r for r in reports if not r.failed]
     by_strategy: dict[str, list] = {}
     for r in ok:
@@ -410,9 +467,13 @@ def analyze(spec: ExperimentSpec, reports: list) -> dict:
             a = [next(r.test_f for r in by_strategy[lo] if r.seed == s) for s in seeds]
             b = [next(r.test_f for r in by_strategy[base] if r.seed == s) for s in seeds]
             if seeds:
+                sd, interval = t_interval_95(np.subtract(a, b))
                 comparisons[f"{lo} vs {base}"] = {
                     "n_seeds": len(seeds),
+                    "n_ties": sum(x == y for x, y in zip(a, b)),
                     "mean_diff": float(np.mean(a) - np.mean(b)),
+                    "sd_diff": sd,
+                    "ci95_diff": interval,
                     "sign_test_p": paired_sign_test(a, b),
                 }
     return {
@@ -468,8 +529,13 @@ def format_summary(analysis: dict) -> str:
             f"{s:<14}{row['n']:>3}   {row['mean_test_f']:.4f}      {row['std_test_f']:.4f}   {row['mean_dev_f']:.4f}"
         )
     for name, cmp in analysis["comparisons"].items():
+        spread = ""
+        if cmp["ci95_diff"] is not None:
+            lo, hi = cmp["ci95_diff"]
+            spread = f", sd {cmp['sd_diff']:.4f}, 95% t interval [{lo:+.4f}, {hi:+.4f}]"
         lines.append(
-            f"{name}: mean diff {cmp['mean_diff']:+.4f} over {cmp['n_seeds']} seeds, sign-test p={cmp['sign_test_p']:.4f}"
+            f"{name}: mean diff {cmp['mean_diff']:+.4f} over {cmp['n_seeds']} seeds ({cmp['n_ties']} ties)"
+            f"{spread}, sign-test p={cmp['sign_test_p']:.4f}"
         )
     if analysis.get("n_failed"):
         lines.append(f"FAILED RUNS: {analysis['n_failed']}")

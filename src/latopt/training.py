@@ -301,8 +301,13 @@ class TrainingAborted(RuntimeError):
         self.strategy = strategy
         self.epoch = epoch
         self.batch = batch
+        self.cause = cause
         self.lr = lr
         self.lam = lam
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, so it pickles across processes
+        return type(self), (self.strategy, self.epoch, self.batch, self.cause, self.lr, self.lam)
 
 
 class Split(NamedTuple):

@@ -3,6 +3,8 @@ orchestration, and report/summary outputs."""
 
 import json
 import math
+import multiprocessing
+import os
 import re
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ from latopt.harness import (
     MetricsReport,
     _splits,
     analyze,
+    format_summary,
     run_experiment,
     sequential_finetune,
     summary_rows,
@@ -396,6 +399,8 @@ def test_every_two_domain_run_of_a_seed_trains_on_one_schedule(fast_pair, monkey
         batch_size=32,
         model=FAST_MODEL,
     )
+    # the spy appends to this process's list, so every seed runs here
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
     paired = [schedule for strategy, schedule in seen if not strategy.startswith("single:")]
     single = [schedule for strategy, schedule in seen if strategy.startswith("single:")]
@@ -492,6 +497,137 @@ def test_failed_variant_reports_its_base_rate(fast_pair, monkeypatch):
     assert analysis["n_failed"] == 1
 
 
+POOL_SPEC = ExperimentSpec(
+    strategies=["mtl", "mtl+lo", "adv", "adv+lo", "adv+maml", "seq"],
+    seeds=[0, 1],
+    lr_grid=[1e-3, 3e-3],
+    epochs=2,
+    batch_size=32,
+    model=FAST_MODEL,
+)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count the harness sizes its pool by; forked workers
+    inherit the patch."""
+    from latopt import harness
+
+    return lambda n: monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+
+
+def test_a_pool_of_two_writes_the_serial_outputs(tmp_path, fast_pair, cpus):
+    def outputs(n):
+        cpus(n)
+        out = tmp_path / f"cpus{n}"
+        run_experiment(POOL_SPEC, out_dir=out, source=fast_pair[0], target=fast_pair[1])
+        reports = re.sub(r'"wall_ms": [^,]+,', '"wall_ms": _,', (out / "reports.jsonl").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["wall_s"]
+        for row in summary["strategies"].values():
+            del row["mean_wall_ms"]
+        return reports, summary
+
+    serial, pooled = outputs(1), outputs(2)
+    assert serial[0].count('"wall_ms": _,') == 12 and serial[1]["n_failed"] == 0
+    assert pooled == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_a_seed_that_fails_in_a_worker_fails_alone(fast_pair, monkeypatch, cpus):
+    from latopt import harness
+    from latopt.training import TrainingAborted
+
+    init_params, train_run = harness.init_params, harness.train_run
+    current = {}  # the seed this process is training; each worker has its own copy
+
+    def init_spy(model, seed):
+        current["seed"] = seed
+        return init_params(model, seed)
+
+    def seed_1_fails(strategy, *args, **kwargs):
+        if current["seed"] == 1:
+            raise TrainingAborted(strategy, 0, 0, "synthetic failure")
+        return train_run(strategy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "init_params", init_spy)
+    monkeypatch.setattr(harness, "train_run", seed_1_fails)
+    cpus(2)
+    spec = replace(POOL_SPEC, strategies=["mtl", "mtl+lo"], epochs=1)
+    reports, analysis = run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
+    assert [(r.strategy, r.seed, r.failed) for r in reports] == [
+        ("mtl", 0, False), ("mtl", 1, True), ("mtl+lo", 0, False), ("mtl+lo", 1, True)
+    ]
+    assert analysis["n_failed"] == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_a_worker_propagates_and_leaves_no_process(fast_pair, monkeypatch, cpus):
+    from latopt import harness
+
+    def boom(*args, **kwargs):
+        raise RuntimeError(f"raised in process {os.getpid()}")
+
+    monkeypatch.setattr(harness, "train_run", boom)
+    cpus(2)
+    with pytest.raises(RuntimeError, match="^raised in process ") as info:
+        run_experiment(POOL_SPEC, source=fast_pair[0], target=fast_pair[1])
+    assert str(info.value) != f"raised in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_training_aborted_a_worker_does_not_catch_reaches_the_caller_whole(fast_pair, monkeypatch, cpus):
+    # the exception crosses the process boundary by pickle, so it must rebuild
+    from latopt import harness
+    from latopt.training import TrainingAborted
+
+    def seed_jobs(spec, seed, *args):
+        if seed == 1:
+            raise TrainingAborted("adv", 2, 7, "synthetic failure", lr=1e-3, lam=0.5)
+        return []
+
+    monkeypatch.setattr(harness, "_seed_jobs", seed_jobs)
+    cpus(2)
+    with pytest.raises(TrainingAborted) as info:
+        run_experiment(POOL_SPEC, source=fast_pair[0], target=fast_pair[1])
+    e = info.value
+    assert (e.strategy, e.epoch, e.batch, e.cause, e.lr, e.lam) == ("adv", 2, 7, "synthetic failure", 1e-3, 0.5)
+    assert str(e) == "non-finite loss: strategy=adv epoch=2 batch=7 lr=0.001 lambda=0.5: synthetic failure"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_breaks_the_pool_and_leaves_no_process(fast_pair, monkeypatch, cpus):
+    from concurrent.futures.process import BrokenProcessPool
+
+    from latopt import harness
+
+    def seed_jobs(spec, seed, *args):
+        if seed == 1:
+            os._exit(3)
+        return []
+
+    monkeypatch.setattr(harness, "_seed_jobs", seed_jobs)
+    cpus(2)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(POOL_SPEC, source=fast_pair[0], target=fast_pair[1])
+    assert multiprocessing.active_children() == []
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("started a pool")
+
+
+@pytest.mark.parametrize("n_cpus, seeds", [(1, [0, 1]), (2, [0])], ids=["one_cpu", "one_seed"])
+def test_one_cpu_or_one_seed_starts_no_process(fast_pair, monkeypatch, cpus, n_cpus, seeds):
+    from latopt import harness
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    cpus(n_cpus)
+    spec = ExperimentSpec(strategies=["mtl"], seeds=seeds, lr_grid=[1e-3], epochs=1, batch_size=32, model=FAST_MODEL)
+    reports, _ = run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
+    assert [(r.seed, r.failed) for r in reports] == [(s, False) for s in seeds]
+
+
 def test_summary_relative_columns(fast_pair):
     spec = ExperimentSpec(
         strategies=["adv", "adv+lo", "adv+maml", "mtl+lo"],
@@ -525,3 +661,37 @@ def test_analyze_mean_and_std():
     out = analyze(spec, reports)
     assert out["strategies"]["adv"]["mean_test_f"] == pytest.approx(0.7)
     assert out["strategies"]["adv"]["std_test_f"] == pytest.approx(0.1)
+
+
+def _comparison(test_fs, base_fs):
+    spec = ExperimentSpec(strategies=["adv", "adv+lo"], seeds=list(range(len(test_fs))), lr_grid=[1e-3])
+    reports = [
+        MetricsReport(strategy, seed, 1e-3, 0.5, f, 0.5, 0.5, 1, 10.0, 0)
+        for strategy, fs in (("adv+lo", test_fs), ("adv", base_fs))
+        for seed, f in enumerate(fs)
+    ]
+    return analyze(spec, reports)["comparisons"]["adv+lo vs adv"]
+
+
+def test_analyze_counts_ties_and_bounds_the_mean_difference():
+    # differences 0.25, 0, 0.25, 0.5: mean 0.25, sd sqrt(0.125 / 3) = 0.2041, and
+    # t(0.975, df 3) = 3.182446, so the interval is 0.25 -+ 3.182446 * 0.2041 / 2 = 0.25 -+ 0.3248
+    cmp = _comparison([0.75, 0.5, 0.5, 1.0], [0.5, 0.5, 0.25, 0.5])
+    sd = math.sqrt(0.125 / 3)
+    half = 3.182446 * sd / 2.0
+    assert (cmp["n_seeds"], cmp["n_ties"], cmp["mean_diff"]) == (4, 1, 0.25)
+    assert cmp["sd_diff"] == pytest.approx(sd, abs=1e-15)
+    assert cmp["ci95_diff"] == pytest.approx([0.25 - half, 0.25 + half], abs=1e-15)
+    assert cmp["sign_test_p"] == 0.25  # 3 wins of 3 untied seeds, two-sided
+    line = "adv+lo vs adv: mean diff +0.2500 over 4 seeds (1 ties), sd 0.2041, 95% t interval [-0.0748, +0.5748], sign-test p=0.2500"
+    assert format_summary({"strategies": {}, "comparisons": {"adv+lo vs adv": cmp}}).splitlines()[-1] == line
+
+
+def test_analyze_all_tied_and_one_seed_comparisons():
+    tied = _comparison([0.75, 0.5, 0.625], [0.75, 0.5, 0.625])
+    assert (tied["n_ties"], tied["mean_diff"], tied["sd_diff"], tied["ci95_diff"]) == (3, 0.0, 0.0, [0.0, 0.0])
+    assert tied["sign_test_p"] == 1.0
+    one = _comparison([0.75], [0.5])
+    assert (one["n_seeds"], one["n_ties"], one["mean_diff"], one["sd_diff"], one["ci95_diff"]) == (1, 0, 0.25, None, None)
+    line = "adv+lo vs adv: mean diff +0.2500 over 1 seeds (0 ties), sign-test p=1.0000"
+    assert format_summary({"strategies": {}, "comparisons": {"adv+lo vs adv": one}}).splitlines()[-1] == line
