@@ -26,7 +26,6 @@ returned gradient arrays are fresh allocations and safe to share.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -99,13 +98,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def pack(sequences) -> Packed:
-    """``sequences`` as a :class:`Packed` batch; a ``Packed`` is returned as
-    it is. An empty batch or an empty sequence raises ``ShapeError``."""
+    """``sequences`` (integer arrays, or sequences of ints) as a
+    :class:`Packed` batch, by one concatenation; a ``Packed`` is returned as
+    it is. An empty batch, an empty sequence or ids that are not integers
+    raise ``ShapeError``."""
     if isinstance(sequences, Packed):
         return sequences
     lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    ids = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum()))
-    return Packed(ids, lengths)
+    if lengths.size == 0:
+        raise ShapeError("pack: empty batch")
+    if lengths.min() < 1:
+        raise ShapeError("pack: empty token sequence")
+    return Packed(np.concatenate(sequences), lengths)
 
 
 def _densify(g, like: np.ndarray) -> np.ndarray:

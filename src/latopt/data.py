@@ -22,6 +22,7 @@ tokens and equal positive rates the two domains are exchangeable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -29,13 +30,51 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 CHUNK = 128  # examples whose tokens are computed together; larger chunks raise peak RSS
+INT32 = np.iinfo(np.int32)
 
 
-@dataclass(frozen=True)
+def _token_array(tokens) -> np.ndarray:
+    """``tokens`` as a fresh read-only 1-D int32 array; bool, float or
+    non-integer tokens, another number of dimensions, or a token outside
+    int32 raise ``ValueError``."""
+    a = np.asarray(tokens)
+    if a.ndim != 1:
+        raise ValueError(f"tokens must be a 1-D sequence, got shape {a.shape}")
+    if a.size and a.dtype.kind not in "iu":  # Python ints beyond int64 make an object array
+        raise ValueError(f"tokens must be integers within int32, got {a.dtype} values")
+    if a is not tokens and any(type(t) in (bool, np.bool_) for t in tokens):  # numpy reads True among ints as 1
+        raise ValueError("tokens must be integers within int32, got bool values")
+    if a.size and (a.min() < INT32.min or a.max() > INT32.max):
+        raise ValueError(f"tokens must be integers within int32, got values in [{a.min()}, {a.max()}]")
+    a = a.astype(np.int32)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Example:
-    tokens: tuple
+    """One labelled token sequence. ``tokens`` is a read-only 1-D int32
+    array: an array that already is one is kept as it is, often a view into
+    a buffer shared with other examples, and any other integer sequence is
+    copied into one (see ``_token_array`` for what it refuses). Two examples
+    are equal, and hash alike, when their token values, label and split are."""
+
+    tokens: np.ndarray
     label: int
     split: str
+
+    def __post_init__(self):
+        t = self.tokens
+        if type(t) is not np.ndarray or t.dtype != np.int32 or t.ndim != 1 or t.flags.writeable:
+            object.__setattr__(self, "tokens", _token_array(t))
+
+    def __eq__(self, other):
+        if not isinstance(other, Example):
+            return NotImplemented
+        return (self.label, self.split) == (other.label, other.split) and self.tokens.tobytes() == other.tokens.tobytes()
+
+    def __hash__(self):
+        return hash((self.tokens.tobytes(), self.label, self.split))
 
 
 @dataclass
@@ -80,6 +119,8 @@ class GeneratorConfig:
     seed: int = 7
 
     def __post_init__(self):
+        if self.vocab_size > INT32.max:
+            raise ValueError(f"vocab_size must be at most 2**31 - 1, got {self.vocab_size}")
         if self.target_cue_rate is None:
             self.target_cue_rate = 0.4 * self.cue_rate
         for name in ("n_shared", "n_cues", "n_background"):
@@ -133,7 +174,8 @@ def _generate_domain(rng, cfg: GeneratorConfig, domain: str, rate: float) -> Dom
     """Each split's labels, then per example one length draw and 3 x length
     uniform draws (kind, flip, pick per position). The draws are made one
     example at a time, in that order; the tokens are computed once per
-    ``CHUNK`` examples from a table of (first token, set size) per code.
+    ``CHUNK`` examples from a table of (first token, set size) per code, into
+    one read-only int32 array whose views the chunk's examples hold.
     Every token set is a contiguous range, so ``first + int(pick * size)`` is
     the member ``int(pick * size)`` of the set."""
     sets = cfg.token_sets()
@@ -145,7 +187,8 @@ def _generate_domain(rng, cfg: GeneratorConfig, domain: str, rate: float) -> Dom
     edges = np.array([cfg.signal_rate, cfg.signal_rate + cue_rate if cfg.n_cues > 0 else cfg.signal_rate])
     fidelity = np.array([cfg.signal_fidelity, cfg.cue_fidelity, 0.0])  # background ignores its flip
     order = [sets[b] for b in ("shared_pos", "shared_neg", pos_cue, neg_cue, "background", "background")]
-    first, size = np.array([min(s, default=0) for s in order]), np.array([len(s) for s in order])
+    first = np.array([min(s, default=0) for s in order], dtype=np.int32)
+    size = np.array([len(s) for s in order])
     train_size = cfg.source_train_size if domain == "source" else cfg.target_train_size
     examples = []
     for split, n in (("train", train_size), ("test", cfg.test_size)):
@@ -160,10 +203,11 @@ def _generate_domain(rng, cfg: GeneratorConfig, domain: str, rate: float) -> Dom
             kinds, flips, picks = np.concatenate(draws, axis=1)
             kind = edges.searchsorted(kinds, side="right")
             code = 2 * kind + ((flips < fidelity[kind]) != np.repeat(chunk == 1, lengths))
-            tokens = (first[code] + (picks * size[code]).astype(np.int64)).tolist()
+            tokens = first[code] + (picks * size[code]).astype(np.int32)  # every id is below vocab_size
+            tokens.flags.writeable = False
             end = 0
             for label, length in zip(chunk.tolist(), lengths):
-                examples.append(Example(tuple(tokens[end : end + length]), label, split))
+                examples.append(Example(tokens[end : end + length], label, split))
                 end += length
     return DomainDataset(domain, cfg.vocab_size, cfg.seed, examples)
 
@@ -182,17 +226,20 @@ def generate_domain_pair(config: GeneratorConfig):
 def dedup_and_trim(dataset: DomainDataset, max_len: int = 100, taken: set | None = None) -> DomainDataset:
     """Truncate sequences to ``max_len``, then drop duplicate sequences
     (first occurrence kept). ``taken`` extends the duplicate check across
-    datasets. Truncating first keeps the operation idempotent."""
+    datasets; it holds each kept sequence's ``tokens.tobytes()``. Truncating
+    first keeps the operation idempotent."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     seen = set() if taken is None else taken
     kept = []
     for e in dataset.examples:
-        tokens = e.tokens[:max_len]
-        if tokens in seen:
+        if len(e.tokens) > max_len:
+            e = Example(e.tokens[:max_len], e.label, e.split)
+        key = e.tokens.tobytes()
+        if key in seen:
             continue
-        seen.add(tokens)
-        kept.append(Example(tokens, e.label, e.split))
+        seen.add(key)
+        kept.append(e)
     return replace(dataset, examples=kept)
 
 
@@ -256,14 +303,17 @@ def prepare_transfer_pair(config: GeneratorConfig, max_len: int = 100):
 
 
 def unigram_counts(dataset: DomainDataset, splits=None) -> dict:
-    """Token -> count over the examples of ``splits`` (all when None)."""
-    counts: dict = {}
-    for e in dataset.examples:
-        if splits is not None and e.split not in splits:
-            continue
-        for t in e.tokens:
-            counts[t] = counts.get(t, 0) + 1
-    return counts
+    """Token -> count over the examples of ``splits`` (all when None), with
+    Python int keys and counts."""
+    # counted on the sorted ids: np.unique would import numpy.ma, and a
+    # bincount needs memory for every id up to the largest one in the file
+    kept = [e.tokens for e in dataset.examples if splits is None or e.split in splits]
+    ids = np.sort(np.concatenate([np.empty(0, np.int32), *kept]))
+    if not ids.size:
+        return {}
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    counts = np.diff(np.append(starts, ids.size))
+    return dict(zip(ids[starts].tolist(), counts.tolist()))
 
 
 def kl_over_overlap(target_counts: dict, source_counts: dict) -> float:
@@ -300,7 +350,7 @@ def save_dataset(dataset: DomainDataset, path) -> None:
             + "\n"
         )
         for e in dataset.examples:
-            fh.write(json.dumps({"tokens": list(e.tokens), "label": e.label, "split": e.split}) + "\n")
+            fh.write(json.dumps({"tokens": e.tokens.tolist(), "label": e.label, "split": e.split}) + "\n")
 
 
 class DatasetError(ValueError):
@@ -318,7 +368,9 @@ def _json_object(line: str) -> dict:
 def load_dataset(path) -> DomainDataset:
     """Read a file written by ``save_dataset``. A missing or unreadable file,
     a line that is not JSON, or a header or example without its keys or
-    with a value of the wrong type raises ``DatasetError``."""
+    with a value of the wrong type, or a token outside int32, raises
+    ``DatasetError``. The examples hold views into one read-only int32
+    buffer of the file's tokens."""
     line_no = 1
     try:
         with open(path) as fh:
@@ -326,17 +378,30 @@ def load_dataset(path) -> DomainDataset:
             domain, vocab_size, seed = header["domain"], header["vocab_size"], header["seed"]
             if type(domain) is not str or type(vocab_size) is not int or type(seed) is not int:
                 raise ValueError("the header needs a string domain and integer vocab_size and seed")
-            examples = []
+            token_lists, rows = [], []
             for line_no, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
                 obj = _json_object(line)
                 tokens, label, split = obj["tokens"], obj["label"], obj["split"]
-                if type(tokens) is not list or not all(type(t) is int for t in tokens):
+                if type(tokens) is not list or not {*map(type, tokens)} <= {int}:  # a bool is not an int here
                     raise ValueError("tokens must be a list of integers")
                 if type(label) is not int or type(split) is not str:
                     raise ValueError("an example needs an integer label and a string split")
-                examples.append(Example(tuple(tokens), label, split))
+                token_lists.append(tokens)
+                rows.append((line_no, label, split))
+        ends = list(itertools.accumulate(map(len, token_lists)))
+        try:
+            buffer = np.fromiter(itertools.chain.from_iterable(token_lists), np.int32, ends[-1] if ends else 0)
+        except OverflowError:  # a token outside int32: Example names it, on its line
+            for tokens, (line_no, label, split) in zip(token_lists, rows):
+                Example(tokens, label, split)
+            raise
+        buffer.flags.writeable = False
+        examples = [
+            Example(buffer[end - len(tokens) : end], label, split)
+            for tokens, (_, label, split), end in zip(token_lists, rows, ends)
+        ]
     except OSError as e:
         raise DatasetError(f"{path}: {e.strerror or e}") from None
     except KeyError as e:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import NodeId, NonFiniteError, Packed, Tape, backward, pack
+from .autodiff import NodeId, NonFiniteError, Packed, Tape, _bw_dense, backward, pack
 from .model import (
     GraphRefs,
     ModelParams,
@@ -74,15 +74,21 @@ class LatentPair:
         return self.z_s_prime.size + self.z_t_prime.size
 
 
-def latent_step(tape: Tape, z_s: NodeId, z_t: NodeId, loss: NodeId, gamma: float, sign: float = 1.0) -> LatentPair:
+def latent_step(
+    tape: Tape, z_s: NodeId, z_t: NodeId, loss: NodeId, gamma: float, sign: float = 1.0, reversed_at=None
+) -> LatentPair:
     """One lookahead step on the latents: z' = z + sign*gamma*dloss/dz.
 
     The gradient factor is inserted as a constant leaf, i.e. detached: the
     graph downstream of z' treats the step as data, which is exactly the
     first-order approximation. The gradient comes from a frontier sweep that
     visits only the nodes between the latents and ``loss``, not the encoder
-    and its embedding table. With gamma=0 the original nodes are returned
-    untouched.
+    and its embedding table. With ``reversed_at``, a (source, target) pair of
+    ``grl`` nodes each on a dense layer of its latent, the sweep stops at
+    those nodes, so dloss/dz is the loss's unreversed gradient, taken back
+    through each dense layer as the sweep takes it: bitwise the gradient of
+    the same loss recorded without the reversal. With gamma=0 the original
+    nodes are returned untouched.
     """
     if gamma < 0:
         raise ValueError("latent_step: gamma must be >= 0")
@@ -90,12 +96,23 @@ def latent_step(tape: Tape, z_s: NodeId, z_t: NodeId, loss: NodeId, gamma: float
     zt_val = tape.value(z_t)
     if gamma == 0.0:
         return LatentPair(zs_val, zt_val, zs_val, zt_val, z_s, z_t)
-    grad_s, grad_t = backward(tape, loss, wrt=(z_s, z_t))
+    if reversed_at is None:
+        grad_s, grad_t = backward(tape, loss, wrt=(z_s, z_t))
+    else:
+        at_grl = backward(tape, loss, wrt=reversed_at)
+        grad_s, grad_t = (_before_dense(tape, tape.nodes[r].inputs[0], g) for r, g in zip(reversed_at, at_grl))
     step_s = tape.leaf(sign * gamma * grad_s)
     step_t = tape.leaf(sign * gamma * grad_t)
     id_s = tape.add(z_s, step_s)
     id_t = tape.add(z_t, step_t)
     return LatentPair(zs_val, zt_val, tape.value(id_s), tape.value(id_t), id_s, id_t)
+
+
+def _before_dense(tape: Tape, dense: NodeId, g: np.ndarray) -> np.ndarray:
+    """The gradient ``g`` at a ``dense`` node taken back to its input, in a
+    +0.0 buffer as the sweep's first term is."""
+    node = tape.nodes[dense]
+    return _bw_dense(g, [tape.value(i) for i in node.inputs], node.value, node.meta, (True, False, False))[0] + 0.0
 
 
 @dataclass
@@ -139,11 +156,12 @@ def strategy_forward(
     ``batch_s``/``batch_t`` are (sequences, one-hot labels) tuples. For the
     ``single:*`` strategies the other domain's batch may be None. Every
     two-domain strategy records, in this order: both encoders; with a
-    discriminator, the shared features it reads; for a ``+lo`` variant with
-    gamma != 0, the inner loss and the latent step; both heads and task
-    losses; with a discriminator, the reversed domain loss; the objective.
-    The ``+lo`` inner loss is the raw domain loss, stepped up, with a
-    discriminator, and the summed task losses, stepped down, without one.
+    discriminator, the shared features it reads and the reversed domain
+    loss; for a ``+lo`` variant with gamma != 0, the inner loss (without a
+    discriminator) and the latent step; both heads and task losses; the
+    objective. The ``+lo`` step is ascent on the domain loss's unreversed
+    gradient, read at the reversal, with a discriminator, and descent on the
+    summed task losses without one.
     ``adv+maml`` records the ``adv`` graph: its lookahead is a shift of the
     encoder parameters, which ``training_step`` makes before the call.
     """
@@ -179,20 +197,21 @@ def strategy_forward(
     z_s_in, z_t_in = refs.z_s, refs.z_t
     with_disc = strategy in _WITH_DISC
     if with_disc:
-        # shared features feeding the discriminator (pre-reversal)
+        # the shared features, reversed, feed the discriminator
         u_s = tape.dense(refs.z_s, p["sh_W"], p["sh_b"], "tanh")
         u_t = tape.dense(refs.z_t, p["sh_W"], p["sh_b"], "tanh")
+        grl_s, grl_t = tape.grl(u_s, lam), tape.grl(u_t, lam)
+        refs.loss_d = domain_loss_on_tape(tape, p, grl_s, grl_t)
     latents = None
     if strategy.endswith("+lo") and gamma != 0.0:
-        if with_disc:  # ascent on the raw domain loss
-            inner, sign = domain_loss_on_tape(tape, p, u_s, u_t, lam=None), 1.0
+        if with_disc:  # ascent on the domain loss, read before the reversal
+            inner, sign, reversed_at = refs.loss_d, 1.0, (grl_s, grl_t)
         else:  # descent on the summed task losses
-            inner, sign = tape.add(*heads(refs.z_s, refs.z_t)[2:]), -1.0
-        latents = latent_step(tape, refs.z_s, refs.z_t, inner, gamma, sign)
+            inner, sign, reversed_at = tape.add(*heads(refs.z_s, refs.z_t)[2:]), -1.0, None
+        latents = latent_step(tape, refs.z_s, refs.z_t, inner, gamma, sign, reversed_at)
         z_s_in, z_t_in = latents.id_s_prime, latents.id_t_prime
     refs.logits_s, refs.logits_t, refs.loss_s, refs.loss_t = heads(z_s_in, z_t_in)
     if with_disc:
-        refs.loss_d = domain_loss_on_tape(tape, p, u_s, u_t, lam=lam)
         refs.objective = tape.add(tape.add(refs.loss_s, refs.loss_t), refs.loss_d)
     else:
         refs.objective = tape.add(refs.loss_s, refs.loss_t)

@@ -22,6 +22,37 @@ def data_dir(tmp_path_factory):
     return out
 
 
+# What kl and stats printed on `gen --seed 11` when tokens were tuples of
+# Python ints; the int32 arrays must give the same digits.
+PINNED_KL = {(): "0.055299", ("--split", "train"): "0.056829"}
+PINNED_STATS = {
+    "source": """domain: source  vocab_size: 4096  seed: 11
+train: 1844 examples, positive rate 0.5033, mean length 20.9
+  dev: 204 examples, positive rate 0.4706, mean length 21.1
+ test: 512 examples, positive rate 0.5000, mean length 20.7
+distinct unigrams: 160
+""",
+    "target": """domain: target  vocab_size: 4096  seed: 11
+train: 1856 examples, positive rate 0.5000, mean length 21.0
+  dev: 102 examples, positive rate 0.1569, mean length 21.5
+ test: 512 examples, positive rate 0.1797, mean length 20.5
+distinct unigrams: 160
+""",
+}
+
+
+def test_kl_and_stats_print_pinned_digits_on_a_generated_pair(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path), "--seed", "11"]) == 0
+    capsys.readouterr()
+    files = ["--source", str(tmp_path / "source.jsonl"), "--target", str(tmp_path / "target.jsonl")]
+    for extra, digits in PINNED_KL.items():
+        assert main(["kl", *files, *extra]) == 0
+        assert capsys.readouterr().out == digits + "\n"
+    for domain, text in PINNED_STATS.items():
+        assert main(["stats", "--data", str(tmp_path / f"{domain}.jsonl")]) == 0
+        assert capsys.readouterr().out == text
+
+
 def test_gen_writes_pair(tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path), "--seed", "5"]) == 0
     assert (tmp_path / "source.jsonl").exists()
@@ -195,7 +226,7 @@ def test_train_rejects_target_outside_model_vocabulary(tmp_path, data_dir, capsy
         target.vocab_size = source.vocab_size + 1
     else:
         first = target.examples[0]
-        target.examples[0] = replace(first, tokens=first.tokens + (source.vocab_size,))
+        target.examples[0] = replace(first, tokens=first.tokens.tolist() + [source.vocab_size])
     save_dataset(target, tmp_path / "target.jsonl")
     out = tmp_path / "run"
     code = main(
@@ -394,8 +425,9 @@ def test_compare_unreadable_spec_exits_2_before_writing(tmp_path, capsys, conten
         ('{"domain": "source"', "line 1: "),
         ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1, 2.5], "label": 0, "split": "train"}\n', "line 2: tokens must be a list of integers"),
         ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1, 2], "split": "train"}\n', "line 2: missing key 'label'"),
+        ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1, 2147483648], "label": 0, "split": "train"}\n', "line 2: tokens must be integers within int32"),
     ],
-    ids=["missing", "not_json", "float_token", "no_label"],
+    ids=["missing", "not_json", "float_token", "no_label", "token_beyond_int32"],
 )
 def test_unreadable_dataset_exits_2_before_writing(tmp_path, data_dir, capsys, command, content, reason):
     bad = tmp_path / "bad.jsonl"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from latopt.data import (
+    DatasetError,
     DomainDataset,
     Example,
     GeneratorConfig,
@@ -53,7 +54,7 @@ PINNED = {
 
 def dataset_sha256(source, target) -> str:
     """sha256 of every example's (tokens, label, split), source then target."""
-    rows = [[[list(e.tokens), e.label, e.split] for e in ds.examples] for ds in (source, target)]
+    rows = [[[e.tokens.tolist(), e.label, e.split] for e in ds.examples] for ds in (source, target)]
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 
@@ -130,6 +131,12 @@ def test_empty_token_set_a_draw_can_reach_rejected(change, reason):
 def test_token_budget_must_fit_vocab():
     with pytest.raises(ValueError):
         GeneratorConfig(vocab_size=64, n_background=128)
+
+
+def test_vocab_size_beyond_int32_rejected():
+    GeneratorConfig(vocab_size=2**31 - 1)
+    with pytest.raises(ValueError, match=re.escape("vocab_size must be at most 2**31 - 1, got 2147483648")):
+        GeneratorConfig(vocab_size=2**31)
 
 
 def test_empty_cues_equal_rates_domains_exchangeable():
@@ -209,7 +216,7 @@ def test_dedup_and_trim_fixpoint_and_truncation():
     )
     out = dedup_and_trim(ds, max_len=5)
     assert len(out.examples) == 2
-    assert out.examples[1].tokens == (0, 1, 2, 3, 4)
+    assert out.examples[1].tokens.tolist() == [0, 1, 2, 3, 4]
     again = dedup_and_trim(out, max_len=5)
     assert again.examples == out.examples  # idempotent
 
@@ -225,7 +232,7 @@ def test_cross_dataset_duplicates_removed_from_target():
     tgt = DomainDataset("t", 10, 0, [Example((1, 2), 1, "train"), Example((3,), 1, "train")])
     src2, tgt2 = dedup_pair(src, tgt)
     assert len(src2.examples) == 1
-    assert [e.tokens for e in tgt2.examples] == [(3,)]
+    assert [e.tokens.tolist() for e in tgt2.examples] == [[3]]
 
 
 def test_upsample_counts_and_rate():
@@ -242,7 +249,7 @@ def test_upsample_at_size_is_same_multiset():
     examples = [Example((i,), i % 2, "train") for i in range(10)]
     ds = DomainDataset("d", 50, 0, examples)
     out = upsample(ds, 5, seed=0)
-    assert sorted(e.tokens for e in out.split("train")) == sorted(e.tokens for e in examples)
+    assert sorted(e.tokens.tolist() for e in out.split("train")) == sorted(e.tokens.tolist() for e in examples)
 
 
 def test_upsample_only_touches_train():
@@ -331,3 +338,90 @@ def test_dataset_roundtrip(tmp_path):
     assert loaded.domain == src.domain
     assert loaded.vocab_size == src.vocab_size
     assert loaded.examples == src.examples
+
+
+def test_dataset_round_trip_gives_read_only_int32_views_and_the_same_bytes(tmp_path):
+    src, _ = generate_domain_pair(GeneratorConfig(seed=6, **FAST))
+    save_dataset(src, tmp_path / "a.jsonl")
+    loaded = load_dataset(tmp_path / "a.jsonl")
+    assert loaded.examples == src.examples
+    for e in loaded.examples + src.examples:
+        assert e.tokens.dtype == np.int32 and e.tokens.ndim == 1 and not e.tokens.flags.writeable
+    # the loaded examples are views into one buffer of the file's tokens
+    assert len({id(e.tokens.base) for e in loaded.examples}) == 1
+    save_dataset(loaded, tmp_path / "b.jsonl")
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "tokens, reason",
+    [
+        ((True, False), "got bool values"),
+        ([3, True], "got bool values"),
+        (np.array([1, 0], dtype=bool), "got bool values"),
+        ((1.5, 2.0), "got float64 values"),
+        (np.array([1.0, 2.0]), "got float64 values"),
+        (("a",), "got <U1 values"),
+        ([[1, 2]], "must be a 1-D sequence, got shape (1, 2)"),
+        (3, "must be a 1-D sequence, got shape ()"),
+        ((1, 2**31), "got values in [1, 2147483648]"),
+        (np.array([-(2**31) - 1]), "got values in [-2147483649, -2147483649]"),
+        (np.array([2**32], dtype=np.uint64), "got values in [4294967296, 4294967296]"),
+        ((2**70,), "got object values"),
+    ],
+    ids=["bool", "bool_among_ints", "bool_array", "float", "float_array", "str", "2d", "scalar", "above", "below", "uint64", "beyond_int64"],
+)
+def test_example_refuses_tokens_that_are_not_int32_integers(tokens, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        Example(tokens, 0, "train")
+
+
+def test_example_keeps_a_read_only_int32_array_and_copies_anything_else():
+    frozen = np.array([4, 5], dtype=np.int32)
+    frozen.flags.writeable = False
+    assert Example(frozen, 0, "train").tokens is frozen
+    for given in ([4, 5], (4, 5), np.array([4, 5]), np.array([4, 5], dtype=np.int32), frozen.astype(np.int64)):
+        tokens = Example(given, 0, "train").tokens
+        assert tokens is not given and tokens.dtype == np.int32 and not tokens.flags.writeable
+        assert tokens.tolist() == [4, 5]
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable == (given is not frozen)  # the caller's array is left as it was
+    empty = Example((), 1, "test").tokens
+    assert empty.dtype == np.int32 and empty.shape == (0,)
+
+
+def test_examples_compare_and_hash_by_token_values_label_and_split():
+    a = Example((1, 2), 0, "train")
+    assert a == Example(np.array([1, 2], dtype=np.int64), 0, "train")
+    assert hash(a) == hash(Example([1, 2], 0, "train"))
+    assert len({a, Example([1, 2], 0, "train"), Example((), 0, "train")}) == 2
+    for other in (Example((1, 3), 0, "train"), Example((1,), 0, "train"), Example((1, 2), 1, "train"), Example((1, 2), 0, "dev")):
+        assert a != other
+    assert a != ((1, 2), 0, "train")
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [([3, 2**31], "got values in [3, 2147483648]"), ([2**70], "got object values")],
+    ids=["beyond_int32", "beyond_int64"],
+)
+def test_load_dataset_names_the_line_of_a_token_outside_int32(tmp_path, bad, reason):
+    path = tmp_path / "d.jsonl"
+    rows = [{"domain": "source", "vocab_size": 30, "seed": 0}, {"tokens": [1, 2], "label": 0, "split": "train"}]
+    rows.append({"tokens": bad, "label": 1, "split": "train"})
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: line 3: tokens must be integers within int32, {reason}")):
+        load_dataset(path)
+
+
+def test_unigram_counts_match_counting_token_by_token():
+    src, _ = generate_domain_pair(GeneratorConfig(seed=8, **FAST))
+    src.examples += [Example((-3, 2**31 - 1, -3), 1, "dev"), Example((), 0, "dev")]
+    for splits in (None, ("train",), ("dev", "test"), ("none",)):
+        want: dict = {}
+        for e in src.examples:
+            if splits is None or e.split in splits:
+                for t in e.tokens.tolist():
+                    want[t] = want.get(t, 0) + 1
+        got = unigram_counts(src, splits)
+        assert got == want and all(type(k) is int and type(v) is int for k, v in got.items())

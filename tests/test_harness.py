@@ -164,7 +164,7 @@ def _break(pair, bad):
     src, tgt = pair
     first = tgt.examples[0]
     if bad == "token_id":
-        tgt.examples[0] = replace(first, tokens=first.tokens + (39,))
+        tgt.examples[0] = replace(first, tokens=first.tokens.tolist() + [39])
     elif bad == "vocab_size":
         tgt.vocab_size = 40
     elif bad == "label":

@@ -310,6 +310,46 @@ def test_predict_on_packed_matches_list(seed, n, size):
     assert _same(predict(params, pack(sequences), "target"), want)
 
 
+def _generated_views(seed, n):
+    """The int32 token views of ``n`` generated source examples, and the
+    same sequences as tuples of Python ints."""
+    cfg = GeneratorConfig(seed=seed, source_train_size=n, target_train_size=1, test_size=1)
+    views = [e.tokens for e in generate_domain_pair(cfg)[0].split("train")]
+    return views, [tuple(v.tolist()) for v in views]
+
+
+def test_pack_of_int32_views_equals_pack_of_the_same_tuples():
+    views, tuples = _generated_views(9, 300)
+    assert all(v.dtype == np.int32 and not v.flags.writeable for v in views)
+    want = pack(tuples)
+    for got in (pack(views), pack(views[:150] + [list(t) for t in tuples[150:]])):
+        assert got.ids.dtype == np.int64 and _same(got.ids, want.ids) and _same(got.lengths, want.lengths)
+
+
+@pytest.mark.parametrize(
+    "sequences, reason",
+    [
+        ([], "empty batch"),
+        ([(1, 2), ()], "empty token sequence"),
+        ([np.array([1], dtype=np.int32), np.empty(0, dtype=np.int32)], "empty token sequence"),
+        ([(1.5, 2)], "integer arrays"),
+        ([np.array([1.0, 2.0])], "integer arrays"),
+        ([(True, False)], "integer arrays"),
+    ],
+    ids=["empty_batch", "empty_tuple", "empty_array", "float_tuple", "float_array", "bool_tuple"],
+)
+def test_pack_rejects_an_empty_batch_an_empty_sequence_and_non_integer_ids(sequences, reason):
+    with pytest.raises(ShapeError, match=reason):
+        pack(sequences)
+
+
+def test_predict_on_int32_views_matches_their_packed_form_and_tuples():
+    views, tuples = _generated_views(10, 300)  # more than one of predict's chunks
+    params = init_params(ModelConfig(), 3)
+    want = predict(params, pack(views), "source")
+    assert _same(predict(params, views, "source"), want) and _same(predict(params, tuples, "source"), want)
+
+
 @pytest.mark.parametrize("small", [(4, 2), (4,)], ids=["id_past_vocab", "table_not_2d"])
 def test_packed_batch_rejected_by_a_table_records_nothing(small):
     # a batch encoded by a table that fits it, then rejected by one that

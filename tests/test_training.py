@@ -106,6 +106,21 @@ def test_latent_step_definition_matches_gradient():
     assert pair.aux_scalars == pair.z_s.size + pair.z_t.size
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_adv_lo_step_read_at_the_reversal_equals_the_raw_domain_loss_step(lam):
+    # adv+lo records the discriminator once, behind the reversal, and reads
+    # the inner gradient at the grl nodes: bitwise the step a sweep of the
+    # raw domain loss gives, at any reversal weight (lambda 0 included)
+    rng = np.random.default_rng(31)
+    params = init_params(TINY, 31)
+    bs, bt = tiny_batch(rng), tiny_batch(rng)
+    raw = domain_loss_graph(params, bs, bt)
+    g = backward(raw.tape, raw.loss_d)
+    pair = strategy_forward(params, bs, bt, "adv+lo", lam=lam, gamma=0.3).latents
+    assert np.array_equal(pair.z_s_prime, pair.z_s + 0.3 * g[raw.z_s])
+    assert np.array_equal(pair.z_t_prime, pair.z_t + 0.3 * g[raw.z_t])
+
+
 def test_latent_step_rejects_negative_gamma():
     rng = np.random.default_rng(2)
     params = init_params(TINY, 2)
@@ -490,7 +505,7 @@ def test_nodes_per_training_step_at_default_config(monkeypatch):
         params = init_params(config, 20)
         training_step(strategy, params, AdamState(), bs, bt, 1e-3, 0.5, TrainingConfig().gamma)
         counts[strategy] = sum(len(t) for t in tapes)
-    assert counts == {"mtl": 44, "mtl+lo": 63, "adv": 58, "adv+lo": 71, "adv+maml": 98}
+    assert counts == {"mtl": 44, "mtl+lo": 63, "adv": 58, "adv+lo": 62, "adv+maml": 98}
 
 
 def test_training_config_validation():
