@@ -252,11 +252,11 @@ def dedup_pair(source: DomainDataset, target: DomainDataset, max_len: int = 100)
     return source, target
 
 
-def split_dev(dataset: DomainDataset, frac: float = 0.1, seed: int = 0) -> DomainDataset:
-    """Carve a seeded dev split out of the train split."""
+def split_dev(dataset: DomainDataset, seed: int = 0) -> DomainDataset:
+    """Carve a seeded dev split of a tenth of the train split out of it."""
     rng = np.random.default_rng(seed)
     train_idx = [i for i, e in enumerate(dataset.examples) if e.split == "train"]
-    n_dev = int(len(train_idx) * frac)
+    n_dev = int(len(train_idx) * 0.1)
     dev_idx = set(rng.permutation(train_idx)[:n_dev].tolist())
     examples = [
         Example(e.tokens, e.label, "dev") if i in dev_idx else e

@@ -58,29 +58,3 @@ def t_interval_95(values) -> tuple[float | None, list[float] | None]:
     mean = float(np.mean(d))
     return sd, [mean - half, mean + half]
 
-
-def spearman_rank_correlation(x, y) -> float:
-    """Spearman rho via Pearson correlation of ranks (average ranks on ties)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.size < 2:
-        raise ValueError("spearman_rank_correlation: need two equal-length samples")
-
-    def ranks(v):
-        order = np.argsort(v, kind="stable")
-        r = np.empty(v.size)
-        r[order] = np.arange(1, v.size + 1, dtype=float)
-        # average ranks across ties
-        for val in np.unique(v):
-            mask = v == val
-            if mask.sum() > 1:
-                r[mask] = r[mask].mean()
-        return r
-
-    rx, ry = ranks(x), ranks(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float((rx * rx).sum() * (ry * ry).sum()))
-    if denom == 0.0:
-        return 0.0
-    return float((rx * ry).sum() / denom)

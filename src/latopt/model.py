@@ -59,9 +59,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
-    def size_of(self, group: str) -> int:
-        return sum(self.tensors[k].size for k in self.GROUPS[group])
-
 
 def _glorot(rng, fan_in, fan_out):
     a = math.sqrt(6.0 / (fan_in + fan_out))
@@ -123,9 +120,9 @@ def grl_weight(progress: float) -> float:
     return 2.0 / (1.0 + math.exp(-GRL_K * progress)) - 1.0
 
 
-def onehot(labels, n_classes: int = 2) -> np.ndarray:
+def onehot(labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=int)
-    out = np.zeros((labels.size, n_classes))
+    out = np.zeros((labels.size, 2))
     out[np.arange(labels.size), labels] = 1.0
     return out
 
@@ -150,9 +147,6 @@ class GraphRefs:
     loss_d: NodeId = -1
     objective: NodeId = -1
 
-    def value(self, nid: NodeId) -> np.ndarray:
-        return self.tape.value(nid)
-
     def param_grads(self, grads) -> dict[str, np.ndarray]:
         return {name: grads[nid] for name, nid in self.param_nodes.items()}
 
@@ -166,13 +160,6 @@ def encode_on_tape(tape: Tape, p: dict[str, NodeId], sequences) -> NodeId:
     pooled = tape.embedding_mean(p["embedding"], sequences)
     h = tape.dense(pooled, p["enc1_W"], p["enc1_b"], "tanh")
     return tape.dense(h, p["enc2_W"], p["enc2_b"], "tanh")
-
-
-def encode(params: ModelParams, sequences) -> np.ndarray:
-    """Latent features [B, D] for a batch of token-id sequences."""
-    tape = Tape()
-    p = put_params(tape, params)
-    return tape.value(encode_on_tape(tape, p, sequences))
 
 
 DOMAINS = ("source", "target")
@@ -213,23 +200,14 @@ def task_loss_on_tape(tape: Tape, logits: NodeId, y: np.ndarray) -> NodeId:
     return tape.softmax_cross_entropy(logits, tape.leaf(y))
 
 
-def task_loss(logits: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy of softmaxed logits against one-hot labels."""
-    tape = Tape()
-    return float(tape.value(task_loss_on_tape(tape, tape.leaf(logits), y)))
-
-
-def domain_loss_on_tape(tape, p, u_s: NodeId, u_t: NodeId, lam: float | None = None) -> NodeId:
+def domain_loss_on_tape(tape, p, u_s: NodeId, u_t: NodeId) -> NodeId:
     """Discriminator loss: source carries domain label 0, target label 1,
-    each term averaged over its batch. With ``lam`` set, the inputs pass
-    through the gradient reversal layer first (forward unchanged)."""
+    each term averaged over its batch. A caller that wants the reversal
+    records ``tape.grl`` on ``u_s`` and ``u_t`` first."""
     bs = tape.value(u_s).shape[0]
     bt = tape.value(u_t).shape[0]
     if bs != bt:
         raise ValueError(f"domain_loss: batch sizes {bs} and {bt} differ")
-    if lam is not None:
-        u_s = tape.grl(u_s, lam)
-        u_t = tape.grl(u_t, lam)
     logit_s = discriminator_logits(tape, p, u_s)
     logit_t = discriminator_logits(tape, p, u_t)
     y_s = onehot(np.zeros(bs, dtype=int))
@@ -238,12 +216,6 @@ def domain_loss_on_tape(tape, p, u_s: NodeId, u_t: NodeId, lam: float | None = N
         tape.softmax_cross_entropy(logit_s, tape.leaf(y_s)),
         tape.softmax_cross_entropy(logit_t, tape.leaf(y_t)),
     )
-
-
-def domain_loss(params: ModelParams, u_s: np.ndarray, u_t: np.ndarray) -> float:
-    tape = Tape()
-    p = put_params(tape, params)
-    return float(tape.value(domain_loss_on_tape(tape, p, tape.leaf(u_s), tape.leaf(u_t))))
 
 
 def predict(params: ModelParams, sequences, domain: str) -> np.ndarray:

@@ -31,9 +31,6 @@ class AdamState:
     flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False, repr=False)
     flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False, repr=False)
 
-    def state_scalars(self) -> int:
-        return sum(a.size for a in self.m.values()) + sum(a.size for a in self.v.values())
-
     def fuse(self, names) -> None:
         """Move the moments of ``names`` into the flat buffers, after the
         tensors already there, and point every fused name's views at them."""

@@ -97,10 +97,10 @@ class Trajectory:
     def __len__(self):
         return len(self.points)
 
-    def steps_to(self, tol: float = CONVERGENCE_TOL):
-        """First step index with gradient norm below tol, or None."""
+    def steps_to(self):
+        """First step index with gradient norm below ``CONVERGENCE_TOL``, or None."""
         for i, g in enumerate(self.grad_norms):
-            if g < tol:
+            if g < CONVERGENCE_TOL:
                 return i
         return None
 

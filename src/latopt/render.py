@@ -137,4 +137,3 @@ def write_outputs(trajectories, q, svg_path=None, csv_path=None):
     if csv_path:
         with open(csv_path, "w") as fh:
             fh.write(csv)
-    return svg, csv

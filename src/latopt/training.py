@@ -237,7 +237,7 @@ def domain_loss_graph(params: ModelParams, batch_s, batch_t) -> GraphRefs:
     refs.z_t = encode_on_tape(tape, p, batch_t[0])
     u_s = tape.dense(refs.z_s, p["sh_W"], p["sh_b"], "tanh")
     u_t = tape.dense(refs.z_t, p["sh_W"], p["sh_b"], "tanh")
-    refs.loss_d = refs.objective = domain_loss_on_tape(tape, p, u_s, u_t, lam=None)
+    refs.loss_d = refs.objective = domain_loss_on_tape(tape, p, u_s, u_t)
     return refs
 
 
@@ -264,7 +264,6 @@ class TrainingConfig:
     gamma: float = 0.01  # lookahead step size (never reported upstream; a config choice)
     batch_size: int = 128
     epochs: int = 5
-    grl_lambda: float | None = None  # fixed reversal weight; None uses the schedule
 
     def __post_init__(self):
         # a NaN compares False with everything, so it would slip past the bounds
@@ -276,8 +275,6 @@ class TrainingConfig:
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.grl_lambda is not None and not (math.isfinite(self.grl_lambda) and self.grl_lambda >= 0):
-            raise ValueError(f"grl_lambda must be None or a finite number >= 0, got {self.grl_lambda}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -385,7 +382,7 @@ def batch_schedule(source, target, batch_size: int, epochs: int, seed: int) -> l
 
 def training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, gamma):
     """One gradient step; returns (loss record, aux state scalars)."""
-    from .optim import adam_step
+    from .optim import adam_step  # imported per call: bench/ patches optim.adam_step to time every step
 
     forward_params, shift = params, {}
     if strategy == "adv+maml" and gamma != 0.0:
@@ -409,18 +406,15 @@ def train_epoch(
     non-finite loss."""
     from .optim import cosine_lr
 
-    def lam_at(step):
-        return config.grl_lambda if config.grl_lambda is not None else grl_weight(step / total_steps)
-
     batch_losses = []
     peak_aux = 0
     lr_start = cosine_lr(step_offset, total_steps, config.lr)
-    lam_start = lam_at(step_offset) if strategy in _WITH_DISC else None
+    lam_start = grl_weight(step_offset / total_steps) if strategy in _WITH_DISC else None
     t0 = time.perf_counter()
     for i, (batch_s, batch_t) in enumerate(pairs):
         step = step_offset + i
         lr_t = cosine_lr(step, total_steps, config.lr)
-        lam = lam_at(step)
+        lam = grl_weight(step / total_steps)
         try:
             record, aux = training_step(
                 strategy, params, opt_state, batch_s, batch_t, lr_t, lam, config.gamma
@@ -462,18 +456,19 @@ def train_run(
     """Multi-epoch training of ``params`` in place, with dev selection.
 
     ``schedule`` holds the (batch_s, batch_t) pairs of each epoch to train,
-    one entry per epoch (see ``batch_schedule``); a schedule with no batch
-    raises ``ValueError``. After each epoch the parameters are scored by the
-    positive-class F of the ``eval_domain`` head on the ``dev`` split, and
-    copied only when that F beats every earlier epoch's: the result holds
-    that copy as ``selected`` and its index as ``epoch``. An unknown
-    ``eval_domain`` raises ``ValueError`` before training. ``run_log`` is an
+    one entry per epoch (see ``batch_schedule``); a schedule with no batch,
+    or with epochs of unequal length, raises ``ValueError`` before any step.
+    After each epoch the parameters are scored by the positive-class F of
+    the ``eval_domain`` head on the ``dev`` split, and copied only when that
+    F beats every earlier epoch's: the result holds that copy as
+    ``selected`` and its index as ``epoch``. An unknown ``eval_domain``
+    raises ``ValueError`` before training. ``run_log`` is an
     optional file handle receiving one JSON line per epoch, written before
     the epoch is scored.
     """
     import json
 
-    from .metrics import f_score
+    from .metrics import f_score  # imported per call, as predict is: bench/ patches both to count every call
     from .model import check_domain, predict
     from .optim import AdamState
 
@@ -481,6 +476,9 @@ def train_run(
     steps_per_epoch = len(schedule[0]) if schedule else 0
     if steps_per_epoch == 0:
         raise ValueError("train_run: the schedule holds no batch")
+    for epoch, pairs in enumerate(schedule):
+        if len(pairs) != steps_per_epoch:
+            raise ValueError(f"train_run: epoch {epoch} holds {len(pairs)} batches, epoch 0 holds {steps_per_epoch}")
     total_steps = steps_per_epoch * len(schedule)
     opt_state = AdamState()
     reports, dev_f, best = [], [], 0

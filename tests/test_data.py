@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import spearman_rank_correlation
 
 from latopt.data import (
     DatasetError,
@@ -27,7 +28,7 @@ from latopt.data import (
     unigram_kl,
     upsample,
 )
-from latopt.metrics import f_score, spearman_rank_correlation
+from latopt.metrics import f_score
 
 FAST = dict(source_train_size=256, target_train_size=128, test_size=64)
 
@@ -268,7 +269,7 @@ def test_upsample_empty_class_rejected():
 def test_split_dev_fraction():
     examples = [Example((i,), 0, "train") for i in range(100)]
     ds = DomainDataset("d", 200, 0, examples)
-    out = split_dev(ds, 0.1, seed=4)
+    out = split_dev(ds, seed=4)
     assert len(out.split("dev")) == 10
     assert len(out.split("train")) == 90
 

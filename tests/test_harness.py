@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import spearman_rank_correlation
 
 from latopt.data import DomainDataset, Example, GeneratorConfig, prepare_transfer_pair
 from latopt.harness import (
@@ -23,8 +24,8 @@ from latopt.harness import (
     summary_rows,
     SUMMARY_COLUMNS,
 )
-from latopt.metrics import f_score, paired_sign_test, spearman_rank_correlation
-from latopt.model import ModelConfig, init_params
+from latopt.metrics import f_score, paired_sign_test
+from latopt.model import ModelConfig, ModelParams, init_params
 from latopt.training import TrainingConfig
 
 FAST_GEN = GeneratorConfig(source_train_size=320, target_train_size=160, test_size=96, seed=21)
@@ -636,7 +637,7 @@ def test_summary_relative_columns(fast_pair):
         batch_size=32,
         model=FAST_MODEL,
     )
-    wb = init_params(FAST_MODEL, 0).size_of("w_b")
+    wb = sum(init_params(FAST_MODEL, 0).tensors[k].size for k in ModelParams.GROUPS["w_b"])
     quantum = 2 * spec.batch_size * FAST_MODEL.latent_dim
     reports = [
         MetricsReport("adv", 0, 1e-3, 0.5, 0.5, 0.5, 0.5, 1, 100.0, 0),

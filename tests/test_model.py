@@ -9,20 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import domain_loss, encode, task_loss
 
 from latopt.autodiff import backward
-from latopt.model import (
-    ModelConfig,
-    ModelParams,
-    domain_loss,
-    encode,
-    grl_weight,
-    init_params,
-    load_checkpoint,
-    onehot,
-    save_checkpoint,
-    task_loss,
-)
+from latopt.model import ModelConfig, ModelParams, grl_weight, init_params, load_checkpoint, onehot, save_checkpoint
 from latopt.training import strategy_forward
 
 GOLDEN = Path(__file__).parent / "goldens" / "encode_seed7.json"
@@ -246,8 +236,8 @@ def test_batch_permutation_invariance():
     fwd_p = strategy_forward(params, (seqs_p, labels_p), (seqs_p, labels_p), "adv")
 
     np.testing.assert_allclose(
-        fwd_p.refs.value(fwd_p.refs.logits_s),
-        fwd.refs.value(fwd.refs.logits_s)[perm],
+        fwd_p.refs.tape.value(fwd_p.refs.logits_s),
+        fwd.refs.tape.value(fwd.refs.logits_s)[perm],
         atol=1e-12,
     )
     for a, b in (

@@ -55,7 +55,7 @@ def test_adam_state_scalars_mirror_params():
     params = {"a": np.zeros((2, 3)), "b": np.zeros(4)}
     grads = {k: np.ones_like(v) for k, v in params.items()}
     adam_step(state, params, grads, lr=0.1)
-    assert state.state_scalars() == 2 * (6 + 4)
+    assert sum(a.size for a in (*state.m.values(), *state.v.values())) == 2 * (6 + 4)
     assert state.step == 1
 
 

@@ -22,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from latopt import autodiff  # noqa: E402
+from latopt import autodiff, training  # noqa: E402
 from latopt.autodiff import (  # noqa: E402
     NonFiniteError,
     Packed,
@@ -643,8 +643,8 @@ def test_adv_at_lambda_zero_trains_mtl_tensors_bitwise_as_mtl(split_seed, init_s
     mtl, adv = init_params(TINY, init_seed), init_params(TINY, init_seed)  # train_run trains them in place
     config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
     train_run("mtl", mtl, schedule, ts["dev"], config)
-    config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1, grl_lambda=0.0)
-    train_run("adv", adv, schedule, ts["dev"], config)
+    with mock.patch.object(training, "grl_weight", lambda progress: 0.0):
+        train_run("adv", adv, schedule, ts["dev"], config)
     for name in trainable_tensors("mtl"):
         assert _same(mtl.tensors[name], adv.tensors[name])
 
@@ -730,7 +730,7 @@ def test_touched_row_adam_matches_dense_adam(run):
             dense_adam(ref_p[name], ref_m[name], ref_v[name], g[name], lr, t)
             assert _same(params[name], ref_p[name])
             assert _same(state.m[name], ref_m[name]) and _same(state.v[name], ref_v[name])
-    assert state.state_scalars() == 2 * sum(p.size for p in params.values())
+    assert sum(a.size for a in (*state.m.values(), *state.v.values())) == 2 * sum(p.size for p in params.values())
 
 
 @st.composite
@@ -799,7 +799,7 @@ def test_fused_adam_matches_dense_adam(run):
                 assert _same(state.m[name], ref_m[name]) and _same(state.v[name], ref_v[name])
     seen = {name for g in grads for name in g}
     assert {"b1", "b2"} & seen <= set(state.fused)  # 1-D tensors always take the fused update
-    assert state.state_scalars() == 2 * sum(params[name].size for name in set(state.m))
+    assert sum(a.size for a in (*state.m.values(), *state.v.values())) == 2 * sum(params[name].size for name in set(state.m))
 
 
 def _adam_snapshot(state, params):

@@ -5,10 +5,10 @@ and descent properties, and the epoch machinery."""
 import io
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import domain_loss
 
 from latopt.autodiff import backward
 from latopt.model import ModelConfig, ModelParams, grl_weight, init_params, onehot
@@ -129,12 +129,6 @@ def test_latent_step_rejects_negative_gamma():
         latent_step(refs.tape, refs.z_s, refs.z_t, refs.loss_d, gamma=-0.1)
 
 
-def _domain_loss_at(params, u_s, u_t):
-    from latopt.model import domain_loss
-
-    return domain_loss(params, u_s, u_t)
-
-
 def _shared(params, z):
     return np.tanh(z @ params.tensors["sh_W"] + params.tensors["sh_b"])
 
@@ -149,7 +143,7 @@ def test_latent_ascent_property():
         before = float(refs.tape.value(refs.loss_d))
         for gamma in (1e-4, 1e-3, 1e-2):
             pair = latent_step(refs.tape, refs.z_s, refs.z_t, refs.loss_d, gamma)
-            after = _domain_loss_at(params, _shared(params, pair.z_s_prime), _shared(params, pair.z_t_prime))
+            after = domain_loss(params, _shared(params, pair.z_s_prime), _shared(params, pair.z_t_prime))
             trials += 1
             wins += after >= before
     assert wins / trials >= 0.95
@@ -178,8 +172,8 @@ def test_mtl_lo_descent_property():
             t = Tape()
             p = put_params(t, params)
             for z_prime, batch, domain, base in (
-                (pair.z_s_prime, bs, "source", float(fwd.refs.value(fwd.refs.loss_s))),
-                (pair.z_t_prime, bt, "target", float(fwd.refs.value(fwd.refs.loss_t))),
+                (pair.z_s_prime, bs, "source", float(fwd.refs.tape.value(fwd.refs.loss_s))),
+                (pair.z_t_prime, bt, "target", float(fwd.refs.tape.value(fwd.refs.loss_t))),
             ):
                 logits = classifier_logits(t, p, t.leaf(z_prime), domain)
                 loss = float(t.value(task_loss_on_tape(t, logits, batch[1])))
@@ -232,7 +226,7 @@ def test_lookahead_joint_loss_compositional_oracle():
     logits_t = classifier_logits(t, p, t.leaf(fwd.latents.z_t_prime), "target")
     l_s = float(t.value(task_loss_on_tape(t, logits_s, bs[1])))
     l_t = float(t.value(task_loss_on_tape(t, logits_t, bt[1])))
-    l_d = _domain_loss_at(params, _shared(params, fwd.latents.z_s), _shared(params, fwd.latents.z_t))
+    l_d = domain_loss(params, _shared(params, fwd.latents.z_s), _shared(params, fwd.latents.z_t))
     assert abs(fwd.joint - (l_s + l_t - l_d)) < 1e-12
 
 
@@ -339,7 +333,7 @@ def test_detached_gradient_factor_is_inert():
     logit_t = classifier_logits(t, p, zt_p, "target")
     loss_s = task_loss_on_tape(t, logit_s, bs[1])
     loss_t = task_loss_on_tape(t, logit_t, bt[1])
-    loss_d = domain_loss_on_tape(t, p, u_s, u_t, lam=1.0)
+    loss_d = domain_loss_on_tape(t, p, t.grl(u_s, 1.0), t.grl(u_t, 1.0))
     obj = t.add(t.add(loss_s, loss_t), loss_d)
     g2 = backward(t, obj)
     leaf_grads = {name: g2[nid] for name, nid in p.items()}
@@ -387,7 +381,7 @@ def test_maml_lookahead_state_size_is_encoder_size():
     rng = np.random.default_rng(12)
     refs = domain_loss_graph(params, tiny_batch(rng), tiny_batch(rng))
     wb = maml_lookahead_step(params, refs, gamma=1e-3)
-    assert sum(v.size for v in wb.values()) == params.size_of("w_b")
+    assert sum(v.size for v in wb.values()) == sum(params.tensors[k].size for k in ModelParams.GROUPS["w_b"])
     # versus B*D scalars for one latent lookahead buffer
     pair = latent_step(refs.tape, refs.z_s, refs.z_t, refs.loss_d, 1e-3)
     assert pair.aux_scalars == 2 * 2 * TINY.latent_dim
@@ -432,12 +426,10 @@ def test_train_epoch_report_and_runlog_schema():
     assert entry["aux_state_scalars"] == 2 * 4 * TINY.latent_dim
     assert entry["lam"] == grl_weight(0.0)  # the first step's reversal weight
     json.dumps(entry)  # serializable
-    # a later epoch starts further up the ramp; a fixed weight is reported as
-    # is, and a strategy without a discriminator has none
+    # a later epoch starts further up the ramp, and a strategy without a
+    # discriminator has no weight
     later = train_epoch("adv", params, state, paired_batches(train, train, 4, rng), config, 1, 6, 3)
     assert later.runlog_entry()["lam"] == grl_weight(0.5)
-    fixed = replace(config, grl_lambda=0.3)
-    assert train_epoch("adv+maml", params, state, paired_batches(train, train, 4, rng), fixed, 0, 3, 0).lam == 0.3
     entry = train_epoch("mtl+lo", params, state, paired_batches(train, train, 4, rng), config, 0, 3, 0).runlog_entry()
     assert entry["lam"] is None
     json.dumps(entry)
@@ -483,6 +475,40 @@ def test_train_run_refuses_a_schedule_with_no_batch(schedule):
         train_run("mtl", init_params(TINY, 22), schedule, dev, TrainingConfig(batch_size=4, epochs=1))
 
 
+@pytest.mark.parametrize("epoch, keep", [(0, 2), (1, 1)], ids=["longer", "shorter"])
+def test_train_run_refuses_epochs_of_unequal_length(epoch, keep):
+    # the cosine schedule spans epochs x the first epoch's length: a longer
+    # later epoch would step past its end, a shorter one stop short of 0
+    splits = tiny_splits(np.random.default_rng(23))
+    schedule = batch_schedule(splits["train"], splits["train"], 4, 2, 23)  # 3 batches an epoch
+    schedule[epoch] = schedule[epoch][:keep]
+    n0, n1 = map(len, schedule)
+    params = init_params(TINY, 23)
+    before = params.copy()
+    with pytest.raises(ValueError, match=f"^train_run: epoch 1 holds {n1} batches, epoch 0 holds {n0}$"):
+        train_run("mtl", params, schedule, splits["dev"], TrainingConfig(batch_size=4, epochs=2))
+    assert all(params.tensors[k].tobytes() == before.tensors[k].tobytes() for k in params.tensors)
+
+
+def test_train_run_looks_up_adam_step_predict_and_f_score_per_call(monkeypatch):
+    # the benchmark times and counts these by patching the module attributes;
+    # an import hoisted to module level would keep the originals and zero them
+    from latopt import metrics, model, optim
+
+    calls = []
+    for module, name in ((optim, "adam_step"), (model, "predict"), (metrics, "f_score")):
+
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    splits = tiny_splits(np.random.default_rng(24))
+    schedule = batch_schedule(splits["train"], splits["train"], 4, 2, 24)
+    train_run("adv", init_params(TINY, 24), schedule, splits["dev"], TrainingConfig(batch_size=4, epochs=2))
+    assert [calls.count(name) for name in ("adam_step", "predict", "f_score")] == [6, 2, 2]
+
+
 def test_nodes_per_training_step_at_default_config(monkeypatch):
     # every node a step records, on every tape it builds; a write-only node
     # (one no backward sweep reads) would raise a count
@@ -525,9 +551,6 @@ def test_training_config_validation():
         ("lr", float("-inf"), "lr must be finite, got -inf"),
         ("gamma", float("nan"), "gamma must be finite, got nan"),
         ("gamma", float("inf"), "gamma must be finite, got inf"),
-        ("grl_lambda", float("nan"), "grl_lambda must be None or a finite number >= 0, got nan"),
-        ("grl_lambda", float("inf"), "grl_lambda must be None or a finite number >= 0, got inf"),
-        ("grl_lambda", -0.5, "grl_lambda must be None or a finite number >= 0, got -0.5"),
     ],
 )
 def test_training_config_rejects_nonfinite_or_negative_values(field, value, reason):
@@ -540,19 +563,21 @@ def test_trainable_tensors_exclude_discriminator_for_mtl():
     assert any(n.startswith("disc") for n in trainable_tensors("adv"))
 
 
-def test_mtl_equals_adv_with_zero_reversal_weight():
+def test_mtl_equals_adv_with_zero_reversal_weight(monkeypatch):
     # identical non-discriminator trajectories within 1e-12 over an epoch
+    from latopt import training
+
     rng = np.random.default_rng(15)
     splits_s = tiny_splits(rng, n=16)
     splits_t = tiny_splits(rng, n=16)
-    config_mtl = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
-    config_adv = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1, grl_lambda=0.0)
+    config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
 
     schedule = batch_schedule(splits_s["train"], splits_t["train"], 4, 1, 99)
     p_mtl = init_params(TINY, 15)
-    run_mtl = train_run("mtl", p_mtl, schedule, splits_t["dev"], config_mtl)
+    run_mtl = train_run("mtl", p_mtl, schedule, splits_t["dev"], config)
+    monkeypatch.setattr(training, "grl_weight", lambda progress: 0.0)
     p_adv = init_params(TINY, 15)
-    run_adv = train_run("adv", p_adv, schedule, splits_t["dev"], config_adv)
+    run_adv = train_run("adv", p_adv, schedule, splits_t["dev"], config)
 
     for name in trainable_tensors("mtl"):  # train_run leaves the final parameters in its params
         np.testing.assert_allclose(p_mtl.tensors[name], p_adv.tensors[name], atol=1e-12)
@@ -622,7 +647,8 @@ def test_run_log_written(tmp_path):
     assert [l["epoch"] for l in lines] == [0, 1]
 
 
-def test_nonfinite_loss_aborts_with_diagnostics():
+def test_nonfinite_loss_aborts_with_diagnostics(monkeypatch):
+    from latopt import training
     from latopt.training import TrainingAborted
 
     rng = np.random.default_rng(18)
@@ -631,7 +657,8 @@ def test_nonfinite_loss_aborts_with_diagnostics():
     # values whose product overflows float64 inside the first dense layer
     params.tensors["embedding"][:] = 1e200
     params.tensors["enc1_W"][:] = 1e200
-    config = TrainingConfig(lr=1e-3, batch_size=4, epochs=1, grl_lambda=0.5)
+    config = TrainingConfig(lr=1e-3, batch_size=4, epochs=1)
+    monkeypatch.setattr(training, "grl_weight", lambda progress: 0.5)
     with pytest.raises(TrainingAborted) as info:
         train_run("mtl", params, batch_schedule(splits["train"], splits["train"], 4, 1, 18), splits["dev"], config)
     aborted = info.value
