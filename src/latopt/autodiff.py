@@ -43,7 +43,7 @@ class NonFiniteError(FloatingPointError):
     """An operation produced NaN or Inf."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     op: str
     inputs: tuple[NodeId, ...]
@@ -131,7 +131,8 @@ def _accumulate(prev, g, like: np.ndarray):
             return _RowGrad(g.rows, g.vals + 0.0)
         return np.asarray(g + 0.0)  # a fresh buffer; asarray keeps a 0-d sum an array
     if not isinstance(g, _RowGrad):
-        prev = _densify(prev, like)
+        if isinstance(prev, _RowGrad):
+            prev = _densify(prev, like)
         prev += g
         return prev
     if not isinstance(prev, _RowGrad):
@@ -147,9 +148,11 @@ def _accumulate(prev, g, like: np.ndarray):
     return _RowGrad(rows, vals)
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _as_f64(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
+    return np.asarray(x, dtype=np.float64)
 
 
 _DOT_CHECK_MAX = 10_000  # entries; from here on a BLAS may run the dot threaded
@@ -168,11 +171,6 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a).all())
 
 
-def _check_finite(value: np.ndarray, op: str, node: NodeId, what: str = "value") -> None:
-    if not _all_finite(value):
-        raise NonFiniteError(f"op '{op}' (node {node}) produced a non-finite {what}")
-
-
 # --- op registry ------------------------------------------------------------
 #
 # forward(input_values, meta) -> output ndarray
@@ -184,21 +182,17 @@ def _check_finite(value: np.ndarray, op: str, node: NodeId, what: str = "value")
 #   embedding_mean gets a _RowGrad. grad_out is always dense.
 
 
-def _check_add_shapes(a, b) -> None:
+def _fw_add(vals, meta):
+    a, b = vals
     # equal shapes, or a row-vector bias broadcast over the batch
     if a.shape != b.shape and not (a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
-
-
-def _fw_add(vals, meta):
-    a, b = vals
-    _check_add_shapes(a, b)
     return a + b
 
 
 def _bw_add(g, vals, out, meta, need):
     a, b = vals
-    gb = (g if a.shape == b.shape else g.sum(axis=0)) if need[1] else None
+    gb = (g if a.shape == b.shape else np.add.reduce(g, axis=0)) if need[1] else None
     return g if need[0] else None, gb
 
 
@@ -215,12 +209,16 @@ def _bw_matmul(g, vals, out, meta, need):
 
 
 def _fw_dense(vals, meta):
-    """act(x @ W + b) in one node, in the matmul's buffer. The pre-activation
-    is checked here: tanh would turn an overflowing matmul into a finite 1.0.
-    Past this check the output is finite, so ``record`` does not test it."""
+    """act(x @ W + b) in one node, in the matmul's buffer, with the shape
+    errors of the unfused matmul and add. The pre-activation is checked
+    here: tanh would turn an overflowing matmul into a finite 1.0. Past this
+    check the output is finite, so ``record`` does not test it."""
     x, w, b = vals
-    h = _fw_matmul((x, w), meta)
-    _check_add_shapes(h, b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"matmul: shapes {x.shape} and {w.shape} do not conform")
+    h = x @ w
+    if h.shape != b.shape and not (b.ndim == 1 and h.shape[1] == b.shape[0]):
+        raise ShapeError(f"add: shapes {h.shape} and {b.shape} do not conform")
     h += b
     if not _all_finite(h):
         raise NonFiniteError("pre-activation (matmul + bias)")
@@ -249,7 +247,7 @@ def _bw_dense(g, vals, out, meta, need):
         gh = g
     gx = gh @ w.T if need[0] else None
     gw = x.T @ gh if need[1] else None
-    gb = (gh if b.shape == gh.shape else gh.sum(axis=0)) if need[2] else None
+    gb = (gh if b.shape == gh.shape else np.add.reduce(gh, axis=0)) if need[2] else None
     return gx, gw, gb
 
 
@@ -361,7 +359,7 @@ def _fw_embedding_mean(vals, meta):
     pos = np.arange(sorted_len[0])[:, None]
     active = pos < sorted_len
     rows = table.take(ids[(starts + pos)[active]], axis=0)  # position-major, active rows only; take beats [] here
-    n_active = active.sum(axis=1).tolist()
+    n_active = np.add.reduce(active, axis=1).tolist()
     batch, dim = len(lengths), table.shape[1]
     full = int(sorted_len[-1]) if batch * dim > 1 else 1
     acc = np.add.reduce(rows[: full * batch].reshape(full, batch, dim), axis=0, initial=-0.0)
@@ -393,20 +391,26 @@ def _bw_embedding_mean(g, vals, out, meta, need):
 
 
 def _fw_softmax_xent(vals, meta):
-    """Fused softmax + cross-entropy, mean over the batch (log-sum-exp form)."""
+    """Fused softmax + cross-entropy, mean over the batch (log-sum-exp form).
+    The softmax the backward reads is kept in ``meta["softmax"]``: the exp
+    and row sum computed here, divided as ``_softmax`` divides them, so it
+    is bitwise what ``_softmax(logits)`` gives."""
     logits, onehot = vals
     if logits.shape != onehot.shape or logits.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy: shapes {logits.shape} vs {onehot.shape}")
-    m = logits.max(axis=-1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=-1))
-    per_sample = lse - (logits * onehot).sum(axis=-1)
-    return np.asarray(per_sample.mean())
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    meta["softmax"] = e / total
+    lse = m[:, 0] + np.log(total[:, 0])
+    per_sample = lse - np.add.reduce(logits * onehot, axis=-1)
+    return np.asarray(np.add.reduce(per_sample) / per_sample.size)  # per_sample.mean(), without its wrapper
 
 
 def _bw_softmax_xent(g, vals, out, meta, need):
     logits, onehot = vals
     n = logits.shape[0]
-    g_logits = g * (_softmax(logits) - onehot) / n if need[0] else None
+    g_logits = g * (meta["softmax"] - onehot) / n if need[0] else None
     return g_logits, -g * logits / n if need[1] else None
 
 
@@ -477,27 +481,34 @@ class Tape:
         it is a float64 array, so it must not be written while the tape is in
         use. Its entries are tested one by one. Counting the finite entries
         costs about half of ``.all()`` on small arrays."""
-        v = _as_f64(value)
+        v = value if type(value) is np.ndarray and value.dtype is _F64 else _as_f64(value)
+        nodes = self.nodes
         if np.count_nonzero(np.isfinite(v)) != v.size:
-            raise NonFiniteError(f"op 'leaf' (node {len(self.nodes)}) produced a non-finite value")
-        self.nodes.append(Node("leaf", (), v))
-        return len(self.nodes) - 1
+            raise NonFiniteError(f"op 'leaf' (node {len(nodes)}) produced a non-finite value")
+        nodes.append(Node("leaf", (), v))
+        return len(nodes) - 1
 
     def record(self, op: str, inputs, **meta) -> NodeId:
-        if op not in _OPS:
+        fns = _OPS.get(op)
+        if fns is None:
             raise KeyError(f"unknown op kind '{op}'")
-        self._check_ids(inputs)
-        vals = [self.nodes[i].value for i in inputs]
+        nodes = self.nodes
+        nid = len(nodes)  # the id the new node gets
+        for i in inputs:
+            if not (0 <= i < nid):
+                raise IndexError(f"node id {i} not on this tape")
+        vals = [nodes[i].value for i in inputs]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                out = _OPS[op][0](vals, meta)
+                out = fns[0](vals, meta)
             except NonFiniteError as e:  # a non-finite intermediate, named by its stage
-                raise NonFiniteError(f"op '{op}' (node {len(self.nodes)}) produced a non-finite {e}") from None
-            out = _as_f64(out)
-            if op not in _FINITE_IF_INPUTS_FINITE:
-                _check_finite(out, op, len(self.nodes))
-        self.nodes.append(Node(op, tuple(inputs), out, meta))
-        return len(self.nodes) - 1
+                raise NonFiniteError(f"op '{op}' (node {nid}) produced a non-finite {e}") from None
+            if type(out) is not np.ndarray or out.dtype is not _F64:
+                out = _as_f64(out)
+            if op not in _FINITE_IF_INPUTS_FINITE and not _all_finite(out):
+                raise NonFiniteError(f"op '{op}' (node {nid}) produced a non-finite value")
+        nodes.append(Node(op, tuple(inputs), out, meta))
+        return nid
 
     # thin wrappers, in the order the graph code tends to use them
     def add(self, a, b):
@@ -548,7 +559,7 @@ class Tape:
         if len(shape) != 2:
             raise ShapeError(f"embedding_mean: table must be 2-D, got {shape}")
         batch = pack(sequences)
-        if batch.ids.min() < 0 or batch.ids.max() >= shape[0]:
+        if np.minimum.reduce(batch.ids) < 0 or np.maximum.reduce(batch.ids) >= shape[0]:
             raise IndexError(f"embedding_mean: token id out of range [0, {shape[0]})")
         return self.record("embedding_mean", (table,), ids=batch.ids, lengths=batch.lengths)
 
@@ -594,31 +605,41 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
             live[nid] = True
     for nid in range(first, loss + 1):
         if not live[nid]:
-            live[nid] = any(live[i] for i in nodes[nid].inputs)
+            for i in nodes[nid].inputs:
+                if live[i]:
+                    live[nid] = True
+                    break
     grads: dict[NodeId, np.ndarray] = {loss: np.ones_like(loss_node.value)}
     summed = set()  # nodes whose gradient adds two or more checked terms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for nid in range(loss, first - 1, -1):
-            node = nodes[nid]
             g = grads.get(nid)
             if g is None:
                 continue
-            need = [live[i] for i in node.inputs]
-            if not any(need):
+            node = nodes[nid]
+            inputs = node.inputs
+            need = [live[i] for i in inputs]
+            if True not in need:
                 continue
-            g = _densify(g, node.value)
-            vals = [nodes[i].value for i in node.inputs]
+            if isinstance(g, _RowGrad):
+                g = _densify(g, node.value)
+            vals = [nodes[i].value for i in inputs]
             in_grads = _OPS[node.op][1](g, vals, node.value, node.meta, need)
-            for inp, ig, needed in zip(node.inputs, in_grads, need):
+            for inp, ig, needed in zip(inputs, in_grads, need):
                 if ig is None:
                     continue
-                stored = ig.vals if isinstance(ig, _RowGrad) else ig
-                _check_finite(stored, node.op, nid, f"gradient for input node {inp}")
+                sparse = isinstance(ig, _RowGrad)
+                a = ig.vals if sparse else ig
+                # _all_finite(a), with its dot test inline: a call per term costs about 1% of a step
+                if not (a.size < _DOT_CHECK_MAX and math.isfinite(np.vdot(a, a))) and not _all_finite(a):
+                    raise NonFiniteError(f"op '{node.op}' (node {nid}) produced a non-finite gradient for input node {inp}")
                 if needed:
                     prev = grads.get(inp)
-                    if prev is not None:
+                    if prev is None:  # 0.0 + ig, as _accumulate gives a first term
+                        grads[inp] = _RowGrad(ig.rows, ig.vals + 0.0) if sparse else np.asarray(ig + 0.0)
+                    else:
                         summed.add(inp)
-                    grads[inp] = _accumulate(prev, ig, nodes[inp].value)
+                        grads[inp] = _accumulate(prev, ig, nodes[inp].value)
     # a sum of finite terms can overflow; one that feeds an op reaches that
     # op's checked gradients, so only the requested ones are tested here
     for nid in wrt:
@@ -626,7 +647,14 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
             g = grads[nid]
             if not _all_finite(g.vals if isinstance(g, _RowGrad) else g):
                 raise NonFiniteError(f"op '{nodes[nid].op}' (node {nid}) has a gradient that summed to a non-finite value")
-    out = [_densify(grads[nid], nodes[nid].value) if nid in grads else np.zeros_like(nodes[nid].value) for nid in wrt]
+    out = []
+    for nid in wrt:
+        g = grads.get(nid)
+        if g is None:
+            g = np.zeros_like(nodes[nid].value)
+        elif isinstance(g, _RowGrad):
+            g = _densify(g, nodes[nid].value)
+        out.append(g)
     return out if every else tuple(out)
 
 

@@ -223,7 +223,7 @@ def _cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .training import STRATEGIES
+    from .training import DEFAULT_GAMMA, STRATEGIES
 
     parser = argparse.ArgumentParser(prog="latopt")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="adv+lo", choices=STRATEGIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--out", required=True)

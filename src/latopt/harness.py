@@ -27,7 +27,16 @@ from .autodiff import ShapeError
 from .data import DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
 from .metrics import f_score, paired_sign_test, t_interval_95
 from .model import ModelConfig, ModelParams, init_params, predict
-from .training import STRATEGIES, RunResult, TrainingAborted, TrainingConfig, batch_schedule, pack_split, train_run
+from .training import (
+    DEFAULT_GAMMA,
+    STRATEGIES,
+    RunResult,
+    TrainingAborted,
+    TrainingConfig,
+    batch_schedule,
+    pack_split,
+    train_run,
+)
 
 SUMMARY_COLUMNS = (
     "strategy",
@@ -98,7 +107,7 @@ class ExperimentSpec:
     strategies: list[str] = field(default_factory=lambda: ["mtl", "mtl+lo", "adv", "adv+lo"])
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
     lr_grid: list[float] = field(default_factory=lambda: [3e-4, 1e-3, 3e-3])
-    gamma: float = 0.25  # lookahead step for the lo variants at experiment scale
+    gamma: float = DEFAULT_GAMMA
     epochs: int = 5
     batch_size: int = 128
     source_path: str | None = None

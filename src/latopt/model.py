@@ -16,6 +16,7 @@ key their update rules off this partition.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -127,8 +128,18 @@ def onehot(labels) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _domain_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-hot domain labels of a batch of ``n`` per domain, source 0 and
+    target 1: read-only, made once per batch size and shared by every tape."""
+    labels = onehot(np.zeros(n, dtype=int)), onehot(np.ones(n, dtype=int))
+    for y in labels:
+        y.flags.writeable = False
+    return labels
+
+
 def _validate_onehot(y: np.ndarray) -> None:
-    if y.ndim != 2 or not np.all((y == 0.0) | (y == 1.0)) or not np.all(y.sum(axis=1) == 1.0):
+    if y.ndim != 2 or not ((y == 0.0) | (y == 1.0)).all() or not (np.add.reduce(y, axis=1) == 1.0).all():
         raise ValueError("labels must be one-hot rows")
 
 
@@ -210,8 +221,7 @@ def domain_loss_on_tape(tape, p, u_s: NodeId, u_t: NodeId) -> NodeId:
         raise ValueError(f"domain_loss: batch sizes {bs} and {bt} differ")
     logit_s = discriminator_logits(tape, p, u_s)
     logit_t = discriminator_logits(tape, p, u_t)
-    y_s = onehot(np.zeros(bs, dtype=int))
-    y_t = onehot(np.ones(bt, dtype=int))
+    y_s, y_t = _domain_labels(bs)
     return tape.add(
         tape.softmax_cross_entropy(logit_s, tape.leaf(y_s)),
         tape.softmax_cross_entropy(logit_t, tape.leaf(y_t)),

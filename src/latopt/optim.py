@@ -47,12 +47,24 @@ class AdamState:
 
 
 def _adam_rows(m, v, g, lr, c1, c2):
-    """Update the moments in place and return the parameter decrement."""
+    """Update the moments in place and return the parameter decrement
+    lr * (m / c1) / (sqrt(v / c2) + EPS), after m = BETA1 * m + (1 - BETA1) * g
+    and v = BETA2 * v + (1 - BETA2) * g * g: those operations in that order,
+    in two buffers (a product's operands may swap, which changes no bit)."""
+    t = g * (1.0 - BETA1)
     m *= BETA1
-    m += (1.0 - BETA1) * g
+    m += t
+    np.multiply(g, 1.0 - BETA2, out=t)
+    t *= g
     v *= BETA2
-    v += (1.0 - BETA2) * g * g
-    return lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+    v += t
+    np.divide(v, c2, out=t)
+    np.sqrt(t, out=t)
+    t += EPS
+    step = m / c1
+    step *= lr
+    step /= t
+    return step
 
 
 def _nonzero_rows(a: np.ndarray) -> np.ndarray:
@@ -109,7 +121,7 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, 
             v[rows] = v_r
     if joining:
         state.fuse(joining)
-    if state.fused and all(name in grads for name in state.fused):
+    if state.fused and state.fused.keys() <= grads.keys():
         g = np.concatenate([grads[name].ravel() for name in state.fused])
         step = _adam_rows(state.flat_m, state.flat_v, g, lr, c1, c2)
         for name, at in state.fused.items():

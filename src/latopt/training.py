@@ -20,6 +20,7 @@ strategy, which makes the reduction identities bitwise.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -44,7 +45,10 @@ STRATEGIES = ("mtl", "mtl+lo", "adv", "adv+lo", "adv+maml")
 
 _WITH_DISC = ("adv", "adv+lo", "adv+maml")
 
+DEFAULT_GAMMA = 0.25  # lookahead step of the +lo variants and adv+maml when none is given
 
+
+@functools.cache
 def trainable_tensors(strategy: str) -> tuple[str, ...]:
     names = []
     for group, members in ModelParams.GROUPS.items():
@@ -261,7 +265,7 @@ def maml_lookahead_step(params: ModelParams, refs: GraphRefs, gamma: float) -> d
 @dataclass
 class TrainingConfig:
     lr: float = 1e-3
-    gamma: float = 0.01  # lookahead step size (never reported upstream; a config choice)
+    gamma: float = DEFAULT_GAMMA
     batch_size: int = 128
     epochs: int = 5
 
@@ -409,7 +413,8 @@ def train_epoch(
     batch_losses = []
     peak_aux = 0
     lr_start = cosine_lr(step_offset, total_steps, config.lr)
-    lam_start = grl_weight(step_offset / total_steps) if strategy in _WITH_DISC else None
+    with_disc = strategy in _WITH_DISC
+    lam_start = grl_weight(step_offset / total_steps) if with_disc else None
     t0 = time.perf_counter()
     for i, (batch_s, batch_t) in enumerate(pairs):
         step = step_offset + i
@@ -420,7 +425,7 @@ def train_epoch(
                 strategy, params, opt_state, batch_s, batch_t, lr_t, lam, config.gamma
             )
         except NonFiniteError as e:
-            raise TrainingAborted(strategy, epoch, i, e, lr=lr_t, lam=lam) from e
+            raise TrainingAborted(strategy, epoch, i, e, lr=lr_t, lam=lam if with_disc else None) from e
         batch_losses.append(record)
         peak_aux = max(peak_aux, aux)
     wall_ms = (time.perf_counter() - t0) * 1000.0

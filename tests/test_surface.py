@@ -71,6 +71,16 @@ def test_settable_surface_is_pinned():
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
 
 
+def test_tape_node_attributes_are_pinned():
+    # the benchmark reads ``tape.nodes[i].inputs``; slots keep a node small
+    assert [f.name for f in fields(autodiff.Node)] == ["op", "inputs", "value", "meta"]
+    tape = autodiff.Tape()
+    x = tape.leaf([1.0, 2.0])
+    node = tape.nodes[tape.scale(x, 3.0)]
+    assert (node.op, node.inputs, node.value.tolist(), node.meta) == ("scale", (x,), [3.0, 6.0], {"factor": 3.0})
+    assert not hasattr(node, "__dict__")
+
+
 def test_every_differentiable_op_stays_under_the_finite_difference_gate():
     # criterion 2 checks each op of this tuple, so a dropped op would go unchecked
     assert autodiff.DIFFERENTIABLE_OPS == (

@@ -2,18 +2,21 @@
 where promised), hand-composed gradient pathways on a tiny model, ascent
 and descent properties, and the epoch machinery."""
 
+import hashlib
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import domain_loss
 
 from latopt.autodiff import backward
-from latopt.model import ModelConfig, ModelParams, grl_weight, init_params, onehot
+from latopt.model import ModelConfig, ModelParams, grl_weight, init_params, onehot, predict
 from latopt.optim import AdamState
 from latopt.training import (
+    STRATEGIES,
     EpochReport,
     TrainingConfig,
     batch_schedule,
@@ -31,6 +34,7 @@ from latopt.training import (
 )
 
 TINY = ModelConfig(vocab_size=12, embed_dim=3, latent_dim=4)
+TRAIN_GOLDEN = Path(__file__).parent / "goldens" / "train_steps.json"
 
 
 def tiny_batch(rng, b=2, config=TINY):
@@ -55,23 +59,27 @@ def tiny_splits(rng, n=12, config=TINY):
 
 @pytest.mark.parametrize("strategy", ["adv+lo", "mtl+lo"])
 def test_inner_sweep_computes_only_frontier_gradients(strategy, monkeypatch):
-    # every computed gradient is finite-checked, so the checks count them
+    # every op backward the inner sweep runs reports which input gradients it
+    # computed; a node is told apart by its output array
     from latopt import autodiff, training
 
-    checked, sweeps = [], []
-    check = autodiff._check_finite
+    computed, sweeps = [], []
 
-    def counting_check(value, op, node, what="value"):
-        if what.startswith("gradient for input node "):
-            checked[-1].append(int(what.rsplit(" ", 1)[1]))
-        return check(value, op, node, what)
+    def spying(bw):
+        def spy(g, vals, out, meta, need):
+            in_grads = bw(g, vals, out, meta, need)
+            if sweeps:
+                computed.append((out, [ig is not None for ig in in_grads]))
+            return in_grads
+
+        return spy
 
     def inner_backward(tape, loss, wrt=None):
-        checked.append([])
         sweeps.append((tape, tuple(wrt)))
         return backward(tape, loss, wrt=wrt)
 
-    monkeypatch.setattr(autodiff, "_check_finite", counting_check)
+    for op, (fw, bw) in list(autodiff._OPS.items()):
+        monkeypatch.setitem(autodiff._OPS, op, (fw, spying(bw)))
     monkeypatch.setattr(training, "backward", inner_backward)
     rng = np.random.default_rng(4)
     strategy_forward(init_params(TINY, 4), tiny_batch(rng, b=3), tiny_batch(rng, b=3), strategy, lam=0.5, gamma=0.25)
@@ -80,9 +88,12 @@ def test_inner_sweep_computes_only_frontier_gradients(strategy, monkeypatch):
     for nid, node in enumerate(tape.nodes):
         if frontier & set(node.inputs):
             frontier.add(nid)
-    (inputs,) = checked
-    assert set(wrt) <= set(inputs)  # the latents' own gradients are computed and checked
-    assert set(inputs) <= frontier
+    inputs = set()
+    for out, got in computed:
+        (node,) = [n for n in tape.nodes if n.value is out]
+        inputs.update(i for i, g in zip(node.inputs, got) if g)
+    assert set(wrt) <= inputs  # the latents' own gradients are computed
+    assert inputs <= frontier
     assert not any(tape.nodes[i].op == "leaf" for i in inputs)  # no parameter or one-hot label
 
 
@@ -647,7 +658,9 @@ def test_run_log_written(tmp_path):
     assert [l["epoch"] for l in lines] == [0, 1]
 
 
-def test_nonfinite_loss_aborts_with_diagnostics(monkeypatch):
+@pytest.mark.parametrize("strategy, lam", [("mtl", None), ("adv", 0.5)], ids=["mtl", "adv"])
+def test_nonfinite_loss_aborts_with_diagnostics(strategy, lam, monkeypatch):
+    # a strategy without a discriminator has no reversal weight to report
     from latopt import training
     from latopt.training import TrainingAborted
 
@@ -660,11 +673,13 @@ def test_nonfinite_loss_aborts_with_diagnostics(monkeypatch):
     config = TrainingConfig(lr=1e-3, batch_size=4, epochs=1)
     monkeypatch.setattr(training, "grl_weight", lambda progress: 0.5)
     with pytest.raises(TrainingAborted) as info:
-        train_run("mtl", params, batch_schedule(splits["train"], splits["train"], 4, 1, 18), splits["dev"], config)
+        train_run(strategy, params, batch_schedule(splits["train"], splits["train"], 4, 1, 18), splits["dev"], config)
     aborted = info.value
-    assert (aborted.strategy, aborted.epoch, aborted.batch) == ("mtl", 0, 0)
-    assert (aborted.lr, aborted.lam) == (1e-3, 0.5)
-    assert "lr=0.001 lambda=0.5" in str(aborted) and "op 'dense' (node" in str(aborted)
+    assert (aborted.strategy, aborted.epoch, aborted.batch) == (strategy, 0, 0)
+    assert (aborted.lr, aborted.lam) == (1e-3, lam)
+    assert ("lr=0.001" if lam is None else "lr=0.001 lambda=0.5") in str(aborted)
+    assert ("lambda=" in str(aborted)) == (lam is not None)
+    assert "op 'dense' (node" in str(aborted)
     assert "non-finite pre-activation (matmul + bias)" in str(aborted)
 
 
@@ -684,3 +699,33 @@ def test_identical_config_and_seed_reproduce_reports():
     for ca, cb in zip(*snapshots):
         for name in ca.tensors:
             np.testing.assert_array_equal(ca.tensors[name], cb.tensors[name])
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def training_digests() -> dict:
+    """sha256 of the parameters (in ``param_shapes`` order) after 3
+    ``training_step``s of each strategy from one TINY init, and of one
+    ``predict`` of 300 sequences (two chunks) at the default config."""
+    rng = np.random.default_rng(21)
+    pairs = [(tiny_batch(rng, b=4), tiny_batch(rng, b=4)) for _ in range(3)]
+    steps = {}
+    for strategy in STRATEGIES:
+        params, state = init_params(TINY, 21), AdamState()
+        for batch_s, batch_t in pairs:
+            training_step(strategy, params, state, batch_s, batch_t, 1e-2, 0.5, 0.25)
+        steps[strategy] = _sha256(params.tensors.values())
+    config = ModelConfig()
+    seqs = [rng.integers(0, config.vocab_size, size=rng.integers(5, 30)) for _ in range(300)]
+    return {"training_step": steps, "predict": _sha256([predict(init_params(config, 21), seqs, "target")])}
+
+
+def test_training_steps_and_predict_match_the_bit_golden():
+    want = json.loads(TRAIN_GOLDEN.read_text())
+    got = training_digests()
+    assert got == {"training_step": want["training_step"], "predict": want["predict"]}
