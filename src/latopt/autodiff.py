@@ -112,9 +112,7 @@ def pack(sequences) -> Packed:
     return Packed(np.concatenate(sequences), lengths)
 
 
-def _densify(g, like: np.ndarray) -> np.ndarray:
-    if not isinstance(g, _RowGrad):
-        return g
+def _densify(g: _RowGrad, like: np.ndarray) -> np.ndarray:
     out = np.zeros_like(like)
     out[g.rows] = g.vals
     return out
@@ -122,14 +120,10 @@ def _densify(g, like: np.ndarray) -> np.ndarray:
 
 def _accumulate(prev, g, like: np.ndarray):
     """``prev + g`` as a dense sum from a +0.0 buffer would give it, in place
-    where it can be; ``prev`` None is that buffer. A row-sparse term skips
-    the rows where it is +0.0, which changes no bit: a sum that starts from
-    +0.0 is never -0.0, and 0.0 + x is x for any other x."""
-    if prev is None:
-        # 0.0 + g, as a zero buffer would give: -0.0 becomes +0.0
-        if isinstance(g, _RowGrad):
-            return _RowGrad(g.rows, g.vals + 0.0)
-        return np.asarray(g + 0.0)  # a fresh buffer; asarray keeps a 0-d sum an array
+    where it can be; ``prev`` is a first term plus 0.0 (see ``backward``) or
+    an earlier such sum. A row-sparse term skips the rows where it is +0.0,
+    which changes no bit: a sum that starts from +0.0 is never -0.0, and
+    0.0 + x is x for any other x."""
     if not isinstance(g, _RowGrad):
         if isinstance(prev, _RowGrad):
             prev = _densify(prev, like)
@@ -635,7 +629,9 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
                     raise NonFiniteError(f"op '{node.op}' (node {nid}) produced a non-finite gradient for input node {inp}")
                 if needed:
                     prev = grads.get(inp)
-                    if prev is None:  # 0.0 + ig, as _accumulate gives a first term
+                    # a first term is 0.0 + ig, as a zero buffer gives: -0.0
+                    # becomes +0.0, and asarray keeps a 0-d sum an array
+                    if prev is None:
                         grads[inp] = _RowGrad(ig.rows, ig.vals + 0.0) if sparse else np.asarray(ig + 0.0)
                     else:
                         summed.add(inp)

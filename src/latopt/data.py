@@ -368,7 +368,8 @@ def _json_object(line: str) -> dict:
 def load_dataset(path) -> DomainDataset:
     """Read a file written by ``save_dataset``. A missing or unreadable file,
     a line that is not JSON, or a header or example without its keys or
-    with a value of the wrong type, or a token outside int32, raises
+    with a value of the wrong type, a label other than 0 or 1, a split other
+    than train, dev or test, or a token outside int32, raises
     ``DatasetError``. The examples hold views into one read-only int32
     buffer of the file's tokens."""
     line_no = 1
@@ -388,6 +389,10 @@ def load_dataset(path) -> DomainDataset:
                     raise ValueError("tokens must be a list of integers")
                 if type(label) is not int or type(split) is not str:
                     raise ValueError("an example needs an integer label and a string split")
+                if label not in (0, 1):
+                    raise ValueError(f"label {label} is not 0 or 1")
+                if split not in ("train", "dev", "test"):
+                    raise ValueError(f"split {split!r} is not train, dev or test")
                 token_lists.append(tokens)
                 rows.append((line_no, label, split))
         ends = list(itertools.accumulate(map(len, token_lists)))

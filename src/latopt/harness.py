@@ -167,9 +167,6 @@ class ExperimentSpec:
                     raise SpecError(f"{key}: {e}") from None
         return cls(**obj)
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class MetricsReport:

@@ -15,35 +15,38 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates and the denominator's
 class AdamState:
     """First/second moment accumulators plus the shared step counter.
 
-    One state covers all parameter groups of a model; accumulators are
-    created lazily and mirror each parameter's shape. ``live`` holds, per
-    2-D tensor, which rows have ever had a nonzero gradient or moment
-    (None once every row has). The tensors whose rows are all live are
-    ``fused``: their moments sit in one flat buffer each (``m[name]`` and
-    ``v[name]`` are views into it, at ``fused[name]``) and take one update.
+    One state covers all parameter groups of a model. The first
+    ``adam_step`` lays it out from the tensors it is handed, and every later
+    step must hand it the same ones. Each 1-D tensor, and each 2-D tensor
+    whose first gradient has a nonzero in every row, is ``fused``: its
+    moments ``m[name]`` and ``v[name]`` are views into the flat buffers
+    ``flat_m`` and ``flat_v``, at ``fused[name]``, and all of them take one
+    update. Every other 2-D tensor keeps moments of its own, and
+    ``live[name]`` marks the rows that have ever had a nonzero gradient.
     """
 
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    live: dict[str, np.ndarray | None] = field(default_factory=dict)
+    step: int = field(default=0, init=False)
+    m: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    v: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    live: dict[str, np.ndarray] = field(default_factory=dict, init=False)
     fused: dict[str, slice] = field(default_factory=dict, init=False)
     flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False, repr=False)
     flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False, repr=False)
 
-    def fuse(self, names) -> None:
-        """Move the moments of ``names`` into the flat buffers, after the
-        tensors already there, and point every fused name's views at them."""
-        order = [*self.fused, *names]
-        self.flat_m = np.concatenate([self.m[n].ravel() for n in order])
-        self.flat_v = np.concatenate([self.v[n].ravel() for n in order])
+    def _lay_out(self, grads: dict[str, np.ndarray]) -> None:
+        rowwise = {name for name, g in grads.items() if g.ndim == 2 and not (g != 0.0).any(axis=1).all()}
+        self.flat_m = np.zeros(sum(g.size for name, g in grads.items() if name not in rowwise))
+        self.flat_v = np.zeros(self.flat_m.size)
         at = 0
-        for n in order:
-            shape, size = self.m[n].shape, self.m[n].size
-            self.fused[n] = slice(at, at + size)
-            self.m[n] = self.flat_m[at : at + size].reshape(shape)
-            self.v[n] = self.flat_v[at : at + size].reshape(shape)
-            at += size
+        for name, g in grads.items():
+            if name in rowwise:
+                self.live[name] = np.zeros(len(g), dtype=bool)
+                self.m[name], self.v[name] = np.zeros(g.shape), np.zeros(g.shape)
+                continue
+            self.fused[name] = span = slice(at, at + g.size)
+            self.m[name] = self.flat_m[span].reshape(g.shape)
+            self.v[name] = self.flat_v[span].reshape(g.shape)
+            at += g.size
 
 
 def _adam_rows(m, v, g, lr, c1, c2):
@@ -67,70 +70,48 @@ def _adam_rows(m, v, g, lr, c1, c2):
     return step
 
 
-def _nonzero_rows(a: np.ndarray) -> np.ndarray:
-    # -0.0 counts: a dense step would turn it into +0.0
-    return ((a != 0.0) | np.signbit(a)).any(axis=1)
-
-
 def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
-    """One in-place Adam update on every tensor present in ``grads``.
+    """One in-place Adam update on every tensor in ``grads``.
 
-    ``lr`` must be finite and >= +0.0, or ``ValueError`` is raised before
-    anything changes. Then a row of a 2-D tensor whose gradient and moments
-    have always been zero takes an exact identity step (+0.0), so only the
-    rows that ever had a nonzero gradient are updated. The tensors whose
-    rows are all live take one update over their concatenated gradient.
-    The result is bitwise that of dense Adam on each tensor in turn: every
-    update is elementwise, and every live row's moments decay every step
-    (unlike TF's LazyAdam).
+    ``lr`` must be finite and >= +0.0, every gradient must have its
+    parameter's shape, and after the first step ``grads`` must name the
+    tensors the first step named; otherwise ``ValueError`` is raised before
+    anything changes. A row of a 2-D tensor off the fused update whose
+    gradient has always been zero takes an exact identity step (+0.0), so
+    only the rows that ever had a nonzero gradient are updated; the fused
+    tensors take one update over their concatenated gradient. The result is
+    bitwise that of dense Adam on each tensor in turn: every update is
+    elementwise, and every live row's moments decay every step (unlike TF's
+    LazyAdam).
     """
     if not math.isfinite(lr) or math.copysign(1.0, lr) < 0:
         raise ValueError(f"adam_step: lr must be finite and >= 0, got {lr}")
     for name, g in grads.items():
         if g.shape != params[name].shape:
             raise ValueError(f"adam_step: gradient shape {g.shape} != param shape {params[name].shape} for '{name}'")
+    if state.step == 0:
+        state._lay_out(grads)
+    elif grads.keys() != state.m.keys():
+        raise ValueError(f"adam_step: gradients for {list(grads)}, but the state is laid out for {list(state.m)}")
     state.step += 1
     t = state.step
     c1 = 1.0 - BETA1**t
     c2 = 1.0 - BETA2**t
-    joining = []
-    for name, g in grads.items():
-        if name in state.fused:
-            continue
-        p = params[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        if p.ndim == 2 and name not in state.live:
-            state.live[name] = _nonzero_rows(m) | _nonzero_rows(v)
-        live = state.live.get(name)
-        if live is not None:
-            # the rows of g's nonzeros: a row test over 2-D g costs 4x as much
-            live[np.flatnonzero(g != 0.0) // g.shape[1]] = True
-            if live.all():
-                state.live[name] = live = None
-        if live is None:
-            joining.append(name)
-        else:
-            rows = np.flatnonzero(live)
-            m_r, v_r = m[rows], v[rows]
-            p[rows] -= _adam_rows(m_r, v_r, g[rows], lr, c1, c2)
-            m[rows] = m_r
-            v[rows] = v_r
-    if joining:
-        state.fuse(joining)
-    if state.fused and state.fused.keys() <= grads.keys():
+    for name, live in state.live.items():
+        g, p, m, v = grads[name], params[name], state.m[name], state.v[name]
+        # the rows of g's nonzeros: a row test over 2-D g costs 4x as much
+        live[np.flatnonzero(g != 0.0) // g.shape[1]] = True
+        rows = np.flatnonzero(live)
+        m_r, v_r = m[rows], v[rows]
+        p[rows] -= _adam_rows(m_r, v_r, g[rows], lr, c1, c2)
+        m[rows] = m_r
+        v[rows] = v_r
+    if state.fused:
         g = np.concatenate([grads[name].ravel() for name in state.fused])
         step = _adam_rows(state.flat_m, state.flat_v, g, lr, c1, c2)
         for name, at in state.fused.items():
             p = params[name]
             p -= step[at].reshape(p.shape)
-        return
-    for name in state.fused:  # some fused tensors have no gradient this step
-        if name in grads:
-            params[name] -= _adam_rows(state.m[name], state.v[name], grads[name], lr, c1, c2)
 
 
 def cosine_lr(t: int, total: int, lr0: float) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -291,20 +291,12 @@ class EpochReport:
     strategy: str
     losses: dict
     lr: float
+    lam: float | None  # reversal weight of the first step; None without a discriminator
     wall_ms: float
     aux_state_scalars: int
-    lam: float | None = None  # reversal weight of the first step; None without a discriminator
 
     def runlog_entry(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "strategy": self.strategy,
-            "losses": self.losses,
-            "lr": self.lr,
-            "lam": self.lam,
-            "wall_ms": self.wall_ms,
-            "aux_state_scalars": self.aux_state_scalars,
-        }
+        return asdict(self)
 
 
 class TrainingAborted(RuntimeError):
@@ -435,7 +427,7 @@ def train_epoch(
         return float(np.mean(vals)) if vals else None
 
     losses = {k: mean_of(k) for k in ("L_s", "L_t", "L_d", "joint")}
-    return EpochReport(epoch, strategy, losses, lr_start, wall_ms, peak_aux, lam_start)
+    return EpochReport(epoch, strategy, losses, lr_start, lam_start, wall_ms, peak_aux)
 
 
 @dataclass

@@ -426,8 +426,12 @@ def test_compare_unreadable_spec_exits_2_before_writing(tmp_path, capsys, conten
         ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1, 2.5], "label": 0, "split": "train"}\n', "line 2: tokens must be a list of integers"),
         ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1, 2], "split": "train"}\n', "line 2: missing key 'label'"),
         ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1, 2147483648], "label": 0, "split": "train"}\n', "line 2: tokens must be integers within int32"),
+        ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1], "label": 0, "split": "train"}\n{"tokens": [2], "label": 0, "split": "tset"}\n', "line 3: split 'tset' is not train, dev or test"),
+        ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1], "label": 0, "split": "val"}\n', "line 2: split 'val' is not train, dev or test"),
+        ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1], "label": 0, "split": "train"}\n{"tokens": [2], "label": 2, "split": "train"}\n', "line 3: label 2 is not 0 or 1"),
+        ('{"domain": "source", "vocab_size": 30, "seed": 0}\n{"tokens": [1], "label": -1, "split": "dev"}\n', "line 2: label -1 is not 0 or 1"),
     ],
-    ids=["missing", "not_json", "float_token", "no_label", "token_beyond_int32"],
+    ids=["missing", "not_json", "float_token", "no_label", "token_beyond_int32", "split_tset", "split_val", "label_2", "label_negative"],
 )
 def test_unreadable_dataset_exits_2_before_writing(tmp_path, data_dir, capsys, command, content, reason):
     bad = tmp_path / "bad.jsonl"

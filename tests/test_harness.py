@@ -6,7 +6,7 @@ import math
 import multiprocessing
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -321,7 +321,7 @@ def test_spec_from_json_names_an_unreadable_file(tmp_path, content):
 def test_spec_json_roundtrip(tmp_path):
     spec = ExperimentSpec(strategies=["adv"], seeds=[0], lr_grid=[1e-3], generator=FAST_GEN)
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec.to_json()))
+    path.write_text(json.dumps(asdict(spec)))
     loaded = ExperimentSpec.from_json(path)
     assert loaded.strategies == ["adv"]
     assert loaded.generator == FAST_GEN

@@ -1,5 +1,7 @@
 """Adam against scalar hand calculations and the cosine schedule."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,29 @@ def test_adam_shape_mismatch():
     assert state.step == 1
     for k, arrays in before.items():
         assert [a.tobytes() for a in arrays] == [a.tobytes() for a in (params[k], state.m[k], state.v[k])]
+
+
+def test_adam_refuses_tensors_other_than_the_first_steps():
+    # the first step lays the state out; "t" has a zero row, so it stays on the row path
+    state = AdamState()
+    params = {"a": np.ones(2), "t": np.ones((2, 2)), "b": np.ones((2, 2))}
+    grads = {"a": np.ones(2), "t": np.array([[1.0, 0.0], [0.0, 0.0]]), "b": np.ones((2, 2))}
+    adam_step(state, params, grads, lr=0.1)
+    assert list(state.fused) == ["a", "b"] and list(state.live) == ["t"]
+
+    def snapshot():
+        arrays = [*params.values(), *state.m.values(), *state.v.values(), *state.live.values(), state.flat_m, state.flat_v]
+        return state.step, [a.tobytes() for a in arrays]
+
+    before = snapshot()
+    for names in (("a", "t"), ("a", "t", "b", "c"), ("a", "t", "c")):
+        params["c"] = np.ones(3)
+        with pytest.raises(ValueError, match=re.escape(f"gradients for {list(names)}, but the state is laid out for ['a', 't', 'b']")):
+            adam_step(state, params, {k: np.ones_like(params[k]) for k in names}, lr=0.1)
+        del params["c"]
+        assert snapshot() == before
+    adam_step(state, params, {k: grads[k] for k in ("b", "t", "a")}, lr=0.1)  # the same tensors in another order
+    assert state.step == 2
 
 
 def test_adam_state_scalars_mirror_params():

@@ -498,12 +498,19 @@ def test_row_sparse_accumulation_matches_dense_sum(case):
     # the sweep's rule for any mix of terms: bitwise the dense sum from a
     # +0.0 buffer, and no term's own array is written to
     like, terms = case
+
+    def dense(g):
+        return _densify(g, like) if isinstance(g, _RowGrad) else g
+
     before = [(t.vals if isinstance(t, _RowGrad) else t).copy() for t in terms]
-    want, acc = np.zeros_like(like), None
-    for term in terms:
-        want = want + _densify(term, like)
+    first = terms[0]
+    # the accumulator starts as backward starts it: the first term plus 0.0
+    acc = _RowGrad(first.rows, first.vals + 0.0) if isinstance(first, _RowGrad) else np.asarray(first + 0.0)
+    want = np.zeros_like(like) + dense(first)
+    for term in terms[1:]:
+        want = want + dense(term)
         acc = _accumulate(acc, term, like)
-    assert _same(_densify(acc, like), want)
+    assert _same(dense(acc), want)
     for term, saved in zip(terms, before):
         assert _same(term.vals if isinstance(term, _RowGrad) else term, saved)
 
@@ -665,8 +672,8 @@ def dense_adam(p, m, v, g, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
 
 @st.composite
 def adam_runs(draw):
-    """A table and a bias over >= 20 steps. Rows enter late, go back to a
-    zero (sometimes -0.0) gradient, and the state may start pre-filled."""
+    """A table and a bias over >= 20 steps. Rows enter late and go back to
+    a zero (sometimes -0.0) gradient."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 4))
     steps = draw(st.integers(20, 30))
@@ -678,19 +685,12 @@ def adam_runs(draw):
         table = np.where(on[:, None], rng.normal(size=(rows, cols)), 0.0)
         table[rng.random((rows, cols)) < 0.2] *= -0.0
         grads.append({"table": table, "bias": rng.normal(size=cols) * (rng.random() < 0.7)})
-    prefill = None
-    if draw(st.booleans()):
-        keep = rng.random(rows) < 0.4
-        m = np.where(keep[:, None], rng.normal(size=(rows, cols)), 0.0)
-        v = np.where(keep[:, None], rng.random((rows, cols)), 0.0)
-        m[~keep & (rng.random(rows) < 0.3)] = -0.0  # a sign bit a dense step would clear
-        prefill = (int(rng.integers(1, 50)), m, v)
     params = {"table": rng.normal(size=(rows, cols)), "bias": rng.normal(size=cols)}
     params["table"][rng.random((rows, cols)) < 0.1] = -0.0
-    return params, grads, lr, prefill
+    return params, grads, lr
 
 
-def _late_rows_run(lr, prefill=False, steps=20):
+def _late_rows_run(lr, steps=20):
     """Row 0 is live from the first step. Row 1 holds -0.0 until one of its
     entries turns nonzero at the last step; row 2 holds -0.0 throughout."""
     rng = np.random.default_rng(steps)
@@ -702,29 +702,20 @@ def _late_rows_run(lr, prefill=False, steps=20):
             table[1, 1] = rng.normal()
         grads.append({"table": table, "bias": rng.normal(size=2)})
     params = {"table": rng.normal(size=(3, 2)), "bias": rng.normal(size=2)}
-    m, v = np.zeros((3, 2)), np.zeros((3, 2))
-    m[0], v[0] = (0.1, -0.2), (0.01, 0.04)  # only row 0 has moments
-    return params, grads, lr, (7, m, v) if prefill else None
+    return params, grads, lr
 
 
 @PROPERTY
 @given(adam_runs())
 @example(_late_rows_run(1e-3))
-@example(_late_rows_run(0.5, prefill=True))
+@example(_late_rows_run(0.5))
 def test_touched_row_adam_matches_dense_adam(run):
-    params, grads, lr, prefill = run
+    params, grads, lr = run
     state = AdamState()
     ref_p = {k: v.copy() for k, v in params.items()}
     ref_m = {k: np.zeros_like(v) for k, v in params.items()}
     ref_v = {k: np.zeros_like(v) for k, v in params.items()}
-    t = 0
-    if prefill is not None:
-        t, m, v = prefill
-        state.step = t
-        state.m["table"], state.v["table"] = m.copy(), v.copy()
-        ref_m["table"], ref_v["table"] = m.copy(), v.copy()
-    for g in grads:
-        t += 1
+    for t, g in enumerate(grads, start=1):
         adam_step(state, params, g, lr)
         for name in params:
             dense_adam(ref_p[name], ref_m[name], ref_v[name], g[name], lr, t)
@@ -735,10 +726,9 @@ def test_touched_row_adam_matches_dense_adam(run):
 
 @st.composite
 def fused_adam_runs(draw):
-    """Biases, a table whose rows all turn live at a drawn step, and a table
-    with a row that never does, over >= 12 steps. Each step hands Adam a
-    drawn subset of the tensors; moments may start pre-filled with -0.0
-    entries, and lr may be zero."""
+    """Biases, a table whose rows turn live at drawn steps (most often some
+    only after the first step), and a table with a row that never does,
+    over >= 12 steps; lr may be zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps = draw(st.integers(12, 20))
     lr = draw(st.sampled_from([1e-3, 0.5, 0.0]))
@@ -746,34 +736,22 @@ def fused_adam_runs(draw):
     enter = rng.integers(0, steps, size=4)  # the step each row of "full" turns live
     grads = []
     for t in range(steps):
-        g = {
+        grads.append({
             "b1": rng.normal(size=3),
             "b2": rng.normal(size=1) * (rng.random() < 0.5),
             "full": np.where((enter <= t)[:, None], rng.normal(size=(4, 2)), -0.0),
             "part": np.vstack([rng.normal(size=(2, 2)), np.full((1, 2), -0.0)]),
-        }
-        keep = [name for name in g if rng.random() < 0.75]
-        grads.append({name: g[name] for name in keep})
+        })
     params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    prefill = {}
-    if draw(st.booleans()):
-        for name, shape in shapes.items():
-            m, v = rng.normal(size=shape), rng.random(shape)
-            m[rng.random(shape) < 0.3] = -0.0
-            v[rng.random(shape) < 0.3] = 0.0
-            prefill[name] = (m, v)
-    return params, grads, lr, prefill
+    return params, grads, lr
 
 
 def _all_live_run(lr):
-    """Every tensor live from the first step, with -0.0 moments, and the key
-    set growing, shrinking and growing again."""
+    """Every tensor live from the first step."""
     rng = np.random.default_rng(3)
     params = {"b1": rng.normal(size=3), "b2": rng.normal(size=1), "full": rng.normal(size=(4, 2)), "part": rng.normal(size=(3, 2))}
-    keys = [("b1",), ("b1", "full"), ("full",), ("b1", "b2", "full", "part"), ("b2", "part"), ("b1", "b2", "full", "part")] * 2
-    grads = [{k: rng.normal(size=params[k].shape) for k in ks} for ks in keys]
-    prefill = {k: (np.full(p.shape, -0.0), np.zeros(p.shape)) for k, p in params.items()}
-    return params, grads, lr, prefill
+    grads = [{k: rng.normal(size=p.shape) for k, p in params.items()} for _ in range(12)]
+    return params, grads, lr
 
 
 @PROPERTY
@@ -781,30 +759,26 @@ def _all_live_run(lr):
 @example(_all_live_run(1e-3))
 @example(_all_live_run(0.0))
 def test_fused_adam_matches_dense_adam(run):
-    params, grads, lr, prefill = run
+    params, grads, lr = run
     state = AdamState()
     ref_p = {k: v.copy() for k, v in params.items()}
     ref_m = {k: np.zeros_like(v) for k, v in params.items()}
     ref_v = {k: np.zeros_like(v) for k, v in params.items()}
-    for name, (m, v) in prefill.items():
-        state.m[name], state.v[name] = m.copy(), v.copy()
-        ref_m[name], ref_v[name] = m.copy(), v.copy()
     for t, g in enumerate(grads, start=1):
         adam_step(state, params, g, lr)
-        for name in g:
-            dense_adam(ref_p[name], ref_m[name], ref_v[name], g[name], lr, t)
         for name in params:
+            dense_adam(ref_p[name], ref_m[name], ref_v[name], g[name], lr, t)
             assert _same(params[name], ref_p[name])
-            if name in state.m:
-                assert _same(state.m[name], ref_m[name]) and _same(state.v[name], ref_v[name])
-    seen = {name for g in grads for name in g}
-    assert {"b1", "b2"} & seen <= set(state.fused)  # 1-D tensors always take the fused update
-    assert sum(a.size for a in (*state.m.values(), *state.v.values())) == 2 * sum(params[name].size for name in set(state.m))
+            assert _same(state.m[name], ref_m[name]) and _same(state.v[name], ref_v[name])
+    # the first step fixes the layout: a 2-D tensor with a zero row then stays off the fused update
+    rowwise = [name for name, g in grads[0].items() if g.ndim == 2 and not (g != 0.0).any(axis=1).all()]
+    assert list(state.live) == rowwise
+    assert list(state.fused) == [name for name in params if name not in rowwise]
+    assert sum(a.size for a in (*state.m.values(), *state.v.values())) == 2 * sum(p.size for p in params.values())
 
 
 def _adam_snapshot(state, params):
-    arrays = [*params.values(), *state.m.values(), *state.v.values(), state.flat_m, state.flat_v]
-    arrays += [live for live in state.live.values() if live is not None]
+    arrays = [*params.values(), *state.m.values(), *state.v.values(), *state.live.values(), state.flat_m, state.flat_v]
     return state.step, dict(state.fused), [a.tobytes() for a in arrays]
 
 
@@ -814,7 +788,7 @@ def _adam_snapshot(state, params):
 @example(_all_live_run(1e-3), -0.5)
 def test_adam_rejects_a_negative_or_nonfinite_lr(run, bad_lr):
     # mid-run, with live rows and fused tensors in place, a bad rate changes nothing
-    params, grads, lr, _ = run
+    params, grads, lr = run
     state = AdamState()
     half = len(grads) // 2
     for g in grads[:half]:

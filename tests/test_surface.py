@@ -19,9 +19,9 @@ def _names(fn):
 
 def test_settable_surface_is_pinned():
     assert [f.name for f in fields(training.TrainingConfig)] == ["lr", "gamma", "batch_size", "epochs"]
-    assert [f.name for f in fields(optim.AdamState) if f.init] == ["step", "m", "v", "live"]
+    assert [f.name for f in fields(optim.AdamState) if f.init] == []
     assert [f.name for f in fields(training.EpochReport)] == [
-        "epoch", "strategy", "losses", "lr", "wall_ms", "aux_state_scalars", "lam"
+        "epoch", "strategy", "losses", "lr", "lam", "wall_ms", "aux_state_scalars"
     ]
     assert [f.name for f in fields(training.LatentPair)] == [
         "z_s", "z_t", "z_s_prime", "z_t_prime", "id_s_prime", "id_t_prime"
@@ -66,6 +66,8 @@ def test_settable_surface_is_pinned():
         (metrics, "spearman_rank_correlation"),
         (model.ModelParams, "size_of"),
         (optim.AdamState, "state_scalars"),
+        (optim.AdamState, "fuse"),
+        (harness.ExperimentSpec, "to_json"),
         (model.GraphRefs, "value"),
     ]
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
@@ -108,8 +110,10 @@ def test_every_attribute_the_benchmark_tracer_wraps_exists():
     assert missing == []
 
 
-def test_every_name_the_benchmark_reference_calls_exists():
-    tree = ast.parse((BENCH / "reference.py").read_text())
+def _latopt_attributes(name):
+    """(module alias, attribute) for every ``<latopt module>.<attribute>``
+    that ``bench/<name>.py`` reads, and each alias's module."""
+    tree = ast.parse((BENCH / f"{name}.py").read_text())
     imported = {
         alias.asname or alias.name: importlib.import_module(f"latopt.{alias.name}")
         for node in ast.walk(tree)
@@ -121,5 +125,17 @@ def test_every_name_the_benchmark_reference_calls_exists():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported
     }
+    return used, imported
+
+
+def test_every_name_the_benchmark_reference_calls_exists():
+    used, imported = _latopt_attributes("reference")
     assert {"strategy_forward", "backward", "domain_loss_graph", "maml_lookahead_step"} <= {a for _, a in used}
+    assert sorted(f"{m}.{a}" for m, a in used if not hasattr(imported[m], a)) == []
+
+
+def test_every_name_the_benchmark_workloads_use_exists():
+    # the workloads build Adam's state and swap adam_step and latent_step for probes
+    used, imported = _latopt_attributes("workloads")
+    assert {("optim", "AdamState"), ("optim", "adam_step"), ("training", "latent_step")} <= used
     assert sorted(f"{m}.{a}" for m, a in used if not hasattr(imported[m], a)) == []

@@ -426,22 +426,21 @@ def test_train_epoch_report_and_runlog_schema():
     rng = np.random.default_rng(14)
     params = init_params(TINY, 14)
     splits = tiny_splits(rng)
-    state = AdamState()
     config = TrainingConfig(lr=1e-3, gamma=0.01, batch_size=4, epochs=1)
     train = splits["train"]
-    report = train_epoch("adv+lo", params, state, paired_batches(train, train, 4, rng), config, 0, 3, 0)
+    report = train_epoch("adv+lo", params, AdamState(), paired_batches(train, train, 4, rng), config, 0, 3, 0)
     assert isinstance(report, EpochReport)
     entry = report.runlog_entry()
-    assert set(entry) == {"epoch", "strategy", "losses", "lr", "lam", "wall_ms", "aux_state_scalars"}
+    assert list(entry) == ["epoch", "strategy", "losses", "lr", "lam", "wall_ms", "aux_state_scalars"]  # the run log's key order
     assert set(entry["losses"]) == {"L_s", "L_t", "L_d", "joint"}
     assert entry["aux_state_scalars"] == 2 * 4 * TINY.latent_dim
     assert entry["lam"] == grl_weight(0.0)  # the first step's reversal weight
     json.dumps(entry)  # serializable
     # a later epoch starts further up the ramp, and a strategy without a
     # discriminator has no weight
-    later = train_epoch("adv", params, state, paired_batches(train, train, 4, rng), config, 1, 6, 3)
+    later = train_epoch("adv", params, AdamState(), paired_batches(train, train, 4, rng), config, 1, 6, 3)
     assert later.runlog_entry()["lam"] == grl_weight(0.5)
-    entry = train_epoch("mtl+lo", params, state, paired_batches(train, train, 4, rng), config, 0, 3, 0).runlog_entry()
+    entry = train_epoch("mtl+lo", params, AdamState(), paired_batches(train, train, 4, rng), config, 0, 3, 0).runlog_entry()
     assert entry["lam"] is None
     json.dumps(entry)
 
