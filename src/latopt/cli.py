@@ -156,7 +156,10 @@ def _cmd_train(args) -> int:
     from .training import TrainingAborted, TrainingConfig, batch_schedule, train_run
 
     try:
-        config = TrainingConfig(lr=args.lr, gamma=args.gamma, batch_size=args.batch_size, epochs=args.epochs)
+        config = TrainingConfig(lr=args.lr, gamma=args.gamma)
+        for name in ("batch_size", "epochs"):
+            if getattr(args, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(args, name)}")
     except ValueError as e:
         print(f"latopt train: {e}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from .training import (
     DEFAULT_GAMMA,
     STRATEGIES,
     RunResult,
+    Split,
     TrainingAborted,
     TrainingConfig,
     batch_schedule,
@@ -54,6 +55,8 @@ SUMMARY_COLUMNS = (
 
 # the trainable strategies plus sequential fine-tuning, which the harness runs
 SPEC_STRATEGIES = STRATEGIES + ("seq",)
+
+_SPLITS = ("train", "dev", "test")
 
 
 def _base(strategy: str) -> str:
@@ -129,11 +132,14 @@ class ExperimentSpec:
                 raise SpecError(f"spec repeats {one} {repeated[0]!r}")
         if not self.lr_grid:
             raise SpecError("spec needs a nonempty lr grid")
-        for lr in self.lr_grid:  # every run's config: TrainingConfig owns the bounds
+        for lr in self.lr_grid:  # every run's config: TrainingConfig owns the bounds of lr and gamma
             try:
-                TrainingConfig(lr=lr, gamma=self.gamma, batch_size=self.batch_size, epochs=self.epochs)
+                TrainingConfig(lr=lr, gamma=self.gamma)
             except ValueError as e:
                 raise SpecError(str(e)) from None
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise SpecError(f"{name} must be >= 1, got {getattr(self, name)}")
         unknown = [s for s in self.strategies if s not in SPEC_STRATEGIES]
         if unknown:
             raise SpecError(f"unknown strategy {unknown[0]!r} (choose from {', '.join(SPEC_STRATEGIES)})")
@@ -183,13 +189,10 @@ class MetricsReport:
     failed: bool = False
     error: str | None = None
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def _splits(ds: DomainDataset) -> dict:
     """The dataset's nonempty train, dev and test splits, each packed once."""
-    return {name: pack_split(pairs) for name in ("train", "dev", "test") if (pairs := ds.pairs(name))}
+    return {name: pack_split(pairs) for name in _SPLITS if (pairs := ds.pairs(name))}
 
 
 def _test_metrics(params: ModelParams, splits: dict, domain: str):
@@ -198,87 +201,68 @@ def _test_metrics(params: ModelParams, splits: dict, domain: str):
 
 
 def sequential_finetune(
-    params: ModelParams,
-    source_splits: dict,
-    target_splits: dict,
-    config: TrainingConfig,
-    seed: int,
+    params: ModelParams, schedules: tuple, source_dev: Split, target_dev: Split, config: TrainingConfig
 ) -> RunResult:
-    """Two-phase fine-tuning of a copy of ``params``, ``config.epochs`` each:
-    source-task training with source-dev selection, then target-task
-    training (fresh target head: phase one never touches it) from the
-    phase-1 selection, with target-dev selection.
-
-    Each phase cuts its own single-domain ``batch_schedule``, from ``seed``
-    and ``seed + 1``. Returns the phase-2 ``RunResult``, whose ``wall_ms``
-    counts both phases.
-    """
-    schedule = batch_schedule(source_splits["train"], None, config.batch_size, config.epochs, seed)
-    run1 = train_run("single:source", params.copy(), schedule, source_splits["dev"], config, eval_domain="source")
-    schedule = batch_schedule(target_splits["train"], None, config.batch_size, config.epochs, seed + 1)
-    run2 = train_run("single:target", run1.selected, schedule, target_splits["dev"], config)
+    """Two-phase fine-tuning of a copy of ``params``: source-task training
+    on ``schedules[0]`` with source-dev selection, then target-task training
+    (fresh target head: phase one never touches it) on ``schedules[1]`` from
+    the phase-1 selection, with target-dev selection. Returns the phase-2
+    ``RunResult``, whose ``wall_ms`` counts both phases."""
+    run1 = train_run("single:source", params.copy(), schedules[0], source_dev, config, eval_domain="source")
+    run2 = train_run("single:target", run1.selected, schedules[1], target_dev, config)
     run2.wall_ms += run1.wall_ms
     return run2
 
 
-def _run_strategy(strategy, init, schedule, source_splits, target_splits, config, seed) -> RunResult:
-    """One run from ``init``, which it leaves untouched: ``seq`` cuts its own
-    schedules, every other strategy trains on ``schedule``."""
-    if strategy == "seq":
-        return sequential_finetune(init, source_splits, target_splits, config, seed)
-    return train_run(strategy, init.copy(), schedule, target_splits["dev"], config)
-
-
-def _grid_search(base, init, schedule, source_splits, target_splits, spec, seed):
-    """Best LR by target-dev F; ties break toward the smaller rate.
-    Returns (lr, the best rate's ``RunResult``) so the base run is not
-    retrained."""
-    best = None
-    for lr in sorted(spec.lr_grid):
-        config = TrainingConfig(lr=lr, gamma=0.0, batch_size=spec.batch_size, epochs=spec.epochs)
-        run = _run_strategy(base, init, schedule, source_splits, target_splits, config, seed)
-        if best is None or run.dev_f[run.epoch] > best[1].dev_f[best[1].epoch]:
-            best = (lr, run)
-    return best
-
-
 def _seed_jobs(spec, seed, source_splits, target_splits):
-    """All reports for one seed: shared init, base grid search, variants.
-    Every two-domain run of the seed, base or variant at any rate, trains
-    on the one batch schedule cut here, so a ``+lo`` run and its base see
-    the same batches in the same order; a spec of ``seq`` alone cuts none."""
+    """All reports for one seed, base by base: the base's rate grid at
+    gamma=0, whose best run by target-dev F (the smaller rate on a tie) is
+    the base's report, then each variant at that rate with the spec's gamma.
+    Every run starts from the seed's one init, and every schedule of the
+    seed is cut here, once: each two-domain run, base or variant at any
+    rate, trains on the one two-domain schedule, so a ``+lo`` run and its
+    base see the same batches in the same order; ``seq`` trains on two
+    single-domain schedules, from ``seed`` and ``seed + 1``. A spec of
+    ``seq`` alone cuts no two-domain schedule."""
     init = init_params(spec.model, seed)
-    schedule = None
+    schedule = seq_schedules = None
     if any(s != "seq" for s in spec.strategies):
         schedule = batch_schedule(source_splits["train"], target_splits["train"], spec.batch_size, spec.epochs, seed)
-    reports = []
-    best_lr: dict[str, float] = {}
-    cached: dict[str, RunResult] = {}
-    for base in sorted({_base(s) for s in spec.strategies}):
-        try:
-            best_lr[base], cached[base] = _grid_search(base, init, schedule, source_splits, target_splits, spec, seed)
-        except TrainingAborted as e:
-            reports.extend(_failed_report(s, seed, 0.0, str(e)) for s in spec.strategies if _base(s) == base)
+    if "seq" in spec.strategies:
+        seq_schedules = (
+            batch_schedule(source_splits["train"], None, spec.batch_size, spec.epochs, seed),
+            batch_schedule(target_splits["train"], None, spec.batch_size, spec.epochs, seed + 1),
+        )
 
-    for strategy in spec.strategies:
-        base = _base(strategy)
-        if base not in best_lr:
-            continue  # already reported as failed via the base
-        lr = best_lr[base]
+    def run(strategy, lr, gamma) -> RunResult:
+        """One run from ``init``, which it leaves untouched."""
+        config = TrainingConfig(lr=lr, gamma=gamma)
+        if strategy == "seq":
+            return sequential_finetune(init, seq_schedules, source_splits["dev"], target_splits["dev"], config)
+        return train_run(strategy, init.copy(), schedule, target_splits["dev"], config)
+
+    reports = []
+    for base in sorted({_base(s) for s in spec.strategies}):
+        family = [s for s in spec.strategies if _base(s) == base]
+        best = None
         try:
-            if strategy == base:
-                run = cached[base]
-            else:
-                config = TrainingConfig(
-                    lr=lr, gamma=spec.gamma, batch_size=spec.batch_size, epochs=spec.epochs
-                )
-                run = _run_strategy(strategy, init, schedule, source_splits, target_splits, config, seed)
-            f, r, p = _test_metrics(run.selected, target_splits, "target")
-            reports.append(
-                MetricsReport(strategy, seed, lr, run.dev_f[run.epoch], f, r, p, run.epoch, run.wall_ms, run.peak_aux)
-            )
+            for rate in sorted(spec.lr_grid):
+                got = run(base, rate, 0.0)
+                if best is None or got.dev_f[got.epoch] > best.dev_f[best.epoch]:
+                    lr, best = rate, got
         except TrainingAborted as e:
-            reports.append(_failed_report(strategy, seed, lr, str(e)))
+            reports.extend(_failed_report(s, seed, 0.0, str(e)) for s in family)
+            continue
+        for strategy in family:
+            try:
+                got = best if strategy == base else run(strategy, lr, spec.gamma)
+            except TrainingAborted as e:
+                reports.append(_failed_report(strategy, seed, lr, str(e)))
+                continue
+            f, r, p = _test_metrics(got.selected, target_splits, "target")
+            reports.append(
+                MetricsReport(strategy, seed, lr, got.dev_f[got.epoch], f, r, p, got.epoch, got.wall_ms, got.peak_aux)
+            )
     return reports
 
 
@@ -290,13 +274,17 @@ def checked_splits(vocab: int, batch_size: int, datasets: dict) -> tuple[str | N
     """(problem, splits): each dataset's splits packed once (name -> the
     ``_splits`` of that dataset), and why a model with ``vocab`` tokens
     cannot train on them in batches of ``batch_size``, or None when it can:
-    every token id must be embeddable, every label in {0, 1}, no split or
-    sequence empty, and each train split must hold at least one batch. The
-    checks read the packed splits, so an empty split is never packed."""
+    every example must be in the train, dev or test split, every token id
+    embeddable, every label in {0, 1}, no split or sequence empty, and each
+    train split must hold at least one batch. The checks read the packed
+    splits, so an empty split is never packed."""
     packed = {}
     for name, ds in datasets.items():
         if ds.vocab_size > vocab:
             return f"{name}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens", packed
+        odd = next((e.split for e in ds.examples if e.split not in _SPLITS), None)
+        if odd is not None:
+            return f"{name}: split {odd!r} is not train, dev or test", packed
         try:
             splits = packed[name] = _splits(ds)
         except ShapeError as e:
@@ -309,7 +297,7 @@ def checked_splits(vocab: int, batch_size: int, datasets: dict) -> tuple[str | N
         bad = {int(y) for s in splits.values() for y in s.labels[(s.labels != 0) & (s.labels != 1)]}
         if bad:
             return f"{name}: labels {sorted(bad)} are not in {{0, 1}}", packed
-        empty = [split for split in ("train", "dev", "test") if split not in splits]
+        empty = [split for split in _SPLITS if split not in splits]
         if empty:
             return f"{name}: the {empty[0]} split is empty", packed
         if batch_size > len(splits["train"].seqs):
@@ -519,7 +507,7 @@ def write_outputs(spec: ExperimentSpec, reports, analysis, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "reports.jsonl", "w") as fh:
         for r in reports:
-            fh.write(json.dumps(r.to_json()) + "\n")
+            fh.write(json.dumps(asdict(r)) + "\n")
     with open(out / "summary.csv", "w") as fh:
         fh.write(",".join(SUMMARY_COLUMNS) + "\n")
         for row in summary_rows(spec, reports):

@@ -266,8 +266,6 @@ def maml_lookahead_step(params: ModelParams, refs: GraphRefs, gamma: float) -> d
 class TrainingConfig:
     lr: float = 1e-3
     gamma: float = DEFAULT_GAMMA
-    batch_size: int = 128
-    epochs: int = 5
 
     def __post_init__(self):
         # a NaN compares False with everything, so it would slip past the bounds
@@ -279,10 +277,6 @@ class TrainingConfig:
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -294,9 +288,6 @@ class EpochReport:
     lam: float | None  # reversal weight of the first step; None without a discriminator
     wall_ms: float
     aux_state_scalars: int
-
-    def runlog_entry(self) -> dict:
-        return asdict(self)
 
 
 class TrainingAborted(RuntimeError):
@@ -484,7 +475,7 @@ def train_run(
         report = train_epoch(strategy, params, opt_state, pairs, config, epoch, total_steps, epoch * steps_per_epoch)
         reports.append(report)
         if run_log is not None:
-            run_log.write(json.dumps(report.runlog_entry()) + "\n")
+            run_log.write(json.dumps(asdict(report)) + "\n")
         dev_f.append(f_score(predict(params, dev.seqs, eval_domain), dev.labels)[0])
         if epoch == 0 or dev_f[epoch] > dev_f[best]:
             best, selected = epoch, params.copy()

@@ -189,7 +189,7 @@ def test_criterion_3_reduction_identities():
     rng = np.random.default_rng(0)
     ss, ts = _tiny_splits(rng), _tiny_splits(rng)
 
-    config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
+    config = TrainingConfig(lr=1e-3, gamma=0.0)
     schedule = batch_schedule(ss["train"], ts["train"], 4, 1, 5)
     final = {}  # train_run leaves the final parameters in the params it trains
     for strategy in ("adv", "adv+lo"):
@@ -387,8 +387,8 @@ def test_criterion_7_resource_accounting():
     gen = GeneratorConfig()
     source, target = prepare_transfer_pair(gen)
     ss, ts = _splits(source), _splits(target)
-    config = TrainingConfig(lr=1e-3, gamma=spec.gamma, batch_size=spec.batch_size, epochs=1)
-    schedule = batch_schedule(ss["train"], ts["train"], config.batch_size, 1, 0)
+    config = TrainingConfig(lr=1e-3, gamma=spec.gamma)
+    schedule = batch_schedule(ss["train"], ts["train"], spec.batch_size, 1, 0)
 
     walls = {}
     aux = {}
@@ -401,7 +401,7 @@ def test_criterion_7_resource_accounting():
             aux[strategy] = run.peak_aux
         walls[strategy] = best
 
-    two_bd = 2 * config.batch_size * model_cfg.latent_dim
+    two_bd = 2 * spec.batch_size * model_cfg.latent_dim
     wb = sum(init_params(model_cfg, 0).tensors[k].size for k in ModelParams.GROUPS["w_b"])
     ok = (
         aux["adv+lo"] == two_bd

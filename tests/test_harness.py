@@ -90,18 +90,16 @@ def test_spearman_perfect_and_reversed():
 def test_sequential_finetune_phase_two_starts_from_phase_one_selection(fast_pair):
     src, tgt = fast_pair
     ss, ts = _splits(src), _splits(tgt)
-    config = TrainingConfig(lr=2e-3, batch_size=32, epochs=2)
+    config = TrainingConfig(lr=2e-3)
     init = init_params(FAST_MODEL, 0)
     from latopt.training import batch_schedule, train_run
 
-    run = sequential_finetune(init, ss, ts, config, seed=0)
-    schedule = batch_schedule(ss["train"], None, 32, 2, 0)
-    phase1 = train_run("single:source", init.copy(), schedule, ss["dev"], config, eval_domain="source")
-    run_direct = train_run(
-        "single:target", phase1.selected, batch_schedule(ts["train"], None, 32, 2, 1), ts["dev"], config
-    )
-    assert len(run.dev_f) == config.epochs
-    assert run.dev_f == run_direct.dev_f  # phase 2 seed offset matches
+    schedules = [batch_schedule(ss["train"], None, 32, 2, 0), batch_schedule(ts["train"], None, 32, 2, 1)]
+    run = sequential_finetune(init, schedules, ss["dev"], ts["dev"], config)
+    phase1 = train_run("single:source", init.copy(), schedules[0], ss["dev"], config, eval_domain="source")
+    run_direct = train_run("single:target", phase1.selected, schedules[1], ts["dev"], config)
+    assert len(run.dev_f) == 2
+    assert run.dev_f == run_direct.dev_f  # phase 2 trains on the second schedule
     assert run.epoch == run_direct.epoch
     for name in run.selected.tensors:
         np.testing.assert_array_equal(run.selected.tensors[name], run_direct.selected.tensors[name])
@@ -112,14 +110,16 @@ def test_sequential_finetune_warm_start_helps_on_identical_domains(fast_pair):
     # loss than a fresh model, on average over seeds
     src, _ = fast_pair
     ss = _splits(src)
-    config = TrainingConfig(lr=2e-3, batch_size=32, epochs=2)
+    config = TrainingConfig(lr=2e-3)
     from latopt.metrics import f_score as _f
     from latopt.model import predict
+    from latopt.training import batch_schedule
 
     wins = 0
     for seed in range(5):
         init = init_params(FAST_MODEL, seed)
-        selected = sequential_finetune(init, ss, ss, config, seed=seed).selected
+        schedules = [batch_schedule(ss["train"], None, 32, 2, seed + i) for i in range(2)]
+        selected = sequential_finetune(init, schedules, ss["dev"], ss["dev"], config).selected
 
         seqs, labels = ss["dev"]
         f_warm = _f(predict(selected, seqs, "target"), labels)[0]
@@ -174,6 +174,8 @@ def _break(pair, bad):
         src.examples = [e for e in src.examples if e.split != "dev"]
     elif bad == "empty_sequence":
         tgt.examples[-1] = replace(tgt.examples[-1], tokens=())
+    elif bad == "split":
+        tgt.examples[0] = replace(first, split="val")
     return src, tgt
 
 
@@ -184,6 +186,7 @@ SPEC_PROBLEMS = {
     "empty_split": "source: the dev split is empty",
     "empty_sequence": "target: pack: empty token sequence",
     "batch_size": "source: batch_size 16 exceeds the 8 train examples",
+    "split": "target: split 'val' is not train, dev or test",
 }
 
 
@@ -357,7 +360,8 @@ def test_run_experiment_counts_and_outputs(tmp_path, fast_pair):
 
 
 def test_run_experiment_grid_searches_seq_as_its_own_base(fast_pair):
-    from latopt.harness import _grid_search, _test_metrics
+    from latopt.harness import _test_metrics
+    from latopt.training import batch_schedule
 
     src, tgt = fast_pair
     spec = ExperimentSpec(
@@ -373,8 +377,12 @@ def test_run_experiment_grid_searches_seq_as_its_own_base(fast_pair):
     seq = {r.strategy: r for r in reports}["seq"]
     source_splits, target_splits = _splits(src), _splits(tgt)
     init = init_params(FAST_MODEL, 0)
-    # seq cuts its own schedules, so it is handed none
-    lr, run = _grid_search("seq", init, None, source_splits, target_splits, spec, 0)
+    # the two phases train on single-domain schedules from the seed and the next seed
+    schedules = [batch_schedule(s["train"], None, 32, 1, i) for i, s in enumerate((source_splits, target_splits))]
+    dev = source_splits["dev"], target_splits["dev"]
+    runs = {lr: sequential_finetune(init, schedules, *dev, TrainingConfig(lr=lr, gamma=0.0)) for lr in spec.lr_grid}
+    lr = max(sorted(runs), key=lambda lr: runs[lr].dev_f[runs[lr].epoch])  # the smaller rate on a tie
+    run = runs[lr]
     test_f = _test_metrics(run.selected, target_splits, "target")[0]
     assert (seq.lr, seq.dev_f, seq.test_f) == (lr, run.dev_f[run.epoch], test_f)
 
@@ -440,6 +448,48 @@ def test_seq_only_compare_cuts_no_two_domain_schedule(tmp_path, fast_pair, monke
     assert seq_reports("seq") == seq_reports("both")
 
 
+def test_a_grid_tie_picks_the_smaller_rate(fast_pair, monkeypatch):
+    from latopt import harness
+    from latopt.training import RunResult
+
+    def flat(strategy, params, *args, **kwargs):  # every run, at every rate, reads dev F 0.5
+        return RunResult(strategy, params, 0, [], [0.5])
+
+    monkeypatch.setattr(harness, "train_run", flat)
+    spec = ExperimentSpec(
+        strategies=["mtl", "mtl+lo", "seq"],
+        seeds=[0],
+        lr_grid=[3e-3, 1e-3, 2e-3],
+        epochs=1,
+        batch_size=32,
+        model=FAST_MODEL,
+    )
+    reports, _ = run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
+    assert [(r.strategy, r.lr) for r in reports] == [("mtl", 1e-3), ("mtl+lo", 1e-3), ("seq", 1e-3)]
+
+
+def test_seq_cuts_its_two_schedules_once_per_seed(fast_pair, monkeypatch):
+    from latopt import harness
+
+    cut, seeds = harness.batch_schedule, []
+
+    def spy(source, target, *args):
+        if target is None:
+            seeds.append(args[-1])
+        return cut(source, target, *args)
+
+    monkeypatch.setattr(harness, "batch_schedule", spy)
+    # the spy appends to this process's list, so every seed runs here
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    spec = ExperimentSpec(
+        strategies=["seq"], seeds=[0, 1], lr_grid=[1e-3, 3e-3, 1e-2], epochs=1, batch_size=32, model=FAST_MODEL
+    )
+    reports, _ = run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
+    assert [(r.seed, r.failed) for r in reports] == [(0, False), (1, False)]
+    # per seed, the source phase's schedule from the seed and the target phase's from the next
+    assert seeds == [0, 1, 1, 2]
+
+
 def test_experiment_reproducible(fast_pair):
     src, tgt = fast_pair
     spec = ExperimentSpec(
@@ -496,6 +546,34 @@ def test_failed_variant_reports_its_base_rate(fast_pair, monkeypatch):
     assert not by["mtl"].failed and by["mtl+lo"].failed
     assert by["mtl+lo"].lr == by["mtl"].lr == 3e-3
     assert analysis["n_failed"] == 1
+
+
+def test_a_base_that_fails_at_every_rate_fails_its_variants_and_no_other_base(fast_pair, monkeypatch):
+    from latopt import harness
+    from latopt.training import TrainingAborted
+
+    train_run, trained = harness.train_run, []
+
+    def adv_fails(strategy, *args, **kwargs):
+        trained.append(strategy)
+        if strategy == "adv":
+            raise TrainingAborted(strategy, 0, 0, "synthetic failure")
+        return train_run(strategy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_run", adv_fails)
+    mtl_only = ExperimentSpec(
+        strategies=["mtl", "mtl+lo"], seeds=[0], lr_grid=[1e-3, 3e-3], epochs=1, batch_size=32, model=FAST_MODEL
+    )
+    spec = replace(mtl_only, strategies=["mtl", "mtl+lo", "adv", "adv+lo"])
+    reports, analysis = run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
+    by = {r.strategy: r for r in reports}
+    assert [(s, by[s].failed, by[s].lr) for s in ("adv", "adv+lo")] == [("adv", True, 0.0), ("adv+lo", True, 0.0)]
+    assert "synthetic failure" in by["adv+lo"].error and "adv+lo" not in trained
+    assert analysis["n_failed"] == 2 and list(analysis["comparisons"]) == ["mtl+lo vs mtl"]
+    # the mtl family is reported as it is in a spec without adv, at mtl's rate
+    expected, _ = run_experiment(mtl_only, source=fast_pair[0], target=fast_pair[1])
+    assert [replace(by[r.strategy], wall_ms=r.wall_ms) for r in expected] == expected
+    assert by["mtl+lo"].lr == by["mtl"].lr
 
 
 POOL_SPEC = ExperimentSpec(

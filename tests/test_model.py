@@ -89,7 +89,7 @@ def test_unknown_domain_rejected_before_anything_is_recorded():
     before = params.copy()
     schedule = batch_schedule(split, split, 4, 1, 0)
     with pytest.raises(ValueError, match="unknown domain 'Target'"):
-        train_run("mtl", params, schedule, split, TrainingConfig(batch_size=4, epochs=1), "Target", run_log=log)
+        train_run("mtl", params, schedule, split, TrainingConfig(), "Target", run_log=log)
     assert log.getvalue() == ""
     assert all(params.tensors[k].tobytes() == before.tensors[k].tobytes() for k in params.tensors)
 

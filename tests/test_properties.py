@@ -648,7 +648,7 @@ def test_adv_at_lambda_zero_trains_mtl_tensors_bitwise_as_mtl(split_seed, init_s
     ss, ts = _tiny_splits(rng), _tiny_splits(rng)
     schedule = batch_schedule(ss["train"], ts["train"], 4, 1, 5)
     mtl, adv = init_params(TINY, init_seed), init_params(TINY, init_seed)  # train_run trains them in place
-    config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
+    config = TrainingConfig(lr=1e-3, gamma=0.0)
     train_run("mtl", mtl, schedule, ts["dev"], config)
     with mock.patch.object(training, "grl_weight", lambda progress: 0.0):
         train_run("adv", adv, schedule, ts["dev"], config)

@@ -18,7 +18,7 @@ def _names(fn):
 
 
 def test_settable_surface_is_pinned():
-    assert [f.name for f in fields(training.TrainingConfig)] == ["lr", "gamma", "batch_size", "epochs"]
+    assert [f.name for f in fields(training.TrainingConfig)] == ["lr", "gamma"]
     assert [f.name for f in fields(optim.AdamState) if f.init] == []
     assert [f.name for f in fields(training.EpochReport)] == [
         "epoch", "strategy", "losses", "lr", "lam", "wall_ms", "aux_state_scalars"
@@ -33,7 +33,7 @@ def test_settable_surface_is_pinned():
             "strategy", "params", "opt_state", "pairs", "config", "epoch", "total_steps", "step_offset"
         ],
         training.train_run: ["strategy", "params", "schedule", "dev", "config", "eval_domain", "run_log"],
-        harness.sequential_finetune: ["params", "source_splits", "target_splits", "config", "seed"],
+        harness.sequential_finetune: ["params", "schedules", "source_dev", "target_dev", "config"],
         render.render_trajectory: ["trajectories", "q"],
         render.write_outputs: ["trajectories", "q", "svg_path", "csv_path"],
         render._auto_bounds: ["trajectories"],
@@ -69,6 +69,10 @@ def test_settable_surface_is_pinned():
         (optim.AdamState, "fuse"),
         (harness.ExperimentSpec, "to_json"),
         (model.GraphRefs, "value"),
+        (training.EpochReport, "runlog_entry"),
+        (harness.MetricsReport, "to_json"),
+        (harness, "_grid_search"),
+        (harness, "_run_strategy"),
     ]
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
 

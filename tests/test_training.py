@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -426,11 +427,11 @@ def test_train_epoch_report_and_runlog_schema():
     rng = np.random.default_rng(14)
     params = init_params(TINY, 14)
     splits = tiny_splits(rng)
-    config = TrainingConfig(lr=1e-3, gamma=0.01, batch_size=4, epochs=1)
+    config = TrainingConfig(lr=1e-3, gamma=0.01)
     train = splits["train"]
     report = train_epoch("adv+lo", params, AdamState(), paired_batches(train, train, 4, rng), config, 0, 3, 0)
     assert isinstance(report, EpochReport)
-    entry = report.runlog_entry()
+    entry = asdict(report)
     assert list(entry) == ["epoch", "strategy", "losses", "lr", "lam", "wall_ms", "aux_state_scalars"]  # the run log's key order
     assert set(entry["losses"]) == {"L_s", "L_t", "L_d", "joint"}
     assert entry["aux_state_scalars"] == 2 * 4 * TINY.latent_dim
@@ -439,8 +440,8 @@ def test_train_epoch_report_and_runlog_schema():
     # a later epoch starts further up the ramp, and a strategy without a
     # discriminator has no weight
     later = train_epoch("adv", params, AdamState(), paired_batches(train, train, 4, rng), config, 1, 6, 3)
-    assert later.runlog_entry()["lam"] == grl_weight(0.5)
-    entry = train_epoch("mtl+lo", params, AdamState(), paired_batches(train, train, 4, rng), config, 0, 3, 0).runlog_entry()
+    assert asdict(later)["lam"] == grl_weight(0.5)
+    entry = asdict(train_epoch("mtl+lo", params, AdamState(), paired_batches(train, train, 4, rng), config, 0, 3, 0))
     assert entry["lam"] is None
     json.dumps(entry)
 
@@ -482,7 +483,7 @@ def test_scheduled_batches_are_read_only():
 def test_train_run_refuses_a_schedule_with_no_batch(schedule):
     dev = tiny_splits(np.random.default_rng(22))["dev"]
     with pytest.raises(ValueError, match="^train_run: the schedule holds no batch$"):
-        train_run("mtl", init_params(TINY, 22), schedule, dev, TrainingConfig(batch_size=4, epochs=1))
+        train_run("mtl", init_params(TINY, 22), schedule, dev, TrainingConfig())
 
 
 @pytest.mark.parametrize("epoch, keep", [(0, 2), (1, 1)], ids=["longer", "shorter"])
@@ -496,7 +497,7 @@ def test_train_run_refuses_epochs_of_unequal_length(epoch, keep):
     params = init_params(TINY, 23)
     before = params.copy()
     with pytest.raises(ValueError, match=f"^train_run: epoch 1 holds {n1} batches, epoch 0 holds {n0}$"):
-        train_run("mtl", params, schedule, splits["dev"], TrainingConfig(batch_size=4, epochs=2))
+        train_run("mtl", params, schedule, splits["dev"], TrainingConfig())
     assert all(params.tensors[k].tobytes() == before.tensors[k].tobytes() for k in params.tensors)
 
 
@@ -515,7 +516,7 @@ def test_train_run_looks_up_adam_step_predict_and_f_score_per_call(monkeypatch):
         monkeypatch.setattr(module, name, spy)
     splits = tiny_splits(np.random.default_rng(24))
     schedule = batch_schedule(splits["train"], splits["train"], 4, 2, 24)
-    train_run("adv", init_params(TINY, 24), schedule, splits["dev"], TrainingConfig(batch_size=4, epochs=2))
+    train_run("adv", init_params(TINY, 24), schedule, splits["dev"], TrainingConfig())
     assert [calls.count(name) for name in ("adam_step", "predict", "f_score")] == [6, 2, 2]
 
 
@@ -549,8 +550,6 @@ def test_training_config_validation():
         TrainingConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainingConfig(gamma=-0.1)
-    with pytest.raises(ValueError):
-        TrainingConfig(batch_size=0)
 
 
 @pytest.mark.parametrize(
@@ -580,7 +579,7 @@ def test_mtl_equals_adv_with_zero_reversal_weight(monkeypatch):
     rng = np.random.default_rng(15)
     splits_s = tiny_splits(rng, n=16)
     splits_t = tiny_splits(rng, n=16)
-    config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
+    config = TrainingConfig(lr=1e-3, gamma=0.0)
 
     schedule = batch_schedule(splits_s["train"], splits_t["train"], 4, 1, 99)
     p_mtl = init_params(TINY, 15)
@@ -597,7 +596,7 @@ def test_lookahead_gamma_zero_reproduces_adv_bitwise_over_epoch():
     rng = np.random.default_rng(16)
     splits_s = tiny_splits(rng, n=16)
     splits_t = tiny_splits(rng, n=16)
-    config = TrainingConfig(lr=1e-3, gamma=0.0, batch_size=4, epochs=1)
+    config = TrainingConfig(lr=1e-3, gamma=0.0)
 
     schedule = batch_schedule(splits_s["train"], splits_t["train"], 4, 1, 7)
     a, b = init_params(TINY, 16), init_params(TINY, 16)
@@ -632,7 +631,7 @@ def test_train_run_selects_the_earliest_best_dev_epoch(monkeypatch, curve, best)
     splits = tiny_splits(rng, n=8)
     params = init_params(TINY, 20)
     log = SnapshotLog(params)
-    config = TrainingConfig(lr=1e-2, batch_size=4, epochs=len(curve))
+    config = TrainingConfig(lr=1e-2)
     schedule = batch_schedule(splits["train"], splits["train"], 4, len(curve), 20)
     run = train_run("mtl", params, schedule, splits["dev"], config, run_log=log)
     assert run.dev_f == curve
@@ -649,7 +648,7 @@ def test_run_log_written(tmp_path):
     rng = np.random.default_rng(17)
     splits = tiny_splits(rng, n=8)
     params = init_params(TINY, 17)
-    config = TrainingConfig(lr=1e-3, batch_size=4, epochs=2)
+    config = TrainingConfig(lr=1e-3)
     buf = io.StringIO()
     schedule = batch_schedule(splits["train"], splits["train"], 4, 2, 17)
     train_run("mtl", params, schedule, splits["dev"], config, run_log=buf)
@@ -669,7 +668,7 @@ def test_nonfinite_loss_aborts_with_diagnostics(strategy, lam, monkeypatch):
     # values whose product overflows float64 inside the first dense layer
     params.tensors["embedding"][:] = 1e200
     params.tensors["enc1_W"][:] = 1e200
-    config = TrainingConfig(lr=1e-3, batch_size=4, epochs=1)
+    config = TrainingConfig(lr=1e-3)
     monkeypatch.setattr(training, "grl_weight", lambda progress: 0.5)
     with pytest.raises(TrainingAborted) as info:
         train_run(strategy, params, batch_schedule(splits["train"], splits["train"], 4, 1, 18), splits["dev"], config)
@@ -685,7 +684,7 @@ def test_nonfinite_loss_aborts_with_diagnostics(strategy, lam, monkeypatch):
 def test_identical_config_and_seed_reproduce_reports():
     rng1 = np.random.default_rng(19)
     splits = tiny_splits(rng1, n=16)
-    config = TrainingConfig(lr=2e-3, gamma=0.01, batch_size=4, epochs=2)
+    config = TrainingConfig(lr=2e-3, gamma=0.01)
     results, snapshots = [], []
     for _ in range(2):
         params = init_params(TINY, 19)
