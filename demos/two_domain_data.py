@@ -2,14 +2,14 @@
 """Synthetic two-domain corpora: the preprocessing pipeline and the
 unigram KL divergence as a divergence dial."""
 
-from latopt.data import GeneratorConfig, generate_domain_pair, prepare_transfer_pair, unigram_kl
+from latopt.data import SPLITS, GeneratorConfig, generate_domain_pair, prepare_transfer_pair, unigram_kl
 
 cfg = GeneratorConfig()
 source, target = prepare_transfer_pair(cfg)
 
 print("prepared pair (trim + dedup + dev carve + target upsampling):")
 for ds in (source, target):
-    counts = {s: len(ds.split(s)) for s in ("train", "dev", "test")}
+    counts = {s: len(ds.split(s)) for s in SPLITS}
     rates = {s: round(ds.positive_rate(s), 3) for s in counts}
     print(f"  {ds.domain:<6} sizes={counts} positive rates={rates}")
 print("  target train is rebalanced by upsampling; its test split keeps the")

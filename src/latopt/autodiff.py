@@ -473,11 +473,10 @@ class Tape:
     def leaf(self, value) -> NodeId:
         """Record an input/constant leaf. The tape holds ``value`` itself when
         it is a float64 array, so it must not be written while the tape is in
-        use. Its entries are tested one by one. Counting the finite entries
-        costs about half of ``.all()`` on small arrays."""
+        use. It takes the finite test every value on a tape takes."""
         v = value if type(value) is np.ndarray and value.dtype is _F64 else _as_f64(value)
         nodes = self.nodes
-        if np.count_nonzero(np.isfinite(v)) != v.size:
+        if not _all_finite(v):
             raise NonFiniteError(f"op 'leaf' (node {len(nodes)}) produced a non-finite value")
         nodes.append(Node("leaf", (), v))
         return len(nodes) - 1

@@ -76,14 +76,14 @@ def _cmd_kl(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .data import unigram_counts
+    from .data import SPLITS, unigram_counts
 
     loaded = _load("stats", args.data)
     if loaded is None:
         return 2
     (ds,) = loaded
     print(f"domain: {ds.domain}  vocab_size: {ds.vocab_size}  seed: {ds.seed}")
-    for split in ("train", "dev", "test"):
+    for split in SPLITS:
         ex = ds.split(split)
         if not ex:
             continue
@@ -226,6 +226,7 @@ def _cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .data import SPLITS
     from .training import DEFAULT_GAMMA, STRATEGIES
 
     parser = argparse.ArgumentParser(prog="latopt")
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kl", help="unigram KL divergence d(target || source)")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--split", action="append", choices=("train", "dev", "test"), help="restrict to a split (repeatable)")
+    p.add_argument("--split", action="append", choices=SPLITS, help="restrict to a split (repeatable)")
     p.set_defaults(fn=_cmd_kl)
 
     p = sub.add_parser("stats", help="dataset summary")

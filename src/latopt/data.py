@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 CHUNK = 128  # examples whose tokens are computed together; larger chunks raise peak RSS
+SPLITS = ("train", "dev", "test")  # the split names an example may carry
 INT32 = np.iinfo(np.int32)
 
 
@@ -391,7 +392,7 @@ def load_dataset(path) -> DomainDataset:
                     raise ValueError("an example needs an integer label and a string split")
                 if label not in (0, 1):
                     raise ValueError(f"label {label} is not 0 or 1")
-                if split not in ("train", "dev", "test"):
+                if split not in SPLITS:
                     raise ValueError(f"split {split!r} is not train, dev or test")
                 token_lists.append(tokens)
                 rows.append((line_no, label, split))

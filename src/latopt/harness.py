@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeError
-from .data import DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
+from .data import SPLITS, DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
 from .metrics import f_score, paired_sign_test, t_interval_95
 from .model import ModelConfig, ModelParams, init_params, predict
 from .training import (
@@ -55,8 +55,6 @@ SUMMARY_COLUMNS = (
 
 # the trainable strategies plus sequential fine-tuning, which the harness runs
 SPEC_STRATEGIES = STRATEGIES + ("seq",)
-
-_SPLITS = ("train", "dev", "test")
 
 
 def _base(strategy: str) -> str:
@@ -192,7 +190,7 @@ class MetricsReport:
 
 def _splits(ds: DomainDataset) -> dict:
     """The dataset's nonempty train, dev and test splits, each packed once."""
-    return {name: pack_split(pairs) for name in _SPLITS if (pairs := ds.pairs(name))}
+    return {name: pack_split(pairs) for name in SPLITS if (pairs := ds.pairs(name))}
 
 
 def _test_metrics(params: ModelParams, splits: dict, domain: str):
@@ -282,7 +280,7 @@ def checked_splits(vocab: int, batch_size: int, datasets: dict) -> tuple[str | N
     for name, ds in datasets.items():
         if ds.vocab_size > vocab:
             return f"{name}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens", packed
-        odd = next((e.split for e in ds.examples if e.split not in _SPLITS), None)
+        odd = next((e.split for e in ds.examples if e.split not in SPLITS), None)
         if odd is not None:
             return f"{name}: split {odd!r} is not train, dev or test", packed
         try:
@@ -297,7 +295,7 @@ def checked_splits(vocab: int, batch_size: int, datasets: dict) -> tuple[str | N
         bad = {int(y) for s in splits.values() for y in s.labels[(s.labels != 0) & (s.labels != 1)]}
         if bad:
             return f"{name}: labels {sorted(bad)} are not in {{0, 1}}", packed
-        empty = [split for split in _SPLITS if split not in splits]
+        empty = [split for split in SPLITS if split not in splits]
         if empty:
             return f"{name}: the {empty[0]} split is empty", packed
         if batch_size > len(splits["train"].seqs):

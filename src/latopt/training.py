@@ -21,6 +21,7 @@ strategy, which makes the reduction identities bitwise.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -28,10 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+# called through their modules, so a patched optim.adam_step, model.predict or metrics.f_score is the one run
+from . import metrics, model, optim
 from .autodiff import NodeId, NonFiniteError, Packed, Tape, _bw_dense, backward, pack
 from .model import (
     GraphRefs,
     ModelParams,
+    check_domain,
     classifier_logits,
     domain_loss_on_tape,
     encode_on_tape,
@@ -40,6 +44,7 @@ from .model import (
     put_params,
     task_loss_on_tape,
 )
+from .optim import AdamState, cosine_lr
 
 STRATEGIES = ("mtl", "mtl+lo", "adv", "adv+lo", "adv+maml")
 
@@ -72,10 +77,6 @@ class LatentPair:
     z_t_prime: np.ndarray
     id_s_prime: NodeId = -1
     id_t_prime: NodeId = -1
-
-    @property
-    def aux_scalars(self) -> int:
-        return self.z_s_prime.size + self.z_t_prime.size
 
 
 def latent_step(
@@ -141,10 +142,6 @@ class ForwardResult:
         if self.loss_d is not None:
             total -= self.loss_d
         return total
-
-    @property
-    def aux_scalars(self) -> int:
-        return self.latents.aux_scalars if self.latents is not None else 0
 
 
 def strategy_forward(
@@ -369,18 +366,18 @@ def batch_schedule(source, target, batch_size: int, epochs: int, seed: int) -> l
 
 def training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, gamma):
     """One gradient step; returns (loss record, aux state scalars)."""
-    from .optim import adam_step  # imported per call: bench/ patches optim.adam_step to time every step
-
     forward_params, shift = params, {}
     if strategy == "adv+maml" and gamma != 0.0:
         shift = maml_lookahead_step(params, domain_loss_graph(params, batch_s, batch_t), gamma)
         forward_params = ModelParams(params.config, {**params.tensors, **shift})
     fwd = strategy_forward(forward_params, batch_s, batch_t, strategy, lam, gamma)
-    aux = fwd.aux_scalars + sum(v.size for v in shift.values())
+    aux = sum(v.size for v in shift.values())
+    if fwd.latents is not None:  # the lookahead's z' buffers
+        aux += fwd.latents.z_s_prime.size + fwd.latents.z_t_prime.size
     refs = fwd.refs
     wanted = trainable_tensors(strategy)
     grads = backward(refs.tape, refs.objective, wrt=[refs.param_nodes[k] for k in wanted])
-    adam_step(opt_state, params.tensors, dict(zip(wanted, grads)), lr_t)
+    optim.adam_step(opt_state, params.tensors, dict(zip(wanted, grads)), lr_t)
     record = {"L_s": fwd.loss_s, "L_t": fwd.loss_t, "L_d": fwd.loss_d, "joint": fwd.joint}
     return record, aux
 
@@ -391,8 +388,6 @@ def train_epoch(
     """One pass over one epoch's (batch_s, batch_t) pairs with the cosine
     schedule and the reversal-weight ramp. Aborts (with diagnostics) on a
     non-finite loss."""
-    from .optim import cosine_lr
-
     batch_losses = []
     peak_aux = 0
     lr_start = cosine_lr(step_offset, total_steps, config.lr)
@@ -454,12 +449,6 @@ def train_run(
     optional file handle receiving one JSON line per epoch, written before
     the epoch is scored.
     """
-    import json
-
-    from .metrics import f_score  # imported per call, as predict is: bench/ patches both to count every call
-    from .model import check_domain, predict
-    from .optim import AdamState
-
     check_domain(eval_domain)
     steps_per_epoch = len(schedule[0]) if schedule else 0
     if steps_per_epoch == 0:
@@ -476,7 +465,7 @@ def train_run(
         reports.append(report)
         if run_log is not None:
             run_log.write(json.dumps(asdict(report)) + "\n")
-        dev_f.append(f_score(predict(params, dev.seqs, eval_domain), dev.labels)[0])
+        dev_f.append(metrics.f_score(model.predict(params, dev.seqs, eval_domain), dev.labels)[0])
         if epoch == 0 or dev_f[epoch] > dev_f[best]:
             best, selected = epoch, params.copy()
     wall_ms = (time.perf_counter() - t0) * 1000.0

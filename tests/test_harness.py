@@ -389,7 +389,8 @@ def test_run_experiment_grid_searches_seq_as_its_own_base(fast_pair):
 
 def test_every_two_domain_run_of_a_seed_trains_on_one_schedule(fast_pair, monkeypatch):
     # the pairing the sign test relies on: a +lo run and its base, at every
-    # grid rate, see the same batch objects; seq phases cut their own
+    # grid rate, see the same batch objects; seq's two single-domain
+    # schedules are cut apart from it, once per seed
     from latopt import harness
 
     train_run = harness.train_run

@@ -115,7 +115,6 @@ def test_latent_step_definition_matches_gradient():
     pair = latent_step(refs.tape, refs.z_s, refs.z_t, refs.loss_d, gamma=0.1)
     np.testing.assert_allclose(pair.z_s_prime, pair.z_s + 0.1 * g[refs.z_s], atol=0)
     np.testing.assert_allclose(pair.z_t_prime, pair.z_t + 0.1 * g[refs.z_t], atol=0)
-    assert pair.aux_scalars == pair.z_s.size + pair.z_t.size
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -396,7 +395,7 @@ def test_maml_lookahead_state_size_is_encoder_size():
     assert sum(v.size for v in wb.values()) == sum(params.tensors[k].size for k in ModelParams.GROUPS["w_b"])
     # versus B*D scalars for one latent lookahead buffer
     pair = latent_step(refs.tape, refs.z_s, refs.z_t, refs.loss_d, 1e-3)
-    assert pair.aux_scalars == 2 * 2 * TINY.latent_dim
+    assert pair.z_s_prime.size + pair.z_t_prime.size == 2 * 2 * TINY.latent_dim
 
 
 def test_maml_step_is_adv_step_plus_order_gamma():
@@ -503,7 +502,7 @@ def test_train_run_refuses_epochs_of_unequal_length(epoch, keep):
 
 def test_train_run_looks_up_adam_step_predict_and_f_score_per_call(monkeypatch):
     # the benchmark times and counts these by patching the module attributes;
-    # an import hoisted to module level would keep the originals and zero them
+    # a name imported from the module would keep the originals and zero them
     from latopt import metrics, model, optim
 
     calls = []
@@ -604,6 +603,24 @@ def test_lookahead_gamma_zero_reproduces_adv_bitwise_over_epoch():
     train_run("adv+lo", b, schedule, splits_t["dev"], config)
     for name in a.tensors:
         np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
+
+
+@pytest.mark.parametrize("base, variant", [("mtl", "mtl+lo"), ("adv", "adv+maml")])
+def test_a_lookahead_at_gamma_zero_trains_its_base_run_bitwise(base, variant):
+    # what lets a gamma grid reuse the base run for gamma=0, as criterion 3
+    # does for adv+lo; seed 21 selects epoch 1 of 3, not the final state
+    rng = np.random.default_rng(21)
+    splits_s, splits_t = tiny_splits(rng, n=16), tiny_splits(rng, n=16)
+    schedule = batch_schedule(splits_s["train"], splits_t["train"], 4, 3, 21)
+    config = TrainingConfig(lr=1e-2, gamma=0.0)
+    a, b = (train_run(s, init_params(TINY, 21), schedule, splits_t["dev"], config) for s in (base, variant))
+    assert a.epoch == 1
+    for name in a.selected.tensors:
+        assert a.selected.tensors[name].tobytes() == b.selected.tensors[name].tobytes()
+    # repr is exact for a float and tells -0.0 from 0.0
+    assert repr(a.dev_f) == repr(b.dev_f) and a.epoch == b.epoch
+    assert repr([r.losses for r in a.epoch_reports]) == repr([r.losses for r in b.epoch_reports])
+    assert a.peak_aux == b.peak_aux == 0
 
 
 class SnapshotLog:
