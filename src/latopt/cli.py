@@ -188,7 +188,7 @@ def _cmd_train(args) -> int:
     except TrainingAborted as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 1
-    f, r, p = _test_metrics(run.selected, target_splits, "target")
+    f, r, p = _test_metrics(run.selected, target_splits)
     save_checkpoint(run.selected, out / "model.json")
     metrics = {
         "strategy": args.strategy,

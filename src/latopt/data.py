@@ -34,6 +34,11 @@ SPLITS = ("train", "dev", "test")  # the split names an example may carry
 INT32 = np.iinfo(np.int32)
 
 
+def not_a_split(split) -> str:
+    """The message refusing an example's ``split`` outside ``SPLITS``."""
+    return f"split {split!r} is not {', '.join(SPLITS[:-1])} or {SPLITS[-1]}"
+
+
 def _token_array(tokens) -> np.ndarray:
     """``tokens`` as a fresh read-only 1-D int32 array; bool, float or
     non-integer tokens, another number of dimensions, or a token outside
@@ -393,7 +398,7 @@ def load_dataset(path) -> DomainDataset:
                 if label not in (0, 1):
                     raise ValueError(f"label {label} is not 0 or 1")
                 if split not in SPLITS:
-                    raise ValueError(f"split {split!r} is not train, dev or test")
+                    raise ValueError(not_a_split(split))
                 token_lists.append(tokens)
                 rows.append((line_no, label, split))
         ends = list(itertools.accumulate(map(len, token_lists)))

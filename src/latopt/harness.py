@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeError
-from .data import SPLITS, DomainDataset, GeneratorConfig, prepare_transfer_pair, load_dataset
+from .data import SPLITS, DomainDataset, GeneratorConfig, not_a_split, prepare_transfer_pair, load_dataset
 from .metrics import f_score, paired_sign_test, t_interval_95
 from .model import ModelConfig, ModelParams, init_params, predict
 from .training import (
@@ -193,9 +193,9 @@ def _splits(ds: DomainDataset) -> dict:
     return {name: pack_split(pairs) for name in SPLITS if (pairs := ds.pairs(name))}
 
 
-def _test_metrics(params: ModelParams, splits: dict, domain: str):
+def _test_metrics(params: ModelParams, splits: dict):
     test = splits["test"]
-    return f_score(predict(params, test.seqs, domain), test.labels)
+    return f_score(predict(params, test.seqs, "target"), test.labels)
 
 
 def sequential_finetune(
@@ -206,7 +206,7 @@ def sequential_finetune(
     (fresh target head: phase one never touches it) on ``schedules[1]`` from
     the phase-1 selection, with target-dev selection. Returns the phase-2
     ``RunResult``, whose ``wall_ms`` counts both phases."""
-    run1 = train_run("single:source", params.copy(), schedules[0], source_dev, config, eval_domain="source")
+    run1 = train_run("single:source", params.copy(), schedules[0], source_dev, config)
     run2 = train_run("single:target", run1.selected, schedules[1], target_dev, config)
     run2.wall_ms += run1.wall_ms
     return run2
@@ -257,7 +257,7 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
             except TrainingAborted as e:
                 reports.append(_failed_report(strategy, seed, lr, str(e)))
                 continue
-            f, r, p = _test_metrics(got.selected, target_splits, "target")
+            f, r, p = _test_metrics(got.selected, target_splits)
             reports.append(
                 MetricsReport(strategy, seed, lr, got.dev_f[got.epoch], f, r, p, got.epoch, got.wall_ms, got.peak_aux)
             )
@@ -282,7 +282,7 @@ def checked_splits(vocab: int, batch_size: int, datasets: dict) -> tuple[str | N
             return f"{name}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens", packed
         odd = next((e.split for e in ds.examples if e.split not in SPLITS), None)
         if odd is not None:
-            return f"{name}: split {odd!r} is not train, dev or test", packed
+            return f"{name}: {not_a_split(odd)}", packed
         try:
             splits = packed[name] = _splits(ds)
         except ShapeError as e:

@@ -151,8 +151,6 @@ class GraphRefs:
     param_nodes: dict[str, NodeId]
     z_s: NodeId = -1
     z_t: NodeId = -1
-    logits_s: NodeId = -1
-    logits_t: NodeId = -1
     loss_s: NodeId = -1
     loss_t: NodeId = -1
     loss_d: NodeId = -1

@@ -10,7 +10,7 @@ Strategies
               discriminator consumes the originals
 ``adv+maml``  adv with the lookahead taken in encoder parameter space
 ``single:source`` / ``single:target``  one-domain task training (used by
-              the sequential fine-tuning baseline)
+              the sequential fine-tuning baseline), scored on its own head
 
 All lookahead variants are first-order: the lookahead delta enters the
 graph as a detached constant, so no second-order terms flow anywhere. With
@@ -35,7 +35,6 @@ from .autodiff import NodeId, NonFiniteError, Packed, Tape, _bw_dense, backward,
 from .model import (
     GraphRefs,
     ModelParams,
-    check_domain,
     classifier_logits,
     domain_loss_on_tape,
     encode_on_tape,
@@ -178,9 +177,9 @@ def strategy_forward(
         loss = task_loss_on_tape(tape, logits, y)
         refs.objective = loss
         if domain == "source":
-            refs.z_s, refs.logits_s, refs.loss_s = z, logits, loss
+            refs.z_s, refs.loss_s = z, loss
             return ForwardResult(refs, float(tape.value(loss)), None, None)
-        refs.z_t, refs.logits_t, refs.loss_t = z, logits, loss
+        refs.z_t, refs.loss_t = z, loss
         return ForwardResult(refs, None, float(tape.value(loss)), None)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy '{strategy}'")
@@ -189,9 +188,10 @@ def strategy_forward(
     seq_t, y_t = batch_t
 
     def heads(z_s, z_t):
+        # both heads before both losses: node order sets the order gradients are summed in
         logits_s = classifier_logits(tape, p, z_s, "source")
         logits_t = classifier_logits(tape, p, z_t, "target")
-        return logits_s, logits_t, task_loss_on_tape(tape, logits_s, y_s), task_loss_on_tape(tape, logits_t, y_t)
+        return task_loss_on_tape(tape, logits_s, y_s), task_loss_on_tape(tape, logits_t, y_t)
 
     refs.z_s = encode_on_tape(tape, p, seq_s)
     refs.z_t = encode_on_tape(tape, p, seq_t)
@@ -208,10 +208,10 @@ def strategy_forward(
         if with_disc:  # ascent on the domain loss, read before the reversal
             inner, sign, reversed_at = refs.loss_d, 1.0, (grl_s, grl_t)
         else:  # descent on the summed task losses
-            inner, sign, reversed_at = tape.add(*heads(refs.z_s, refs.z_t)[2:]), -1.0, None
+            inner, sign, reversed_at = tape.add(*heads(refs.z_s, refs.z_t)), -1.0, None
         latents = latent_step(tape, refs.z_s, refs.z_t, inner, gamma, sign, reversed_at)
         z_s_in, z_t_in = latents.id_s_prime, latents.id_t_prime
-    refs.logits_s, refs.logits_t, refs.loss_s, refs.loss_t = heads(z_s_in, z_t_in)
+    refs.loss_s, refs.loss_t = heads(z_s_in, z_t_in)
     if with_disc:
         refs.objective = tape.add(tape.add(refs.loss_s, refs.loss_t), refs.loss_d)
     else:
@@ -382,40 +382,6 @@ def training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, gamm
     return record, aux
 
 
-def train_epoch(
-    strategy, params, opt_state, pairs, config: TrainingConfig, epoch: int, total_steps: int, step_offset: int
-) -> EpochReport:
-    """One pass over one epoch's (batch_s, batch_t) pairs with the cosine
-    schedule and the reversal-weight ramp. Aborts (with diagnostics) on a
-    non-finite loss."""
-    batch_losses = []
-    peak_aux = 0
-    lr_start = cosine_lr(step_offset, total_steps, config.lr)
-    with_disc = strategy in _WITH_DISC
-    lam_start = grl_weight(step_offset / total_steps) if with_disc else None
-    t0 = time.perf_counter()
-    for i, (batch_s, batch_t) in enumerate(pairs):
-        step = step_offset + i
-        lr_t = cosine_lr(step, total_steps, config.lr)
-        lam = grl_weight(step / total_steps)
-        try:
-            record, aux = training_step(
-                strategy, params, opt_state, batch_s, batch_t, lr_t, lam, config.gamma
-            )
-        except NonFiniteError as e:
-            raise TrainingAborted(strategy, epoch, i, e, lr=lr_t, lam=lam if with_disc else None) from e
-        batch_losses.append(record)
-        peak_aux = max(peak_aux, aux)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-
-    def mean_of(key):
-        vals = [r[key] for r in batch_losses if r[key] is not None]
-        return float(np.mean(vals)) if vals else None
-
-    losses = {k: mean_of(k) for k in ("L_s", "L_t", "L_d", "joint")}
-    return EpochReport(epoch, strategy, losses, lr_start, lam_start, wall_ms, peak_aux)
-
-
 @dataclass
 class RunResult:
     strategy: str
@@ -428,28 +394,23 @@ class RunResult:
 
 
 def train_run(
-    strategy: str,
-    params: ModelParams,
-    schedule: list,
-    dev: Split,
-    config: TrainingConfig,
-    eval_domain: str = "target",
-    run_log=None,
+    strategy: str, params: ModelParams, schedule: list, dev: Split, config: TrainingConfig, run_log=None
 ) -> RunResult:
     """Multi-epoch training of ``params`` in place, with dev selection.
 
     ``schedule`` holds the (batch_s, batch_t) pairs of each epoch to train,
     one entry per epoch (see ``batch_schedule``); a schedule with no batch,
     or with epochs of unequal length, raises ``ValueError`` before any step.
-    After each epoch the parameters are scored by the positive-class F of
-    the ``eval_domain`` head on the ``dev`` split, and copied only when that
-    F beats every earlier epoch's: the result holds that copy as
-    ``selected`` and its index as ``epoch``. An unknown ``eval_domain``
-    raises ``ValueError`` before training. ``run_log`` is an
-    optional file handle receiving one JSON line per epoch, written before
-    the epoch is scored.
+    Each step takes its rate from the cosine schedule and its reversal
+    weight from the ramp; a non-finite loss aborts the run with
+    ``TrainingAborted``. After each epoch the parameters are scored by the
+    positive-class F, on the ``dev`` split, of the head the strategy trains:
+    the source head for ``single:source``, the target head for every other
+    strategy. They are copied only when that F beats every earlier epoch's:
+    the result holds that copy as ``selected`` and its index as ``epoch``.
+    ``run_log`` is an optional file handle receiving one JSON line per
+    epoch, written before the epoch is scored.
     """
-    check_domain(eval_domain)
     steps_per_epoch = len(schedule[0]) if schedule else 0
     if steps_per_epoch == 0:
         raise ValueError("train_run: the schedule holds no batch")
@@ -457,15 +418,35 @@ def train_run(
         if len(pairs) != steps_per_epoch:
             raise ValueError(f"train_run: epoch {epoch} holds {len(pairs)} batches, epoch 0 holds {steps_per_epoch}")
     total_steps = steps_per_epoch * len(schedule)
+    with_disc = strategy in _WITH_DISC
+    domain = "source" if strategy == "single:source" else "target"
     opt_state = AdamState()
     reports, dev_f, best = [], [], 0
     t0 = time.perf_counter()
     for epoch, pairs in enumerate(schedule):
-        report = train_epoch(strategy, params, opt_state, pairs, config, epoch, total_steps, epoch * steps_per_epoch)
-        reports.append(report)
+        offset = epoch * steps_per_epoch
+        lr_start = cosine_lr(offset, total_steps, config.lr)
+        lam_start = grl_weight(offset / total_steps) if with_disc else None
+        records, peak_aux = [], 0
+        t_epoch = time.perf_counter()
+        for i, (batch_s, batch_t) in enumerate(pairs):
+            lr_t = cosine_lr(offset + i, total_steps, config.lr)
+            lam = grl_weight((offset + i) / total_steps)
+            try:
+                record, aux = training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, config.gamma)
+            except NonFiniteError as e:
+                raise TrainingAborted(strategy, epoch, i, e, lr=lr_t, lam=lam if with_disc else None) from e
+            records.append(record)
+            peak_aux = max(peak_aux, aux)
+        wall_ms = (time.perf_counter() - t_epoch) * 1000.0
+        losses = {}
+        for key in ("L_s", "L_t", "L_d", "joint"):
+            vals = [r[key] for r in records if r[key] is not None]
+            losses[key] = float(np.mean(vals)) if vals else None
+        reports.append(EpochReport(epoch, strategy, losses, lr_start, lam_start, wall_ms, peak_aux))
         if run_log is not None:
-            run_log.write(json.dumps(asdict(report)) + "\n")
-        dev_f.append(metrics.f_score(model.predict(params, dev.seqs, eval_domain), dev.labels)[0])
+            run_log.write(json.dumps(asdict(reports[-1])) + "\n")
+        dev_f.append(metrics.f_score(model.predict(params, dev.seqs, domain), dev.labels)[0])
         if epoch == 0 or dev_f[epoch] > dev_f[best]:
             best, selected = epoch, params.copy()
     wall_ms = (time.perf_counter() - t0) * 1000.0

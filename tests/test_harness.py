@@ -96,7 +96,7 @@ def test_sequential_finetune_phase_two_starts_from_phase_one_selection(fast_pair
 
     schedules = [batch_schedule(ss["train"], None, 32, 2, 0), batch_schedule(ts["train"], None, 32, 2, 1)]
     run = sequential_finetune(init, schedules, ss["dev"], ts["dev"], config)
-    phase1 = train_run("single:source", init.copy(), schedules[0], ss["dev"], config, eval_domain="source")
+    phase1 = train_run("single:source", init.copy(), schedules[0], ss["dev"], config)
     run_direct = train_run("single:target", phase1.selected, schedules[1], ts["dev"], config)
     assert len(run.dev_f) == 2
     assert run.dev_f == run_direct.dev_f  # phase 2 trains on the second schedule
@@ -383,7 +383,7 @@ def test_run_experiment_grid_searches_seq_as_its_own_base(fast_pair):
     runs = {lr: sequential_finetune(init, schedules, *dev, TrainingConfig(lr=lr, gamma=0.0)) for lr in spec.lr_grid}
     lr = max(sorted(runs), key=lambda lr: runs[lr].dev_f[runs[lr].epoch])  # the smaller rate on a tie
     run = runs[lr]
-    test_f = _test_metrics(run.selected, target_splits, "target")[0]
+    test_f = _test_metrics(run.selected, target_splits)[0]
     assert (seq.lr, seq.dev_f, seq.test_f) == (lr, run.dev_f[run.epoch], test_f)
 
 

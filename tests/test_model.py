@@ -68,11 +68,8 @@ def test_encode_rejects_empty_batch():
 
 
 def test_unknown_domain_rejected_before_anything_is_recorded():
-    import io
-
     from latopt.autodiff import Tape
     from latopt.model import classifier_logits, predict, put_params
-    from latopt.training import TrainingConfig, batch_schedule, pack_split, train_run
 
     params = init_params(SMALL, 0)
     tape = Tape()
@@ -83,15 +80,6 @@ def test_unknown_domain_rejected_before_anything_is_recorded():
     assert len(tape) == len(p) + 1
     with pytest.raises(ValueError, match="unknown domain 'bogus'"):
         predict(params, [(1, 2), (3,)], "bogus")
-    rng = np.random.default_rng(0)
-    split = pack_split([(tuple(rng.integers(0, SMALL.vocab_size, 3)), i % 2) for i in range(8)])
-    log = io.StringIO()
-    before = params.copy()
-    schedule = batch_schedule(split, split, 4, 1, 0)
-    with pytest.raises(ValueError, match="unknown domain 'Target'"):
-        train_run("mtl", params, schedule, split, TrainingConfig(), "Target", run_log=log)
-    assert log.getvalue() == ""
-    assert all(params.tensors[k].tobytes() == before.tensors[k].tobytes() for k in params.tensors)
 
 
 def test_grl_schedule_endpoints_and_monotonicity():
@@ -236,8 +224,8 @@ def test_batch_permutation_invariance():
     fwd_p = strategy_forward(params, (seqs_p, labels_p), (seqs_p, labels_p), "adv")
 
     np.testing.assert_allclose(
-        fwd_p.refs.tape.value(fwd_p.refs.logits_s),
-        fwd.refs.tape.value(fwd.refs.logits_s)[perm],
+        fwd_p.refs.tape.value(fwd_p.refs.tape.nodes[fwd_p.refs.loss_s].inputs[0]),  # the source logits
+        fwd.refs.tape.value(fwd.refs.tape.nodes[fwd.refs.loss_s].inputs[0])[perm],
         atol=1e-12,
     )
     for a, b in (

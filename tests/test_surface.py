@@ -32,10 +32,7 @@ def test_settable_surface_is_pinned():
     signatures = {
         optim.adam_step: ["state", "params", "grads", "lr"],
         training.batch_schedule: ["source", "target", "batch_size", "epochs", "seed"],
-        training.train_epoch: [
-            "strategy", "params", "opt_state", "pairs", "config", "epoch", "total_steps", "step_offset"
-        ],
-        training.train_run: ["strategy", "params", "schedule", "dev", "config", "eval_domain", "run_log"],
+        training.train_run: ["strategy", "params", "schedule", "dev", "config", "run_log"],
         harness.sequential_finetune: ["params", "schedules", "source_dev", "target_dev", "config"],
         render.render_trajectory: ["trajectories", "q"],
         render.write_outputs: ["trajectories", "q", "svg_path", "csv_path"],
@@ -76,6 +73,9 @@ def test_settable_surface_is_pinned():
         (harness.MetricsReport, "to_json"),
         (harness, "_grid_search"),
         (harness, "_run_strategy"),
+        (training, "train_epoch"),
+        (model.GraphRefs, "logits_s"),
+        (model.GraphRefs, "logits_t"),
     ]
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
 

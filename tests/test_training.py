@@ -14,7 +14,7 @@ import pytest
 from helpers import domain_loss
 
 from latopt.autodiff import backward
-from latopt.model import ModelConfig, ModelParams, grl_weight, init_params, onehot, predict
+from latopt.model import ModelConfig, ModelParams, grl_weight, init_params, onehot, param_shapes, predict
 from latopt.optim import AdamState
 from latopt.training import (
     STRATEGIES,
@@ -28,7 +28,6 @@ from latopt.training import (
     pack_split,
     paired_batches,
     strategy_forward,
-    train_epoch,
     train_run,
     training_step,
     trainable_tensors,
@@ -424,11 +423,19 @@ def test_maml_step_is_adv_step_plus_order_gamma():
 
 def test_train_epoch_report_and_runlog_schema():
     rng = np.random.default_rng(14)
-    params = init_params(TINY, 14)
     splits = tiny_splits(rng)
     config = TrainingConfig(lr=1e-3, gamma=0.01)
     train = splits["train"]
-    report = train_epoch("adv+lo", params, AdamState(), paired_batches(train, train, 4, rng), config, 0, 3, 0)
+
+    def reports(strategy, epochs):
+        """The epoch reports of one run, checked against its run log."""
+        log = io.StringIO()
+        schedule = batch_schedule(train, train, 4, epochs, 14)
+        run = train_run(strategy, init_params(TINY, 14), schedule, splits["dev"], config, run_log=log)
+        assert log.getvalue() == "".join(json.dumps(asdict(r)) + "\n" for r in run.epoch_reports)
+        return run.epoch_reports
+
+    report = reports("adv+lo", 1)[0]
     assert isinstance(report, EpochReport)
     entry = asdict(report)
     assert list(entry) == ["epoch", "strategy", "losses", "lr", "lam", "wall_ms", "aux_state_scalars"]  # the run log's key order
@@ -438,11 +445,30 @@ def test_train_epoch_report_and_runlog_schema():
     json.dumps(entry)  # serializable
     # a later epoch starts further up the ramp, and a strategy without a
     # discriminator has no weight
-    later = train_epoch("adv", params, AdamState(), paired_batches(train, train, 4, rng), config, 1, 6, 3)
+    later = reports("adv", 2)[1]
     assert asdict(later)["lam"] == grl_weight(0.5)
-    entry = asdict(train_epoch("mtl+lo", params, AdamState(), paired_batches(train, train, 4, rng), config, 0, 3, 0))
+    entry = asdict(reports("mtl+lo", 1)[0])
     assert entry["lam"] is None
     json.dumps(entry)
+
+
+@pytest.mark.parametrize("strategy", [*STRATEGIES, "single:source", "single:target"])
+def test_dev_head_follows_the_strategy(strategy, monkeypatch):
+    # a run is scored on the head its strategy trains
+    from latopt import model
+
+    domains, real = [], model.predict
+
+    def spy(params, sequences, domain):
+        domains.append(domain)
+        return real(params, sequences, domain)
+
+    monkeypatch.setattr(model, "predict", spy)
+    splits = tiny_splits(np.random.default_rng(23))
+    train = splits["train"]
+    schedule = batch_schedule(train, None if strategy.startswith("single:") else train, 4, 2, 23)
+    train_run(strategy, init_params(TINY, 23), schedule, splits["dev"], TrainingConfig(lr=1e-3))
+    assert domains == ["source" if strategy == "single:source" else "target"] * 2
 
 
 def _batch_key(batch):
@@ -723,10 +749,20 @@ def _sha256(arrays) -> str:
     return h.hexdigest()
 
 
+def _run_digest(run) -> str:
+    """sha256 of the selected tensors in ``param_shapes`` order, then of the
+    JSON of ``dev_f``, ``epoch`` and each epoch's losses, lr and lam."""
+    trace = [run.dev_f, run.epoch, [[r.losses, r.lr, r.lam] for r in run.epoch_reports]]
+    tensors = [run.selected.tensors[k] for k in param_shapes(TINY)]
+    return _sha256([*tensors, np.frombuffer(json.dumps(trace).encode(), np.uint8)])
+
+
 def training_digests() -> dict:
     """sha256 of the parameters (in ``param_shapes`` order) after 3
-    ``training_step``s of each strategy from one TINY init, and of one
-    ``predict`` of 300 sequences (two chunks) at the default config."""
+    ``training_step``s of each strategy from one TINY init, of one 2-epoch
+    ``train_run`` of each strategy and each ``single:*`` (see
+    ``_run_digest``), and of one ``predict`` of 300 sequences (two chunks) at
+    the default config."""
     rng = np.random.default_rng(21)
     pairs = [(tiny_batch(rng, b=4), tiny_batch(rng, b=4)) for _ in range(3)]
     steps = {}
@@ -735,12 +771,25 @@ def training_digests() -> dict:
         for batch_s, batch_t in pairs:
             training_step(strategy, params, state, batch_s, batch_t, 1e-2, 0.5, 0.25)
         steps[strategy] = _sha256(params.tensors.values())
+    split_rng = np.random.default_rng(22)  # its own generator: rng feeds the predict digest below
+    source, target = tiny_splits(split_rng, n=16), tiny_splits(split_rng, n=16)
+    paired = batch_schedule(source["train"], target["train"], 4, 2, 21)
+    run_config = TrainingConfig(lr=1e-2, gamma=0.25)
+    runs = {}
+    for strategy in (*STRATEGIES, "single:source", "single:target"):
+        own = source if strategy == "single:source" else target
+        schedule = paired if strategy in STRATEGIES else batch_schedule(own["train"], None, 4, 2, 21)
+        runs[strategy] = _run_digest(train_run(strategy, init_params(TINY, 21), schedule, own["dev"], run_config))
     config = ModelConfig()
     seqs = [rng.integers(0, config.vocab_size, size=rng.integers(5, 30)) for _ in range(300)]
-    return {"training_step": steps, "predict": _sha256([predict(init_params(config, 21), seqs, "target")])}
+    return {
+        "training_step": steps,
+        "train_run": runs,
+        "predict": _sha256([predict(init_params(config, 21), seqs, "target")]),
+    }
 
 
 def test_training_steps_and_predict_match_the_bit_golden():
     want = json.loads(TRAIN_GOLDEN.read_text())
     got = training_digests()
-    assert got == {"training_step": want["training_step"], "predict": want["predict"]}
+    assert got == {"training_step": want["training_step"], "train_run": want["train_run"], "predict": want["predict"]}
