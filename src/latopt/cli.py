@@ -3,7 +3,8 @@
 Subcommands: ``gen`` (synthetic dataset pair), ``kl`` (unigram divergence),
 ``stats`` (dataset summary), ``quad`` (quadratic trajectories + SVG/CSV),
 ``train`` (single run), ``compare`` (full experiment from a JSON spec).
-Exit code is nonzero when any run fails, and 2 on bad input.
+Exit code is nonzero when any run fails, and 2 on bad input: a command
+raises ``Refusal`` before it writes anything, and ``main`` prints it.
 """
 
 from __future__ import annotations
@@ -17,28 +18,29 @@ from pathlib import Path
 import numpy as np
 
 
-def _out_ok(cmd: str, path) -> bool:
-    """Whether ``--out path`` can be a directory to write into (see
-    ``harness.out_dir_problem``); False after printing why not."""
+class Refusal(Exception):
+    """Bad input to a command; ``main`` prints ``latopt <command>: <reason>``
+    to stderr and returns 2."""
+
+
+def _check_out(path) -> None:
+    """Refuses an ``--out path`` that cannot be a directory to write into
+    (see ``harness.out_dir_problem``)."""
     from .harness import out_dir_problem
 
-    problem = out_dir_problem(path)
-    if problem:
-        print(f"latopt {cmd}: --out {path}: {problem}", file=sys.stderr)
-    return problem is None
+    if problem := out_dir_problem(path):
+        raise Refusal(f"--out {path}: {problem}")
 
 
 def _cmd_gen(args) -> int:
     from .data import GeneratorConfig, prepare_transfer_pair, save_dataset
 
-    if not _out_ok("gen", args.out):
-        return 2
+    _check_out(args.out)
     # the pair is a function of the flags alone, so any ValueError is bad input
     try:
         source, target = prepare_transfer_pair(GeneratorConfig(seed=args.seed, cue_rate=args.cue_share), args.max_len)
     except ValueError as e:
-        print(f"latopt gen: {e}", file=sys.stderr)
-        return 2
+        raise Refusal(str(e)) from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(source, out / "source.jsonl")
@@ -48,29 +50,24 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load(cmd: str, *paths):
-    """The datasets at ``paths``; None after printing why one cannot be read."""
+def _load(*paths) -> list:
+    """The datasets at ``paths``; ``Refusal`` says why one cannot be read."""
     from .data import DatasetError, load_dataset
 
     try:
         return [load_dataset(path) for path in paths]
     except DatasetError as e:
-        print(f"latopt {cmd}: {e}", file=sys.stderr)
-        return None
+        raise Refusal(str(e)) from e
 
 
 def _cmd_kl(args) -> int:
     from .data import unigram_kl
 
-    loaded = _load("kl", args.source, args.target)
-    if loaded is None:
-        return 2
-    source, target = loaded
+    source, target = _load(args.source, args.target)
     try:
         kl = unigram_kl(source, target, tuple(args.split) if args.split else None)
     except ValueError as e:  # no token the two corpora share
-        print(f"latopt kl: {e}", file=sys.stderr)
-        return 2
+        raise Refusal(str(e)) from e
     print(f"{kl:.6f}")
     return 0
 
@@ -78,10 +75,7 @@ def _cmd_kl(args) -> int:
 def _cmd_stats(args) -> int:
     from .data import SPLITS, unigram_counts
 
-    loaded = _load("stats", args.data)
-    if loaded is None:
-        return 2
-    (ds,) = loaded
+    (ds,) = _load(args.data)
     print(f"domain: {ds.domain}  vocab_size: {ds.vocab_size}  seed: {ds.seed}")
     for split in SPLITS:
         ex = ds.split(split)
@@ -131,8 +125,7 @@ def _cmd_quad(args) -> int:
         # renders both documents before it opens a file, so a refusal writes nothing
         write_outputs(trajectories, q, svg_path=args.out_svg, csv_path=args.out_csv)
     except ValueError as e:
-        print(f"latopt quad: {e}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise Refusal(str(e)) from e
     for method, traj in zip(methods, trajectories):
         reached = traj.steps_to()
         status = f"converged at step {reached}" if reached is not None else "not converged"
@@ -151,32 +144,26 @@ def _cmd_quad(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .harness import _test_metrics, checked_splits
+    from .harness import SpecError, _test_metrics, checked_splits
     from .model import ModelConfig, init_params, save_checkpoint
     from .training import TrainingAborted, TrainingConfig, batch_schedule, train_run
 
     try:
         config = TrainingConfig(lr=args.lr, gamma=args.gamma)
-        for name in ("batch_size", "epochs"):
-            if getattr(args, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(args, name)}")
     except ValueError as e:
-        print(f"latopt train: {e}", file=sys.stderr)
-        return 2
+        raise Refusal(str(e)) from e
+    for name in ("batch_size", "epochs"):
+        if getattr(args, name) < 1:
+            raise Refusal(f"{name} must be >= 1, got {getattr(args, name)}")
     if args.seed < 0:
-        print(f"latopt train: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
-    if not _out_ok("train", args.out):
-        return 2
-    loaded = _load("train", args.source, args.target)
-    if loaded is None:
-        return 2
-    source, target = loaded
+        raise Refusal(f"--seed must be >= 0, got {args.seed}")
+    _check_out(args.out)
+    source, target = _load(args.source, args.target)
     # the model vocabulary is sized from the source
-    problem, splits = checked_splits(source.vocab_size, args.batch_size, {args.source: source, args.target: target})
-    if problem:
-        print(f"latopt train: {problem}", file=sys.stderr)
-        return 2
+    try:
+        splits = checked_splits(source.vocab_size, args.batch_size, {args.source: source, args.target: target})
+    except SpecError as e:
+        raise Refusal(str(e)) from e
     params = init_params(ModelConfig(vocab_size=source.vocab_size), args.seed)
     source_splits, target_splits = splits[args.source], splits[args.target]
     schedule = batch_schedule(source_splits["train"], target_splits["train"], args.batch_size, args.epochs, args.seed)
@@ -213,13 +200,11 @@ def _cmd_compare(args) -> int:
     from .data import DatasetError
     from .harness import ExperimentSpec, SpecError, format_summary, run_experiment
 
-    if not _out_ok("compare", args.out):
-        return 2
+    _check_out(args.out)
     try:
         reports, analysis = run_experiment(ExperimentSpec.from_json(args.spec), out_dir=args.out)
     except (SpecError, DatasetError) as e:
-        print(f"latopt compare: {e}", file=sys.stderr)
-        return 2
+        raise Refusal(str(e)) from e
     print(format_summary(analysis))
     print(f"outputs in {args.out}")
     return 1 if analysis["n_failed"] else 0
@@ -280,7 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Refusal as e:
+        print(f"latopt {args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

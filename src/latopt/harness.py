@@ -268,39 +268,39 @@ def _failed_report(strategy, seed, lr, message) -> MetricsReport:
     return MetricsReport(strategy, seed, lr, 0.0, 0.0, 0.0, 0.0, -1, 0.0, 0, failed=True, error=message)
 
 
-def checked_splits(vocab: int, batch_size: int, datasets: dict) -> tuple[str | None, dict]:
-    """(problem, splits): each dataset's splits packed once (name -> the
-    ``_splits`` of that dataset), and why a model with ``vocab`` tokens
-    cannot train on them in batches of ``batch_size``, or None when it can:
-    every example must be in the train, dev or test split, every token id
-    embeddable, every label in {0, 1}, no split or sequence empty, and each
-    train split must hold at least one batch. The checks read the packed
-    splits, so an empty split is never packed."""
+def checked_splits(vocab: int, batch_size: int, datasets: dict) -> dict:
+    """Each dataset's splits packed once (name -> the ``_splits`` of that
+    dataset). ``SpecError`` says why a model with ``vocab`` tokens cannot
+    train on them in batches of ``batch_size``: every example must be in
+    the train, dev or test split, every token id embeddable, every label in
+    {0, 1}, no split or sequence empty, and each train split must hold at
+    least one batch. The checks read the packed splits, so an empty split
+    is never packed."""
     packed = {}
     for name, ds in datasets.items():
         if ds.vocab_size > vocab:
-            return f"{name}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens", packed
+            raise SpecError(f"{name}: vocab_size {ds.vocab_size} exceeds the model vocabulary of {vocab} tokens")
         odd = next((e.split for e in ds.examples if e.split not in SPLITS), None)
         if odd is not None:
-            return f"{name}: {not_a_split(odd)}", packed
+            raise SpecError(f"{name}: {not_a_split(odd)}")
         try:
             splits = packed[name] = _splits(ds)
         except ShapeError as e:
-            return f"{name}: {e}", packed
+            raise SpecError(f"{name}: {e}") from e
         lo = min((s.seqs.ids.min() for s in splits.values()), default=0)
         hi = max((s.seqs.ids.max() for s in splits.values()), default=0)
         if lo < 0 or hi >= vocab:
-            return f"{name}: token ids span [{lo}, {hi}], outside the model vocabulary of {vocab} tokens", packed
+            raise SpecError(f"{name}: token ids span [{lo}, {hi}], outside the model vocabulary of {vocab} tokens")
         # sorted in Python: np.unique would import numpy.ma, about a megabyte
         bad = {int(y) for s in splits.values() for y in s.labels[(s.labels != 0) & (s.labels != 1)]}
         if bad:
-            return f"{name}: labels {sorted(bad)} are not in {{0, 1}}", packed
+            raise SpecError(f"{name}: labels {sorted(bad)} are not in {{0, 1}}")
         empty = [split for split in SPLITS if split not in splits]
         if empty:
-            return f"{name}: the {empty[0]} split is empty", packed
+            raise SpecError(f"{name}: the {empty[0]} split is empty")
         if batch_size > len(splits["train"].seqs):
-            return f"{name}: batch_size {batch_size} exceeds the {len(splits['train'].seqs)} train examples", packed
-    return None, packed
+            raise SpecError(f"{name}: batch_size {batch_size} exceeds the {len(splits['train'].seqs)} train examples")
+    return packed
 
 
 def load_pair(spec: ExperimentSpec):
@@ -393,11 +393,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None)
     if source is None or target is None:
         source, target = load_pair(spec)
     names = (spec.source_path or "source", spec.target_path or "target")
-    problem, splits = checked_splits(
-        spec.model.vocab_size, spec.batch_size, {names[0]: source, names[1]: target}
-    )
-    if problem:
-        raise SpecError(problem)
+    splits = checked_splits(spec.model.vocab_size, spec.batch_size, {names[0]: source, names[1]: target})
     source_splits, target_splits = splits[names[0]], splits[names[1]]
 
     t0 = time.perf_counter()

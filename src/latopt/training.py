@@ -425,13 +425,13 @@ def train_run(
     t0 = time.perf_counter()
     for epoch, pairs in enumerate(schedule):
         offset = epoch * steps_per_epoch
-        lr_start = cosine_lr(offset, total_steps, config.lr)
-        lam_start = grl_weight(offset / total_steps) if with_disc else None
         records, peak_aux = [], 0
         t_epoch = time.perf_counter()
         for i, (batch_s, batch_t) in enumerate(pairs):
             lr_t = cosine_lr(offset + i, total_steps, config.lr)
             lam = grl_weight((offset + i) / total_steps)
+            if i == 0:  # the epoch reports its first step's rate and weight
+                lr_start, lam_start = lr_t, lam if with_disc else None
             try:
                 record, aux = training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, config.gamma)
             except NonFiniteError as e:

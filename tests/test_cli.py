@@ -123,9 +123,9 @@ def test_quad_writes_svg_and_csv(tmp_path, capsys):
     assert len(rows) == 1 + 3 * 51
 
 
-def test_quad_rejects_unknown_method(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["quad", "--method", "newton"])
+def test_quad_rejects_unknown_method(tmp_path, capsys):
+    assert main(["quad", "--method", "newton"]) == 2
+    assert capsys.readouterr().err == "latopt quad: unknown method 'newton' (choose from gd, eg1, eg2)\n"
 
 
 @pytest.mark.parametrize(
@@ -147,9 +147,7 @@ def test_quad_rejects_unknown_method(tmp_path):
 )
 def test_quad_bad_input_exits_2(tmp_path, capsys, flag, value, reason):
     svg = tmp_path / "t.svg"
-    with pytest.raises(SystemExit) as info:
-        main(["quad", flag, value, "--out-svg", str(svg)])
-    assert info.value.code == 2
+    assert main(["quad", flag, value, "--out-svg", str(svg)]) == 2
     assert capsys.readouterr().err.startswith(f"latopt quad: {reason}")
     assert not svg.exists()
 
@@ -157,9 +155,7 @@ def test_quad_bad_input_exits_2(tmp_path, capsys, flag, value, reason):
 def test_quad_degenerate_bounding_box_exits_2_and_writes_nothing(tmp_path, capsys):
     # f and its gradient are finite at 1e17, but the margin around one point rounds away
     svg, csv = tmp_path / "t.svg", tmp_path / "t.csv"
-    with pytest.raises(SystemExit) as info:
-        main(["quad", "--start", "1e17,0", "--steps", "0", "--out-svg", str(svg), "--out-csv", str(csv)])
-    assert info.value.code == 2
+    assert main(["quad", "--start", "1e17,0", "--steps", "0", "--out-svg", str(svg), "--out-csv", str(csv)]) == 2
     out = capsys.readouterr()
     assert out.err.startswith("latopt quad: render_trajectory: degenerate bounding box")
     assert out.out == ""

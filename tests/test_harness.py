@@ -234,7 +234,11 @@ def test_data_problem_accepts_a_fitting_pair():
     from latopt.harness import checked_splits
 
     src, tgt = _fitting_pair()
-    assert checked_splits(30, 8, {"source": src, "target": tgt})[0] is None
+    packed = checked_splits(30, 8, {"source": src, "target": tgt})
+    assert {name: list(splits) for name, splits in packed.items()} == {
+        "source": ["train", "dev", "test"],
+        "target": ["train", "dev", "test"],
+    }
 
 
 @pytest.mark.parametrize(

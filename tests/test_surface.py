@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from latopt import autodiff, data, harness, metrics, model, optim, quadratic, render, training
+from latopt import autodiff, cli, data, harness, metrics, model, optim, quadratic, render, training
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -76,6 +76,7 @@ def test_settable_surface_is_pinned():
         (training, "train_epoch"),
         (model.GraphRefs, "logits_s"),
         (model.GraphRefs, "logits_t"),
+        (cli, "_out_ok"),
     ]
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
 
@@ -161,6 +162,40 @@ def test_no_function_in_training_imports():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def _is_run_failed_line(node) -> bool:
+    """Whether ``node`` is ``print(f"run failed: ...", ...)``: an aborted
+    run, not a refusal."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.JoinedStr)
+        and isinstance(node.args[0].values[0], ast.Constant)
+        and node.args[0].values[0].value.startswith("run failed: ")
+    )
+
+
+def test_only_cli_main_turns_a_refusal_into_exit_2():
+    # a command raises cli.Refusal; main alone prints it and returns 2, so
+    # the exit-2 policy is written once
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        exempt = {id(n) for call in ast.walk(fn) if _is_run_failed_line(call) for n in ast.walk(call)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2:
+                found.append(f"{fn.name}: line {node.lineno} returns 2")
+            elif isinstance(node, ast.Raise) and node.exc is not None and "SystemExit" in ast.unparse(node.exc):
+                found.append(f"{fn.name}: line {node.lineno} raises SystemExit")
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr" and id(node) not in exempt:
+                found.append(f"{fn.name}: line {node.lineno} writes to sys.stderr")
+    assert [f for f in found if not f.startswith("main:")] == []
+    assert sorted(f.split()[-1] for f in found) == ["2", "sys.stderr"]  # main's one refusal
 
 
 @pytest.fixture
