@@ -10,6 +10,7 @@ default the comparison experiments rely on.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import multiprocessing
@@ -338,10 +339,33 @@ def _usable_cpus() -> int:
 # the arguments it inherits through fork, so nothing large is pickled
 _worker_args: tuple = ()
 
+# glibc's mallopt parameters (malloc.h) and the values each pool worker sets.
+# A training step frees temporaries of 0.3-0.5 MB (the dense embedding
+# gradient, the embedding row gather, the embedding backward's weights and
+# bins); under glibc's defaults they go back to the kernel and fault in again
+# at the next step. Setting either parameter turns off glibc's dynamic
+# adjustment of both, so both are set; glibc caps the mmap threshold at 32 MiB.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+WORKER_TRIM_THRESHOLD = 32 << 20
+WORKER_MMAP_THRESHOLD = 8 << 20
+
 
 def _init_worker(*args) -> None:
+    """Run once in each forked worker: keep the inherited arguments, and raise
+    glibc's trim and mmap thresholds so that a step's freed temporaries stay
+    in this worker's heap. A C library that cannot be opened or has no
+    ``mallopt`` leaves the allocator as it is. Only allocation changes, never
+    a computed bit, and the process that forks the pool is never tuned."""
     global _worker_args
     _worker_args = args
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD)
+    mallopt(M_MMAP_THRESHOLD, WORKER_MMAP_THRESHOLD)
 
 
 def _worker_seed_jobs(seed: int) -> list:
@@ -354,7 +378,10 @@ def _all_seed_jobs(spec, source_splits, target_splits) -> list:
     the seeds run here, in turn; otherwise in a pool of forked workers, one
     per CPU and at most one per seed, each seed a task. A seed's reports
     depend only on the spec, the seed and the splits, so both ways compute
-    the same bits. A worker that dies raises ``BrokenProcessPool``; any
+    the same bits. Each worker sets glibc's trim and mmap thresholds (see
+    ``_init_worker``), so a step's freed temporaries stay in its heap; on
+    other C libraries this is a no-op, this process is never tuned, and the
+    reports stay bitwise. A worker that dies raises ``BrokenProcessPool``; any
     exception a worker raises is raised here once the workers still running
     finish, and the seeds not yet started are dropped."""
     workers = min(_usable_cpus(), len(spec.seeds))
@@ -375,9 +402,12 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None)
 
     The seeds run in forked worker processes, one per CPU this process may
     use and never more than there are seeds (see ``_all_seed_jobs``); with
-    one CPU or one seed they run in this process and none is started. The
-    reports are the same bits either way, apart from ``wall_ms``, which is
-    measured in whichever process trains the run.
+    one CPU or one seed they run in this process and none is started. Each
+    worker sets glibc's trim and mmap thresholds, so a step's freed
+    temporaries stay in its heap; on other C libraries this is a no-op, and
+    the calling process's allocator is never tuned. The reports are the same
+    bits either way, apart from ``wall_ms``, which is measured in whichever
+    process trains the run.
 
     An ``out_dir`` that cannot be a directory (see ``out_dir_problem``)
     raises ``SpecError`` first, before any dataset is read or generated.

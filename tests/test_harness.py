@@ -1,11 +1,13 @@
 """Harness contracts: metric arithmetic, the sequential baseline, experiment
 orchestration, and report/summary outputs."""
 
+import ctypes
 import json
 import math
 import multiprocessing
 import os
 import re
+import types
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -710,6 +712,58 @@ def test_one_cpu_or_one_seed_starts_no_process(fast_pair, monkeypatch, cpus, n_c
     spec = ExperimentSpec(strategies=["mtl"], seeds=seeds, lr_grid=[1e-3], epochs=1, batch_size=32, model=FAST_MODEL)
     reports, _ = run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
     assert [(r.seed, r.failed) for r in reports] == [(s, False) for s in seeds]
+
+
+@pytest.fixture
+def libc(monkeypatch):
+    """A C library whose ``mallopt`` records its calls instead of tuning this
+    process's allocator; every ``ctypes.CDLL`` opens it while the test runs."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    fake = types.SimpleNamespace(mallopt=mallopt, calls=calls)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: fake)
+    return fake
+
+
+def test_a_worker_sets_glibcs_trim_and_mmap_thresholds(monkeypatch, libc):
+    from latopt import harness
+
+    monkeypatch.setattr(harness, "_worker_args", ())
+    harness._init_worker("spec", "source", "target")
+    assert harness._worker_args == ("spec", "source", "target")
+    # M_TRIM_THRESHOLD is -1 and M_MMAP_THRESHOLD -3 in glibc's malloc.h
+    assert sorted(param for param, _ in libc.calls) == [-3, -1]
+    assert (libc.mallopt.argtypes, libc.mallopt.restype) == ((ctypes.c_int, ctypes.c_int), ctypes.c_int)
+    # above one step's temporaries (0.3-0.5 MB), within glibc's 32 MiB cap
+    assert all(1 << 20 <= value <= 32 << 20 for _, value in libc.calls)
+
+
+@pytest.mark.parametrize(
+    "opened", [OSError("no libc.so.6"), types.SimpleNamespace()], ids=["cannot_open", "no_mallopt"]
+)
+def test_a_worker_without_glibcs_mallopt_is_left_as_it_is(monkeypatch, opened):
+    from latopt import harness
+
+    def cdll(name):
+        if isinstance(opened, Exception):
+            raise opened
+        return opened
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(harness, "_worker_args", ())
+    harness._init_worker("spec", "source", "target")
+    assert harness._worker_args == ("spec", "source", "target")
+
+
+def test_a_compare_on_one_cpu_leaves_the_allocator_as_it_is(fast_pair, cpus, libc):
+    cpus(1)
+    spec = ExperimentSpec(strategies=["mtl"], seeds=[0, 1], lr_grid=[1e-3], epochs=1, batch_size=32, model=FAST_MODEL)
+    run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
+    assert libc.calls == []
 
 
 def test_summary_relative_columns(fast_pair):

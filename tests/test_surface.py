@@ -164,6 +164,26 @@ def test_no_function_in_training_imports():
     assert found == []
 
 
+def test_only_a_pool_worker_tunes_the_allocator():
+    # importing latopt or running anything in the calling process must leave
+    # its allocator as it is; the forked workers' initializer alone sets it
+    found = set()
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so the innermost function wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        found |= {
+            f"{path.stem}.{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "mallopt")
+            or (isinstance(node, ast.Name) and node.id == "mallopt")
+            or (isinstance(node, ast.Constant) and node.value == "mallopt")
+        }
+    assert found == {"harness._init_worker"}
+
+
 def _is_run_failed_line(node) -> bool:
     """Whether ``node`` is ``print(f"run failed: ...", ...)``: an aborted
     run, not a refusal."""
