@@ -121,25 +121,21 @@ def _densify(g: _RowGrad, like: np.ndarray) -> np.ndarray:
 def _accumulate(prev, g, like: np.ndarray):
     """``prev + g`` as a dense sum from a +0.0 buffer would give it, in place
     where it can be; ``prev`` is a first term plus 0.0 (see ``backward``) or
-    an earlier such sum. A row-sparse term skips the rows where it is +0.0,
+    an earlier such sum. A term with other rows than a row-sparse ``prev``
+    makes the sum dense. A row-sparse term skips the rows where it is +0.0,
     which changes no bit: a sum that starts from +0.0 is never -0.0, and
     0.0 + x is x for any other x."""
-    if not isinstance(g, _RowGrad):
-        if isinstance(prev, _RowGrad):
-            prev = _densify(prev, like)
-        prev += g
-        return prev
-    if not isinstance(prev, _RowGrad):
+    sparse = isinstance(g, _RowGrad)
+    if isinstance(prev, _RowGrad):
+        if sparse and np.array_equal(prev.rows, g.rows):
+            np.add(prev.vals, g.vals, out=prev.vals)
+            return prev
+        prev = _densify(prev, like)
+    if sparse:
         prev[g.rows] += g.vals
-        return prev
-    if np.array_equal(prev.rows, g.rows):
-        np.add(prev.vals, g.vals, out=prev.vals)
-        return prev
-    rows = np.union1d(prev.rows, g.rows)
-    vals = np.zeros((rows.size, like.shape[1]))
-    vals[np.searchsorted(rows, prev.rows)] = prev.vals
-    vals[np.searchsorted(rows, g.rows)] += g.vals
-    return _RowGrad(rows, vals)
+    else:
+        prev += g
+    return prev
 
 
 _F64 = np.dtype(np.float64)
@@ -170,9 +166,9 @@ def _all_finite(a: np.ndarray) -> bool:
 # forward(input_values, meta) -> output ndarray
 # backward(grad_out, input_values, output, meta, need) -> tuple of per-input
 #   grads. ``need`` holds, per input, whether the sweep reads its gradient;
-#   an op may skip an input it does not need and return None there, as it
-#   does for an input that receives no gradient (e.g. through detach). The
-#   sweep calls a backward only when some input is needed. The table of
+#   an op returns None for an input it does not need, as for one that gets
+#   no gradient (e.g. through detach); the sweep adds every other term, and
+#   calls a backward only when some input is needed. The table of
 #   embedding_mean gets a _RowGrad. grad_out is always dense.
 
 
@@ -618,7 +614,7 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
                 g = _densify(g, node.value)
             vals = [nodes[i].value for i in inputs]
             in_grads = _OPS[node.op][1](g, vals, node.value, node.meta, need)
-            for inp, ig, needed in zip(inputs, in_grads, need):
+            for inp, ig in zip(inputs, in_grads):
                 if ig is None:
                     continue
                 sparse = isinstance(ig, _RowGrad)
@@ -626,15 +622,14 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
                 # _all_finite(a), with its dot test inline: a call per term costs about 1% of a step
                 if not (a.size < _DOT_CHECK_MAX and math.isfinite(np.vdot(a, a))) and not _all_finite(a):
                     raise NonFiniteError(f"op '{node.op}' (node {nid}) produced a non-finite gradient for input node {inp}")
-                if needed:
-                    prev = grads.get(inp)
-                    # a first term is 0.0 + ig, as a zero buffer gives: -0.0
-                    # becomes +0.0, and asarray keeps a 0-d sum an array
-                    if prev is None:
-                        grads[inp] = _RowGrad(ig.rows, ig.vals + 0.0) if sparse else np.asarray(ig + 0.0)
-                    else:
-                        summed.add(inp)
-                        grads[inp] = _accumulate(prev, ig, nodes[inp].value)
+                prev = grads.get(inp)
+                # a first term is 0.0 + ig, as a zero buffer gives: -0.0
+                # becomes +0.0, and asarray keeps a 0-d sum an array
+                if prev is None:
+                    grads[inp] = _RowGrad(ig.rows, ig.vals + 0.0) if sparse else np.asarray(ig + 0.0)
+                else:
+                    summed.add(inp)
+                    grads[inp] = _accumulate(prev, ig, nodes[inp].value)
     # a sum of finite terms can overflow; one that feeds an op reaches that
     # op's checked gradients, so only the requested ones are tested here
     for nid in wrt:

@@ -35,6 +35,7 @@ from .training import (
     Split,
     TrainingAborted,
     TrainingConfig,
+    _base,
     batch_schedule,
     pack_split,
     train_run,
@@ -56,11 +57,6 @@ SUMMARY_COLUMNS = (
 
 # the trainable strategies plus sequential fine-tuning, which the harness runs
 SPEC_STRATEGIES = STRATEGIES + ("seq",)
-
-
-def _base(strategy: str) -> str:
-    """The strategy whose grid-searched rate ``strategy`` inherits."""
-    return strategy.split("+")[0]
 
 
 class SpecError(ValueError):

@@ -47,7 +47,12 @@ from .optim import AdamState, cosine_lr
 
 STRATEGIES = ("mtl", "mtl+lo", "adv", "adv+lo", "adv+maml")
 
-_WITH_DISC = ("adv", "adv+lo", "adv+maml")
+
+def _base(strategy: str) -> str:
+    """The base that ``strategy`` varies: it inherits the base's rate, and
+    trains a discriminator if the base is ``adv``."""
+    return strategy.split("+")[0]
+
 
 DEFAULT_GAMMA = 0.25  # lookahead step of the +lo variants and adv+maml when none is given
 
@@ -56,7 +61,7 @@ DEFAULT_GAMMA = 0.25  # lookahead step of the +lo variants and adv+maml when non
 def trainable_tensors(strategy: str) -> tuple[str, ...]:
     names = []
     for group, members in ModelParams.GROUPS.items():
-        if group == "theta_d" and strategy not in _WITH_DISC:
+        if group == "theta_d" and _base(strategy) != "adv":
             continue
         if strategy == "single:source" and group == "phi_t":
             continue
@@ -196,7 +201,7 @@ def strategy_forward(
     refs.z_s = encode_on_tape(tape, p, seq_s)
     refs.z_t = encode_on_tape(tape, p, seq_t)
     z_s_in, z_t_in = refs.z_s, refs.z_t
-    with_disc = strategy in _WITH_DISC
+    with_disc = _base(strategy) == "adv"
     if with_disc:
         # the shared features, reversed, feed the discriminator
         u_s = tape.dense(refs.z_s, p["sh_W"], p["sh_b"], "tanh")
@@ -418,7 +423,7 @@ def train_run(
         if len(pairs) != steps_per_epoch:
             raise ValueError(f"train_run: epoch {epoch} holds {len(pairs)} batches, epoch 0 holds {steps_per_epoch}")
     total_steps = steps_per_epoch * len(schedule)
-    with_disc = strategy in _WITH_DISC
+    with_disc = _base(strategy) == "adv"
     domain = "source" if strategy == "single:source" else "target"
     opt_state = AdamState()
     reports, dev_f, best = [], [], 0

@@ -1,7 +1,12 @@
 """Engine-level contracts: forward shapes, backward gradients against
 finite differences, detach semantics, and determinism."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,3 +532,29 @@ def test_dense_shape_errors_match_unfused_ops():
     w = t.leaf(np.ones((3, 2)))
     with pytest.raises(ShapeError, match="add: shapes"):
         t.dense(x, w, t.leaf(np.zeros(3)))
+
+
+def test_summing_row_sparse_gradients_over_other_rows_leaves_numpy_ma_unimported():
+    # a fresh interpreter: pytest or an earlier test may hold numpy.ma. Two
+    # lookups of one table over other ids make the table's gradient a sum
+    # of row-sparse terms with different rows
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from latopt.autodiff import Tape, backward
+
+        t = Tape()
+        table = t.leaf(np.arange(12.0).reshape(6, 2))
+        a = t.embedding_mean(table, [(0, 1), (1,)])
+        b = t.embedding_mean(table, [(3,), (1, 4)])
+        (g,) = backward(t, t.reduce_sum(t.add(a, b)), wrt=(table,))
+        assert g.tolist() == [[0.5, 0.5], [2.0, 2.0], [0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [0.0, 0.0]], g
+        assert "numpy.ma" not in sys.modules
+        """
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

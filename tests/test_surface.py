@@ -164,9 +164,9 @@ def test_no_function_in_training_imports():
     assert found == []
 
 
-def test_only_a_pool_worker_tunes_the_allocator():
-    # importing latopt or running anything in the calling process must leave
-    # its allocator as it is; the forked workers' initializer alone sets it
+def _latopt_functions_with(match) -> set[str]:
+    """``module.function`` (``module.<module>`` at top level) of every node
+    in ``src/latopt`` that ``match`` accepts."""
     found = set()
     for path in sorted(Path(harness.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -174,14 +174,32 @@ def test_only_a_pool_worker_tunes_the_allocator():
         for fn in ast.walk(tree):  # breadth first, so the innermost function wins
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((id(node), fn.name) for node in ast.walk(fn))
-        found |= {
-            f"{path.stem}.{owner.get(id(node), '<module>')}"
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and node.attr == "mallopt")
-            or (isinstance(node, ast.Name) and node.id == "mallopt")
-            or (isinstance(node, ast.Constant) and node.value == "mallopt")
-        }
+        found |= {f"{path.stem}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree) if match(node)}
+    return found
+
+
+def test_only_a_pool_worker_tunes_the_allocator():
+    # importing latopt or running anything in the calling process must leave
+    # its allocator as it is; the forked workers' initializer alone sets it
+    found = _latopt_functions_with(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "mallopt")
+        or (isinstance(node, ast.Name) and node.id == "mallopt")
+        or (isinstance(node, ast.Constant) and node.value == "mallopt")
+    )
     assert found == {"harness._init_worker"}
+
+
+# numpy's set routines: each imports numpy.ma on first use (numpy 2.4.6),
+# where np.isin, np.sort and np.searchsorted do not
+_SET_ROUTINES = frozenset({"unique", "union1d", "intersect1d", "setdiff1d", "setxor1d"})
+
+
+def test_latopt_calls_no_numpy_set_routine():
+    found = _latopt_functions_with(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr in _SET_ROUTINES)
+        or (isinstance(node, ast.alias) and node.name in _SET_ROUTINES)
+    )
+    assert found == set()
 
 
 def _is_run_failed_line(node) -> bool:
