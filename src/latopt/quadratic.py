@@ -33,6 +33,8 @@ class Quadratic:
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all() and math.isfinite(self.c)):
+            raise ValueError("Quadratic: A, b and c must be finite")
         if self.A.shape != (2, 2) or self.b.shape != (2,):
             raise ValueError("Quadratic: A must be 2x2 and b length 2")
         if not np.all(np.abs(self.A - self.A.T) <= 1e-12):
@@ -105,27 +107,39 @@ class Trajectory:
         return None
 
 
+def _f_rows(q: Quadratic, P) -> np.ndarray:
+    """f at each row of the (n, 2) array ``P``, bitwise the per-point ``q.f``."""
+    col = P[..., None]  # each dot a stack of 1x2 by 2x1 products: ``P @ b`` rounds otherwise
+    return np.matmul((P @ q.A)[:, None, :], col)[:, 0, 0] + np.matmul(q.b[None, None, :], col)[:, 0, 0] + q.c
+
+
 def _run(q: Quadratic, w0, steps: int, step_fn, method, eta, gamma) -> Trajectory:
     traj = Trajectory(method=method, eta=float(eta), gamma=float(gamma))
+    A, b = q.A, q.b
     # every step returns a fresh array, so only the start needs a copy
     w = np.array(w0, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps + 1):
-            fval = q.f(w)
-            g = q.grad(w)
+        for k in range(steps + 1):
+            g = 2.0 * (A @ w) + b  # q.grad(w)
             gnorm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a 1-D array
-            if not (math.isfinite(fval) and math.isfinite(gnorm)):
+            if not math.isfinite(gnorm):
                 traj.truncated = True
                 break
             traj.points.append(w)
-            traj.f_values.append(fval)
             traj.grad_norms.append(gnorm)
-            if len(traj.points) == steps + 1:
+            if k == steps:
                 break
             w = step_fn(w, g)
             if not (math.isfinite(w[0]) and math.isfinite(w[1])):
                 traj.truncated = True
                 break
+        f = _f_rows(q, np.array(traj.points).reshape(-1, 2))  # f never feeds the recurrence
+    (bad,) = np.nonzero(~np.isfinite(f))
+    if len(bad):  # stop where a per-step test of f would have
+        traj.truncated = True
+        f = f[: bad[0]]
+        del traj.points[len(f) :], traj.grad_norms[len(f) :]
+    traj.f_values = f.tolist()
     return traj
 
 
@@ -147,7 +161,7 @@ def eg_first_order_trajectory(q: Quadratic, w0, eta: float, gamma: float, steps:
         if gamma == 0.0:
             return w - eta * g
         lookahead = w - gamma * g
-        return w - eta * q.grad(lookahead)
+        return w - eta * (2.0 * (q.A @ lookahead) + q.b)  # q.grad(lookahead)
 
     return _run(q, w0, steps, step, "eg1", eta, gamma)
 
@@ -190,7 +204,7 @@ def measure_mode_decay(q: Quadratic, traj: Trajectory, min_amp: float = 1e-8):
     """
     lam, vecs = q.eigen()
     w_star = q.minimizer()
-    coords = [(vecs.T @ (p - w_star)).tolist() for p in traj.points[: DECAY_STEPS + 1]]
+    coords = ((np.array(traj.points[: DECAY_STEPS + 1]).reshape(-1, 2) - w_star) @ vecs).tolist()
     ratios: list[list[float]] = [[], []]
     for (a0, a1), (b0, b1) in zip(coords, coords[1:]):
         if abs(a0) > min_amp:

@@ -24,11 +24,8 @@ SAMPLES_PER_CONTOUR = 180
 PAD_FRAC = 0.15  # margin around the trajectories, as a share of their span
 
 
-def _auto_bounds(trajectories):
-    for k, t in enumerate(trajectories):
-        if len(t) == 0:
-            raise ValueError(f"render_trajectory: trajectory {k} ({t.method}) has no points")
-    pts = np.concatenate([np.asarray(t.points) for t in trajectories])
+def _auto_bounds(points):
+    pts = np.concatenate(points)
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
     span = max(xmax - xmin, ymax - ymin)
@@ -65,7 +62,11 @@ def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
     """
     if not trajectories:
         raise ValueError("render_trajectory: need at least one trajectory")
-    bounds = _auto_bounds(trajectories)
+    for k, t in enumerate(trajectories):
+        if len(t) == 0:
+            raise ValueError(f"render_trajectory: trajectory {k} ({t.method}) has no points")
+    points = [np.asarray(traj.points, dtype=np.float64) for traj in trajectories]
+    bounds = _auto_bounds(points)
     xmin, xmax, ymin, ymax = bounds
     if not (xmax > xmin and ymax > ymin):  # points too far out for the margin to register
         raise ValueError(f"render_trajectory: degenerate bounding box {tuple(map(float, bounds))}")
@@ -99,7 +100,6 @@ def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
         path = _fill("%.6f,%.6f", screen(pts), " ")
         out.write(f'<polyline points="{path}" fill="none" stroke="#bbbbbb" stroke-width="1"/>\n')
 
-    points = [np.asarray(traj.points, dtype=np.float64) for traj in trajectories]
     for k, (traj, pts) in enumerate(zip(trajectories, points)):
         color = _COLORS[k % len(_COLORS)]
         xy = screen(pts)

@@ -1,14 +1,21 @@
 """Quadratic playground: closed-form oracles for values, gradients,
-per-mode decay factors, and the lookahead/descent contrasts."""
+per-mode decay factors, and the lookahead/descent contrasts; the
+trajectories agree bit for bit with a loop that evaluates f at every step."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latopt.quadratic import (
     DECAY_STEPS,
     DEFAULT_START,
+    TRAJECTORY_FNS,
     Quadratic,
     Trajectory,
+    _f_rows,
     default_quadratic,
     eg_first_order_trajectory,
     eg_full_hessian_trajectory,
@@ -58,6 +65,21 @@ def test_validation_rejects_bad_matrices():
         Quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))  # asymmetric
     with pytest.raises(ValueError):
         Quadratic(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))  # not PD
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        ([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0], 0.0),
+        (np.eye(2), [np.nan, 0.0], 0.0),
+        (np.eye(2), [0.0, 0.0], np.inf),
+    ],
+    ids=["A", "b", "c"],
+)
+def test_validation_rejects_non_finite_entries(a, b, c):
+    # checked before symmetry, so a NaN in A raises no RuntimeWarning on the way
+    with pytest.raises(ValueError, match=r"^Quadratic: A, b and c must be finite$"):
+        Quadratic(np.array(a), np.array(b), c)
 
 
 def test_default_quadratic_condition_number_forty():
@@ -187,3 +209,102 @@ def test_trajectory_records_start_and_length():
     traj = gd_trajectory(q, DEFAULT_START, 0.025, 17)
     assert len(traj.points) == 18
     np.testing.assert_array_equal(traj.points[0], DEFAULT_START)
+
+
+def reference_trajectory(q, w0, eta, gamma, steps, method):
+    """The playground's earlier loop: f, the gradient and both finite tests
+    at every step, with each rule's step as it was written then."""
+    h = q.hessian()
+
+    def step(w, g):
+        if method == "gd" or gamma == 0.0:
+            return w - eta * g
+        if method == "eg1":
+            return w - eta * q.grad(w - gamma * g)
+        return w - eta * (g - gamma * (h @ g))
+
+    traj = Trajectory(method=method, eta=float(eta), gamma=0.0 if method == "gd" else float(gamma))
+    w = np.array(w0, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps + 1):
+            fval = q.f(w)
+            g = q.grad(w)
+            gnorm = math.sqrt(g.dot(g))
+            if not (math.isfinite(fval) and math.isfinite(gnorm)):
+                traj.truncated = True
+                break
+            traj.points.append(w)
+            traj.f_values.append(fval)
+            traj.grad_norms.append(gnorm)
+            if len(traj.points) == steps + 1:
+                break
+            w = step(w, g)
+            if not (math.isfinite(w[0]) and math.isfinite(w[1])):
+                traj.truncated = True
+                break
+    return traj
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+# default: |g| overflows before f; FLAT (eigenvalues below 1/4): f overflows
+# first, so the trajectory is cut where f first fails while |g| is finite
+FLAT = Quadratic(np.diag([0.22, 0.05]), np.array([1.0, -2.0]), 0.5)
+ORACLE_QUADRATICS = (default_quadratic(), FLAT)
+magnitude = st.one_of(st.just(0.0), st.floats(-6.0, 200.0).map(lambda e: 10.0**e))
+coordinate = st.tuples(st.sampled_from((1.0, -1.0)), magnitude).map(lambda sm: sm[0] * sm[1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.sampled_from(range(len(ORACLE_QUADRATICS))),
+    start=st.tuples(coordinate, coordinate),
+    eta=st.floats(0.0, 5.0),
+    gamma=st.floats(0.0, 0.05),
+    steps=st.integers(0, 400),
+)
+@example(k=0, start=(1e200, 0.0), eta=0.025, gamma=0.01, steps=5)  # empty: f overflows at the start
+@example(k=0, start=DEFAULT_START, eta=5.0, gamma=0.0, steps=400)  # the 59-point golden trajectory
+@example(k=1, start=(1e154, 1e154), eta=5.0, gamma=0.0, steps=400)  # f fails at step 6, |g| does not
+@example(k=1, start=(1e155, 1e155), eta=0.1, gamma=0.05, steps=400)
+def test_trajectories_match_the_per_step_loop_bit_for_bit(k, start, eta, gamma, steps):
+    q = ORACLE_QUADRATICS[k]
+    for method, fn in TRAJECTORY_FNS.items():
+        got = fn(q, start, eta, gamma, steps)
+        want = reference_trajectory(q, start, eta, gamma, steps, method)
+        assert (got.method, got.eta, got.gamma) == (want.method, want.eta, want.gamma)
+        assert len(got) == len(want) and got.truncated == want.truncated
+        assert _bits(got.points) == _bits(want.points)
+        assert _bits(got.f_values) == _bits(want.f_values)
+        assert _bits(got.grad_norms) == _bits(want.grad_norms)
+        assert all(type(v) is float for v in got.f_values + got.grad_norms)
+
+
+def test_f_is_cut_where_it_first_fails_while_the_gradient_is_finite():
+    traj = gd_trajectory(FLAT, (1e154, 1e154), 5.0, 400)
+    assert traj.truncated and len(traj) == 6
+    w = traj.points[-1] - 5.0 * FLAT.grad(traj.points[-1])
+    with np.errstate(over="ignore"):
+        assert FLAT.f(w) == math.inf
+    g = FLAT.grad(w)
+    assert math.isfinite(math.sqrt(g.dot(g)))
+
+
+@pytest.mark.parametrize("q", ORACLE_QUADRATICS, ids=["default", "flat"])
+def test_batched_f_and_gradient_norm_match_the_per_point_forms(q):
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 3, 64, 401):
+        P = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-6.0, 160.0, size=(n, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.array([q.f(p) for p in P], dtype=np.float64)
+            want_norms = [math.sqrt(q.grad(p).dot(q.grad(p))) for p in P]
+            got = _f_rows(q, P)
+            # a 0-step descent from each point records |g| as the loop computes it
+            recorded = [gd_trajectory(q, p, 0.0, 0).grad_norms for p in P]
+        assert got.shape == (n,) and not np.isnan(want).any()
+        assert got.tobytes() == want.tobytes()  # inf where the per-point form overflows
+        for f, norm, rec in zip(want, want_norms, recorded):
+            assert _bits(rec) == _bits([norm] if math.isfinite(f) and math.isfinite(norm) else [])
+    assert np.isinf(want).any() and np.isfinite(want).any()

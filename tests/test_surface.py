@@ -36,7 +36,7 @@ def test_settable_surface_is_pinned():
         harness.sequential_finetune: ["params", "schedules", "source_dev", "target_dev", "config"],
         render.render_trajectory: ["trajectories", "q"],
         render.write_outputs: ["trajectories", "q", "svg_path", "csv_path"],
-        render._auto_bounds: ["trajectories"],
+        render._auto_bounds: ["points"],
         model.predict: ["params", "sequences", "domain"],
         model.grl_weight: ["progress"],
         model.onehot: ["labels"],
@@ -264,8 +264,13 @@ def test_the_benchmark_workloads_pass_their_checks_at_seed_0(workloads, tmp_path
         passes.append((name, result.attempted, result.failed, result.problems))
         if name == "train-steps":
             census = wl.census(state)
+        if name == "quad":
+            quad_digest = result.digest
     assert [c for c in checks if not c[1]] == []
     assert len(checks) == 5 + 5  # train-steps' five strategies; score's round trip and four batches
     assert [(n, f, p) for n, a, f, p in passes if f or p or not a] == []
     assert census["optim.adam_rows_touched"] == 160
     assert census["autodiff.inner_visited_nodes"] > 0
+    # every quad figure's SVG and CSV bytes; the figures are hashed in sorted
+    # order, so the seed's sweep order leaves this as it is
+    assert quad_digest == "7470a2db0d7c9766e405164d047fd7e1fd4b24ed0e9dc457080f5b4be6fe68e9"
