@@ -114,13 +114,21 @@ def _f_rows(q: Quadratic, P) -> np.ndarray:
 
 
 def _run(q: Quadratic, w0, steps: int, step_fn, method, eta, gamma) -> Trajectory:
+    """The recurrence and its stop tests; ``step_fn(x, y, g0, g1, g)`` returns
+    the next point's coordinates, with g the gradient as an array. Only the
+    matvecs and the dot stay numpy (the BLAS rounds them; OpenBLAS uses FMA);
+    the elementwise arithmetic runs on Python floats, which round each IEEE
+    op as numpy does."""
     traj = Trajectory(method=method, eta=float(eta), gamma=float(gamma))
-    A, b = q.A, q.b
-    # every step returns a fresh array, so only the start needs a copy
-    w = np.array(w0, dtype=np.float64)
+    A = q.A
+    b0, b1 = q.b.tolist()
+    w = np.array(w0, dtype=np.float64)  # the start is copied; every later point is built fresh
+    x, y = w.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            g = 2.0 * (A @ w) + b  # q.grad(w)
+            m0, m1 = (A @ w).tolist()
+            g0, g1 = 2.0 * m0 + b0, 2.0 * m1 + b1  # q.grad(w)
+            g = np.array((g0, g1))
             gnorm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a 1-D array
             if not math.isfinite(gnorm):
                 traj.truncated = True
@@ -129,10 +137,11 @@ def _run(q: Quadratic, w0, steps: int, step_fn, method, eta, gamma) -> Trajector
             traj.grad_norms.append(gnorm)
             if k == steps:
                 break
-            w = step_fn(w, g)
-            if not (math.isfinite(w[0]) and math.isfinite(w[1])):
+            x, y = step_fn(x, y, g0, g1, g)
+            if not (math.isfinite(x) and math.isfinite(y)):
                 traj.truncated = True
                 break
+            w = np.array((x, y))
         f = _f_rows(q, np.array(traj.points).reshape(-1, 2))  # f never feeds the recurrence
     (bad,) = np.nonzero(~np.isfinite(f))
     if len(bad):  # stop where a per-step test of f would have
@@ -143,41 +152,50 @@ def _run(q: Quadratic, w0, steps: int, step_fn, method, eta, gamma) -> Trajector
     return traj
 
 
+def _descent(eta: float):
+    """The descent step w <- w - eta * g on the coordinates. Every rule
+    passes eta and gamma as Python floats: a numpy float32 scalar would
+    round the float products to float32."""
+
+    def step(x, y, g0, g1, g):
+        return x - eta * g0, y - eta * g1
+
+    return step
+
+
 def gd_trajectory(q: Quadratic, w0, eta: float, steps: int) -> Trajectory:
     """w <- w - eta * grad f(w)."""
-
-    def step(w, g):
-        return w - eta * g
-
-    return _run(q, w0, steps, step, "gd", eta, 0.0)
+    eta = float(eta)
+    return _run(q, w0, steps, _descent(eta), "gd", eta, 0.0)
 
 
 def eg_first_order_trajectory(q: Quadratic, w0, eta: float, gamma: float, steps: int) -> Trajectory:
     """w <- w - eta * grad f(w - gamma * grad f(w)): the gradient is
     re-evaluated at the lookahead point (Hessian term of the total
     derivative dropped). gamma=0 collapses to vanilla descent bitwise."""
+    eta, gamma = float(eta), float(gamma)
+    A = q.A
+    b0, b1 = q.b.tolist()
 
-    def step(w, g):
-        if gamma == 0.0:
-            return w - eta * g
-        lookahead = w - gamma * g
-        return w - eta * (2.0 * (q.A @ lookahead) + q.b)  # q.grad(lookahead)
+    def step(x, y, g0, g1, g):
+        m0, m1 = (A @ np.array((x - gamma * g0, y - gamma * g1))).tolist()  # A @ lookahead
+        return x - eta * (2.0 * m0 + b0), y - eta * (2.0 * m1 + b1)
 
-    return _run(q, w0, steps, step, "eg1", eta, gamma)
+    return _run(q, w0, steps, _descent(eta) if gamma == 0.0 else step, "eg1", eta, gamma)
 
 
 def eg_full_hessian_trajectory(q: Quadratic, w0, eta: float, gamma: float, steps: int) -> Trajectory:
     """w <- w - eta * (I - gamma*H) grad f(w) with the analytic Hessian;
     on a quadratic this equals the re-evaluated lookahead gradient exactly.
     gamma=0 collapses to vanilla descent bitwise."""
+    eta, gamma = float(eta), float(gamma)
     h = q.hessian()
 
-    def step(w, g):
-        if gamma == 0.0:
-            return w - eta * g
-        return w - eta * (g - gamma * (h @ g))
+    def step(x, y, g0, g1, g):
+        h0, h1 = (h @ g).tolist()
+        return x - eta * (g0 - gamma * h0), y - eta * (g1 - gamma * h1)
 
-    return _run(q, w0, steps, step, "eg2", eta, gamma)
+    return _run(q, w0, steps, _descent(eta) if gamma == 0.0 else step, "eg2", eta, gamma)
 
 
 TRAJECTORY_FNS = {

@@ -48,10 +48,11 @@ def _contour_levels(q: Quadratic, f_star: float, bounds):
     return [f_star + lo * ratio**i for i in range(N_LEVELS)]
 
 
-def _fill(template: str, xy, sep: str = "") -> str:
-    """``template`` once per row of the (n, 2) array ``xy``, joined by ``sep``
-    and filled in one %-format call; ``%.6f`` formats as ``f"{x:.6f}"``."""
-    return sep.join([template] * len(xy)) % tuple(xy.ravel().tolist())
+def _fill(template: str, values, sep: str = "") -> str:
+    """``template`` once per pair of the flat ``values`` (x0, y0, x1, ...),
+    joined by ``sep`` and filled in one %-format call; ``%.6f`` formats as
+    ``f"{x:.6f}"``, and ``%s`` of its string gives the same bytes."""
+    return sep.join([template] * (len(values) // 2)) % tuple(values)
 
 
 def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
@@ -72,11 +73,12 @@ def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
         raise ValueError(f"render_trajectory: degenerate bounding box {tuple(map(float, bounds))}")
 
     def screen(pts):
-        """Canvas coordinates of the (n, 2) points: the scalar maps of x and y
-        applied per column, one IEEE op per element as in the scalar form."""
+        """Canvas coordinates of the (n, 2) points, flat (x0, y0, x1, ...): the
+        scalar maps of x and y applied per column, one IEEE op per element as
+        in the scalar form."""
         return np.column_stack(
             ((pts[:, 0] - xmin) / (xmax - xmin) * WIDTH, HEIGHT - (pts[:, 1] - ymin) / (ymax - ymin) * HEIGHT)
-        )
+        ).ravel().tolist()
 
     out = io.StringIO()
     out.write(
@@ -102,11 +104,11 @@ def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
 
     for k, (traj, pts) in enumerate(zip(trajectories, points)):
         color = _COLORS[k % len(_COLORS)]
-        xy = screen(pts)
-        if len(xy) > 1:
-            path = _fill("%.6f,%.6f", xy, " ")
+        coords = _fill("%.6f %.6f ", screen(pts)).split()  # each coordinate formatted once
+        if len(coords) > 2:
+            path = _fill("%s,%s", coords, " ")
             out.write(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
-        out.write(_fill(f'<circle cx="%.6f" cy="%.6f" r="2" fill="{color}"/>\n', xy))
+        out.write(_fill(f'<circle cx="%s" cy="%s" r="2" fill="{color}"/>\n', coords))
         label = f"{traj.method} eta={traj.eta:g} gamma={traj.gamma:g}"
         out.write(
             f'<text x="10" y="{18 * (k + 1)}" font-family="monospace" font-size="12" '
@@ -121,7 +123,7 @@ def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
         csv.write(
             "".join(
                 [
-                    f"{traj.method},{step},{w1!r},{w2!r},{float(fv)!r},{float(gn)!r}\n"
+                    f"{traj.method},{step},{w1!r},{w2!r},{fv!r},{gn!r}\n"
                     for step, ((w1, w2), fv, gn) in enumerate(rows)
                 ]
             )

@@ -206,9 +206,11 @@ def test_tail_monotone_once_contractive():
 
 def test_trajectory_records_start_and_length():
     q = default_quadratic()
-    traj = gd_trajectory(q, DEFAULT_START, 0.025, 17)
+    w0 = np.array(DEFAULT_START)
+    traj = gd_trajectory(q, w0, 0.025, 17)
     assert len(traj.points) == 18
     np.testing.assert_array_equal(traj.points[0], DEFAULT_START)
+    assert not np.shares_memory(traj.points[0], w0)
 
 
 def reference_trajectory(q, w0, eta, gamma, steps, method):
@@ -269,6 +271,7 @@ coordinate = st.tuples(st.sampled_from((1.0, -1.0)), magnitude).map(lambda sm: s
 @example(k=0, start=DEFAULT_START, eta=5.0, gamma=0.0, steps=400)  # the 59-point golden trajectory
 @example(k=1, start=(1e154, 1e154), eta=5.0, gamma=0.0, steps=400)  # f fails at step 6, |g| does not
 @example(k=1, start=(1e155, 1e155), eta=0.1, gamma=0.05, steps=400)
+@example(k=0, start=DEFAULT_START, eta=np.float32(0.1), gamma=np.float32(0.01), steps=50)  # float32 rates
 def test_trajectories_match_the_per_step_loop_bit_for_bit(k, start, eta, gamma, steps):
     q = ORACLE_QUADRATICS[k]
     for method, fn in TRAJECTORY_FNS.items():
@@ -280,6 +283,11 @@ def test_trajectories_match_the_per_step_loop_bit_for_bit(k, start, eta, gamma, 
         assert _bits(got.f_values) == _bits(want.f_values)
         assert _bits(got.grad_norms) == _bits(want.grad_norms)
         assert all(type(v) is float for v in got.f_values + got.grad_norms)
+        # each point a fresh (2,) float64 array: owning distinct buffers, no two share memory
+        assert all(type(p) is np.ndarray and p.shape == (2,) and p.dtype == np.float64 for p in got.points)
+        assert all(p.flags.owndata for p in got.points)
+        assert len({p.ctypes.data for p in got.points}) == len(got.points)
+        assert not any(np.shares_memory(p, r) for p, r in zip(got.points, got.points[1:]))
 
 
 def test_f_is_cut_where_it_first_fails_while_the_gradient_is_finite():

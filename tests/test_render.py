@@ -1,8 +1,13 @@
-"""SVG/CSV export: counting contracts and byte stability."""
+"""SVG/CSV export: counting contracts, byte stability, and the trajectory
+marks against a form that formats each coordinate once per mark."""
 
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latopt.quadratic import (
     DEFAULT_START,
@@ -12,7 +17,7 @@ from latopt.quadratic import (
     eg_full_hessian_trajectory,
     gd_trajectory,
 )
-from latopt.render import render_trajectory
+from latopt.render import _COLORS, HEIGHT, WIDTH, _auto_bounds, render_trajectory
 
 GOLDEN_SVG = Path(__file__).parent / "goldens" / "trajectories.svg"
 GOLDEN_CSV = Path(__file__).parent / "goldens" / "trajectories.csv"
@@ -94,3 +99,53 @@ def test_csv_column_order_fixed():
     fields = first.split(",")
     assert fields[0] == "gd" and fields[1] == "0"
     assert float(fields[2]) == DEFAULT_START[0] and float(fields[3]) == DEFAULT_START[1]
+
+
+def reference_marks(trajectories, bounds):
+    """The trajectory marks and labels as the renderer wrote them before it
+    formatted each coordinate once: ``%.6f`` in both the polyline and the
+    circle run."""
+    xmin, xmax, ymin, ymax = bounds
+    out = []
+    for k, traj in enumerate(trajectories):
+        color = _COLORS[k % len(_COLORS)]
+        pts = np.asarray(traj.points, dtype=np.float64)
+        xy = np.column_stack(
+            ((pts[:, 0] - xmin) / (xmax - xmin) * WIDTH, HEIGHT - (pts[:, 1] - ymin) / (ymax - ymin) * HEIGHT)
+        )
+        if len(xy) > 1:
+            path = " ".join(["%.6f,%.6f"] * len(xy)) % tuple(xy.ravel().tolist())
+            out.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+        circle = f'<circle cx="%.6f" cy="%.6f" r="2" fill="{color}"/>\n'
+        out.append("".join([circle] * len(xy)) % tuple(xy.ravel().tolist()))
+        label = f"{traj.method} eta={traj.eta:g} gamma={traj.gamma:g}"
+        out.append(
+            f'<text x="10" y="{18 * (k + 1)}" font-family="monospace" font-size="12" '
+            f'fill="{color}">{label}</text>\n'
+        )
+    return "".join(out) + "</svg>\n"
+
+
+coordinate = st.builds(lambda s, e: s * 10.0**e, st.sampled_from((1.0, -1.0)), st.floats(-6.0, 6.0))
+trajectory_points = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=300)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(runs=st.lists(trajectory_points, min_size=1, max_size=3))
+def test_trajectory_marks_match_the_twice_formatted_reference(runs):
+    q = default_quadratic()
+    trajs = [
+        Trajectory("gd", 0.025, 0.0, [np.array(p) for p in run], [1.0] * len(run), [1.0] * len(run)) for run in runs
+    ]
+    bounds = _auto_bounds([np.array(run) for run in runs])
+    assume(bounds[1] > bounds[0] and bounds[3] > bounds[2])
+    svg, _ = render_trajectory(trajs, q)
+    want = reference_marks(trajs, bounds)
+    assert svg.endswith(want)
+    for k, run in enumerate(runs):
+        color = _COLORS[k % len(_COLORS)]
+        circles = re.findall(rf'<circle cx="([^"]*)" cy="([^"]*)" r="2" fill="{color}"/>', svg)
+        assert len(circles) == len(run)
+        if len(run) > 1:
+            (path,) = re.findall(rf'<polyline points="([^"]*)" fill="none" stroke="{color}"', svg)
+            assert [tuple(v.split(",")) for v in path.split(" ")] == circles
