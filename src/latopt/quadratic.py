@@ -114,41 +114,43 @@ def _f_rows(q: Quadratic, P) -> np.ndarray:
 
 
 def _run(q: Quadratic, w0, steps: int, step_fn, method, eta, gamma) -> Trajectory:
-    """The recurrence and its stop tests; ``step_fn(x, y, g0, g1, g)`` returns
-    the next point's coordinates, with g the gradient as an array. Only the
-    matvecs and the dot stay numpy (the BLAS rounds them; OpenBLAS uses FMA);
-    the elementwise arithmetic runs on Python floats, which round each IEEE
-    op as numpy does."""
+    """The recurrence; ``step_fn(x, y, g0, g1)`` returns the next point's
+    coordinates. Only the products stay numpy, as ``ndarray.dot`` (bitwise
+    ``@``; OpenBLAS rounds them with FMA); the elementwise arithmetic runs on
+    Python floats, which round each IEEE op as numpy does. The loop stops at
+    the first gradient with a non-finite coordinate, which also stops at a
+    non-finite point (A is positive definite, b finite). f and |g| never feed
+    the recurrence: both are computed after the loop, and the trajectory is
+    cut at the first point where either is non-finite, where a per-step test
+    would have stopped."""
     traj = Trajectory(method=method, eta=float(eta), gamma=float(gamma))
     A = q.A
     b0, b1 = q.b.tolist()
     w = np.array(w0, dtype=np.float64)  # the start is copied; every later point is built fresh
     x, y = w.tolist()
+    grads = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            m0, m1 = (A @ w).tolist()
+            m0, m1 = A.dot(w).tolist()
             g0, g1 = 2.0 * m0 + b0, 2.0 * m1 + b1  # q.grad(w)
-            g = np.array((g0, g1))
-            gnorm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a 1-D array
-            if not math.isfinite(gnorm):
+            if not (math.isfinite(g0) and math.isfinite(g1)):
                 traj.truncated = True
                 break
             traj.points.append(w)
-            traj.grad_norms.append(gnorm)
+            grads.append((g0, g1))
             if k == steps:
                 break
-            x, y = step_fn(x, y, g0, g1, g)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                traj.truncated = True
-                break
+            x, y = step_fn(x, y, g0, g1)
             w = np.array((x, y))
-        f = _f_rows(q, np.array(traj.points).reshape(-1, 2))  # f never feeds the recurrence
-    (bad,) = np.nonzero(~np.isfinite(f))
-    if len(bad):  # stop where a per-step test of f would have
+        f = _f_rows(q, np.array(traj.points).reshape(-1, 2))
+        G = np.array(grads).reshape(-1, 2)
+        gnorm = np.sqrt(np.matmul(G[:, None, :], G[..., None])[:, 0, 0])  # each bitwise g.dot(g)
+    (bad,) = np.nonzero(~(np.isfinite(f) & np.isfinite(gnorm)))
+    if len(bad):
         traj.truncated = True
-        f = f[: bad[0]]
-        del traj.points[len(f) :], traj.grad_norms[len(f) :]
-    traj.f_values = f.tolist()
+        del traj.points[bad[0] :]
+        f, gnorm = f[: bad[0]], gnorm[: bad[0]]
+    traj.f_values, traj.grad_norms = f.tolist(), gnorm.tolist()
     return traj
 
 
@@ -157,7 +159,7 @@ def _descent(eta: float):
     passes eta and gamma as Python floats: a numpy float32 scalar would
     round the float products to float32."""
 
-    def step(x, y, g0, g1, g):
+    def step(x, y, g0, g1):
         return x - eta * g0, y - eta * g1
 
     return step
@@ -177,8 +179,8 @@ def eg_first_order_trajectory(q: Quadratic, w0, eta: float, gamma: float, steps:
     A = q.A
     b0, b1 = q.b.tolist()
 
-    def step(x, y, g0, g1, g):
-        m0, m1 = (A @ np.array((x - gamma * g0, y - gamma * g1))).tolist()  # A @ lookahead
+    def step(x, y, g0, g1):
+        m0, m1 = A.dot(np.array((x - gamma * g0, y - gamma * g1))).tolist()  # A @ lookahead
         return x - eta * (2.0 * m0 + b0), y - eta * (2.0 * m1 + b1)
 
     return _run(q, w0, steps, _descent(eta) if gamma == 0.0 else step, "eg1", eta, gamma)
@@ -191,8 +193,8 @@ def eg_full_hessian_trajectory(q: Quadratic, w0, eta: float, gamma: float, steps
     eta, gamma = float(eta), float(gamma)
     h = q.hessian()
 
-    def step(x, y, g0, g1, g):
-        h0, h1 = (h @ g).tolist()
+    def step(x, y, g0, g1):
+        h0, h1 = h.dot(np.array((g0, g1))).tolist()  # h @ g
         return x - eta * (g0 - gamma * h0), y - eta * (g1 - gamma * h1)
 
     return _run(q, w0, steps, _descent(eta) if gamma == 0.0 else step, "eg2", eta, gamma)

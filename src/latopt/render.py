@@ -119,7 +119,8 @@ def render_trajectory(trajectories, q: Quadratic) -> tuple[str, str]:
     csv = io.StringIO()
     csv.write(",".join(CSV_COLUMNS) + "\n")
     for traj, pts in zip(trajectories, points):
-        rows = zip(pts.tolist(), traj.f_values, traj.grad_norms)
+        # Python floats, as for the points: a numpy scalar's repr is np.float64(...)
+        rows = zip(pts.tolist(), map(float, traj.f_values), map(float, traj.grad_norms))
         csv.write(
             "".join(
                 [

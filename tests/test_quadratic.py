@@ -272,6 +272,7 @@ coordinate = st.tuples(st.sampled_from((1.0, -1.0)), magnitude).map(lambda sm: s
 @example(k=1, start=(1e154, 1e154), eta=5.0, gamma=0.0, steps=400)  # f fails at step 6, |g| does not
 @example(k=1, start=(1e155, 1e155), eta=0.1, gamma=0.05, steps=400)
 @example(k=0, start=DEFAULT_START, eta=np.float32(0.1), gamma=np.float32(0.01), steps=50)  # float32 rates
+@example(k=0, start=DEFAULT_START, eta=1e307, gamma=0.0, steps=5)  # w overflows while |g| is finite
 def test_trajectories_match_the_per_step_loop_bit_for_bit(k, start, eta, gamma, steps):
     q = ORACLE_QUADRATICS[k]
     for method, fn in TRAJECTORY_FNS.items():
@@ -288,6 +289,21 @@ def test_trajectories_match_the_per_step_loop_bit_for_bit(k, start, eta, gamma, 
         assert all(p.flags.owndata for p in got.points)
         assert len({p.ctypes.data for p in got.points}) == len(got.points)
         assert not any(np.shares_memory(p, r) for p, r in zip(got.points, got.points[1:]))
+
+
+signed_magnitude = st.tuples(st.sampled_from((1.0, -1.0)), st.floats(-6.0, 200.0)).map(lambda se: se[0] * 10.0**se[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(entries=st.tuples(*[signed_magnitude] * 3), w=st.tuples(signed_magnitude, signed_magnitude))
+def test_dot_is_bitwise_matmul_for_a_symmetric_2x2(entries, w):
+    # the trajectory products are ndarray.dot, the reference loop's are @
+    a, b, d = entries
+    v = np.array(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in ("C", "F"):
+            M = np.array([[a, b], [b, d]], order=order)
+            assert M.dot(v).tobytes() == (M @ v).tobytes()
 
 
 def test_f_is_cut_where_it_first_fails_while_the_gradient_is_finite():

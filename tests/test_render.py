@@ -101,6 +101,26 @@ def test_csv_column_order_fixed():
     assert float(fields[2]) == DEFAULT_START[0] and float(fields[3]) == DEFAULT_START[1]
 
 
+def test_csv_writes_numpy_scalar_values_as_python_floats():
+    # a hand-built trajectory may hold numpy scalars; each is written as
+    # the float64 repr of its value, never as ``np.float64(...)``
+    q = default_quadratic()
+    traj = gd_trajectory(q, DEFAULT_START, 0.025, 20)
+
+    def rebuilt(f_values, grad_norms):
+        return Trajectory(traj.method, traj.eta, traj.gamma, list(traj.points), f_values, grad_norms)
+
+    _, want = render_trajectory([traj], q)
+    f64, g64 = list(map(np.float64, traj.f_values)), list(map(np.float64, traj.grad_norms))
+    _, got = render_trajectory([rebuilt(f64, g64)], q)
+    assert got == want
+    f32, g32 = list(map(np.float32, traj.f_values)), list(map(np.float32, traj.grad_norms))
+    _, got32 = render_trajectory([rebuilt(f32, g32)], q)
+    _, want32 = render_trajectory([rebuilt(list(map(float, f32)), list(map(float, g32)))], q)
+    assert got32 == want32 and got32 != want
+    assert "np." not in got + got32
+
+
 def reference_marks(trajectories, bounds):
     """The trajectory marks and labels as the renderer wrote them before it
     formatted each coordinate once: ``%.6f`` in both the polyline and the

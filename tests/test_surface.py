@@ -202,6 +202,21 @@ def test_latopt_calls_no_numpy_set_routine():
     assert found == set()
 
 
+# the trajectory recurrence and its step rules (each closure is ``step``)
+_TRAJECTORY_LOOP = frozenset({"_run", "_descent", "step", "eg_first_order_trajectory", "eg_full_hessian_trajectory"})
+
+
+def test_the_quad_trajectory_loop_takes_its_products_through_dot():
+    # ndarray.dot gives @'s bits at about half the dispatch cost per call
+    tree = ast.parse(Path(quadratic.__file__).read_text())
+    assert _TRAJECTORY_LOOP <= {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    found = _latopt_functions_with(
+        lambda node: isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    )
+    assert {"quadratic.f", "quadratic._f_rows"} <= found  # the matcher sees @ outside the loop
+    assert found & {f"quadratic.{name}" for name in _TRAJECTORY_LOOP} == set()
+
+
 def _is_run_failed_line(node) -> bool:
     """Whether ``node`` is ``print(f"run failed: ...", ...)``: an aborted
     run, not a refusal."""
