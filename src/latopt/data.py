@@ -207,7 +207,7 @@ def _generate_domain(rng, cfg: GeneratorConfig, domain: str, rate: float) -> Dom
                 lengths.append(length)
                 draws.append(rng.random((3, length)))
             kinds, flips, picks = np.concatenate(draws, axis=1)
-            kind = edges.searchsorted(kinds, side="right")
+            kind = (kinds >= edges[0]).astype(np.intp) + (kinds >= edges[1])  # the edges <= each draw
             code = 2 * kind + ((flips < fidelity[kind]) != np.repeat(chunk == 1, lengths))
             tokens = first[code] + (picks * size[code]).astype(np.int32)  # every id is below vocab_size
             tokens.flags.writeable = False
@@ -347,7 +347,14 @@ def unigram_kl(source: DomainDataset, target: DomainDataset, splits=None) -> flo
 
 
 def save_dataset(dataset: DomainDataset, path) -> None:
-    """JSON-lines: one header object, then one object per example."""
+    """JSON-lines: one header object, then one object per example, in the
+    bytes ``json.dumps`` gives each. The examples are written ``CHUNK`` at a
+    time, each chunk with one ``%`` format of its lines' templates; a label
+    that is not exactly an ``int`` and a split are ``json.dumps``'d alone
+    (a ``str`` split once per value), so a bool label writes ``true``. A
+    value JSON cannot hold raises ``TypeError``, and the file then ends with
+    the chunk before the one that holds it."""
+    quoted: dict = {}
     with open(path, "w") as fh:
         fh.write(
             json.dumps(
@@ -355,8 +362,24 @@ def save_dataset(dataset: DomainDataset, path) -> None:
             )
             + "\n"
         )
-        for e in dataset.examples:
-            fh.write(json.dumps({"tokens": e.tokens.tolist(), "label": e.label, "split": e.split}) + "\n")
+        examples = dataset.examples
+        for start in range(0, len(examples), CHUNK):
+            lines, values = [], []
+            for e in examples[start : start + CHUNK]:
+                tokens, label, split = e.tokens.tolist(), e.label, e.split
+                if type(label) is not int:
+                    label = json.dumps(label)
+                if type(split) is str:
+                    if split not in quoted:
+                        quoted[split] = json.dumps(split)
+                    split = quoted[split]
+                else:
+                    split = json.dumps(split)
+                n = len(tokens)
+                lines.append('{"tokens": [' + ("%d, " * (n - 1) + "%d" if n else "") + '], "label": %s, "split": %s}\n')
+                values += tokens
+                values += (label, split)
+            fh.write("".join(lines) % tuple(values))
 
 
 class DatasetError(ValueError):

@@ -10,8 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import spearman_rank_correlation
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latopt.data import (
+    CHUNK,
+    INT32,
     DatasetError,
     DomainDataset,
     Example,
@@ -426,3 +430,62 @@ def test_unigram_counts_match_counting_token_by_token():
                     want[t] = want.get(t, 0) + 1
         got = unigram_counts(src, splits)
         assert got == want and all(type(k) is int and type(v) is int for k, v in got.items())
+
+
+# sha256 of the two files ``latopt gen --seed 0`` writes, taken from the
+# writer that called json.dumps once per example
+GEN_SEED0_SHA256 = {
+    "source": "5941c9238b6e02e7b2614000ba892530012fe1a67933e627111ce2016510f057",
+    "target": "d7c87a2acfb714755037cf8c8b3b8a2403436675b900e462f084aaac14c24030",
+}
+
+
+def test_the_default_pair_files_keep_their_bytes(tmp_path):
+    for ds in prepare_transfer_pair(GeneratorConfig(seed=0)):
+        save_dataset(ds, tmp_path / "d.jsonl")
+        assert hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest() == GEN_SEED0_SHA256[ds.domain]
+
+
+def save_dataset_per_line(dataset, path) -> None:
+    """The reference writer: one json.dumps call and one write per example."""
+    with open(path, "w") as fh:
+        fh.write(
+            json.dumps(
+                {"domain": dataset.domain, "vocab_size": dataset.vocab_size, "seed": dataset.seed}
+            )
+            + "\n"
+        )
+        for e in dataset.examples:
+            fh.write(json.dumps({"tokens": e.tokens.tolist(), "label": e.label, "split": e.split}) + "\n")
+
+
+_ODD_SPLITS = ['say "dev"', "back\\slash", "caf\u00e9 \u6587 \U0001f600", "%s %d %%", ""]
+_ROW = st.tuples(
+    st.lists(st.one_of(st.sampled_from([INT32.min, INT32.max, 0, -1]), st.integers(INT32.min, INT32.max)), max_size=6),
+    st.one_of(st.sampled_from([0, 1, True, False]), st.integers(), st.floats()),
+    st.one_of(st.sampled_from(("train", "dev", "test", *_ODD_SPLITS)), st.text(max_size=4), st.none(), st.integers(), st.booleans()),
+)
+_EXTREMES = [((), 0, "train"), ((INT32.min, INT32.max), 1, 'say "dev"'), ((7,), True, "back\\slash")]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=8), n=st.integers(0, 3 * CHUNK + 1), domain=st.text(max_size=3))
+@example(rows=_EXTREMES, n=2 * CHUNK + 1, domain="source")
+@example(rows=[((), 5, None), ((1, 2), -3, 4)], n=3, domain="caf\u00e9")
+@example(rows=[((), 0, 1), ((), 0, True), ((2,), 1, ["dev"]), ((), 1, 1.0)], n=4, domain="target")  # 1 == True == 1.0
+def test_save_dataset_writes_the_bytes_of_json_dumps_per_example(tmp_path_factory, rows, n, domain):
+    dataset = DomainDataset(domain, 30, 0, [Example(*rows[i % len(rows)]) for i in range(n)])
+    d = tmp_path_factory.mktemp("w")
+    save_dataset(dataset, d / "chunked.jsonl")
+    save_dataset_per_line(dataset, d / "per_line.jsonl")
+    assert (d / "chunked.jsonl").read_bytes() == (d / "per_line.jsonl").read_bytes()
+
+
+def test_a_numpy_int_label_raises_the_same_type_error_from_both_writers(tmp_path):
+    examples = [Example((1, 2), 0, "train")] * (CHUNK + 3) + [Example((3,), np.int64(1), "dev")]
+    messages = []
+    for write in (save_dataset, save_dataset_per_line):
+        with pytest.raises(TypeError) as e:
+            write(DomainDataset("source", 30, 0, examples), tmp_path / "d.jsonl")
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] == "Object of type int64 is not JSON serializable"
