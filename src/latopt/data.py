@@ -351,35 +351,32 @@ def save_dataset(dataset: DomainDataset, path) -> None:
     bytes ``json.dumps`` gives each. The examples are written ``CHUNK`` at a
     time, each chunk with one ``%`` format of its lines' templates; a label
     that is not exactly an ``int`` and a split are ``json.dumps``'d alone
-    (a ``str`` split once per value), so a bool label writes ``true``. A
-    value JSON cannot hold raises ``TypeError``, and the file then ends with
-    the chunk before the one that holds it."""
+    (a ``str`` split once per value), so a bool label writes ``true``. Every
+    chunk is formatted before ``path`` is opened, so a value JSON cannot
+    hold raises ``TypeError`` and leaves ``path`` as it was."""
+    header = {"domain": dataset.domain, "vocab_size": dataset.vocab_size, "seed": dataset.seed}
+    chunks = [json.dumps(header) + "\n"]
     quoted: dict = {}
+    examples = dataset.examples
+    for start in range(0, len(examples), CHUNK):
+        lines, values = [], []
+        for e in examples[start : start + CHUNK]:
+            tokens, label, split = e.tokens.tolist(), e.label, e.split
+            if type(label) is not int:
+                label = json.dumps(label)
+            if type(split) is str:
+                if split not in quoted:
+                    quoted[split] = json.dumps(split)
+                split = quoted[split]
+            else:
+                split = json.dumps(split)
+            n = len(tokens)
+            lines.append('{"tokens": [' + ("%d, " * (n - 1) + "%d" if n else "") + '], "label": %s, "split": %s}\n')
+            values += tokens
+            values += (label, split)
+        chunks.append("".join(lines) % tuple(values))
     with open(path, "w") as fh:
-        fh.write(
-            json.dumps(
-                {"domain": dataset.domain, "vocab_size": dataset.vocab_size, "seed": dataset.seed}
-            )
-            + "\n"
-        )
-        examples = dataset.examples
-        for start in range(0, len(examples), CHUNK):
-            lines, values = [], []
-            for e in examples[start : start + CHUNK]:
-                tokens, label, split = e.tokens.tolist(), e.label, e.split
-                if type(label) is not int:
-                    label = json.dumps(label)
-                if type(split) is str:
-                    if split not in quoted:
-                        quoted[split] = json.dumps(split)
-                    split = quoted[split]
-                else:
-                    split = json.dumps(split)
-                n = len(tokens)
-                lines.append('{"tokens": [' + ("%d, " * (n - 1) + "%d" if n else "") + '], "label": %s, "split": %s}\n')
-                values += tokens
-                values += (label, split)
-            fh.write("".join(lines) % tuple(values))
+        fh.writelines(chunks)
 
 
 class DatasetError(ValueError):

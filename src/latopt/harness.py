@@ -30,12 +30,11 @@ from .metrics import f_score, paired_sign_test, t_interval_95
 from .model import ModelConfig, ModelParams, init_params, predict
 from .training import (
     DEFAULT_GAMMA,
-    STRATEGIES,
+    TABLE,
     RunResult,
     Split,
     TrainingAborted,
     TrainingConfig,
-    _base,
     batch_schedule,
     pack_split,
     train_run,
@@ -55,8 +54,8 @@ SUMMARY_COLUMNS = (
     "rel_state",
 )
 
-# the trainable strategies plus sequential fine-tuning, which the harness runs
-SPEC_STRATEGIES = STRATEGIES + ("seq",)
+# the two-domain strategies plus sequential fine-tuning, which the harness runs
+SPEC_STRATEGIES = tuple(name for name, s in TABLE.items() if s.domain is None)
 
 
 class SpecError(ValueError):
@@ -221,9 +220,9 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
     ``seq`` alone cuts no two-domain schedule."""
     init = init_params(spec.model, seed)
     schedule = seq_schedules = None
-    if any(s != "seq" for s in spec.strategies):
+    if any(not TABLE[s].sequential for s in spec.strategies):
         schedule = batch_schedule(source_splits["train"], target_splits["train"], spec.batch_size, spec.epochs, seed)
-    if "seq" in spec.strategies:
+    if any(TABLE[s].sequential for s in spec.strategies):
         seq_schedules = (
             batch_schedule(source_splits["train"], None, spec.batch_size, spec.epochs, seed),
             batch_schedule(target_splits["train"], None, spec.batch_size, spec.epochs, seed + 1),
@@ -232,13 +231,13 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
     def run(strategy, lr, gamma) -> RunResult:
         """One run from ``init``, which it leaves untouched."""
         config = TrainingConfig(lr=lr, gamma=gamma)
-        if strategy == "seq":
+        if TABLE[strategy].sequential:
             return sequential_finetune(init, seq_schedules, source_splits["dev"], target_splits["dev"], config)
         return train_run(strategy, init.copy(), schedule, target_splits["dev"], config)
 
     reports = []
-    for base in sorted({_base(s) for s in spec.strategies}):
-        family = [s for s in spec.strategies if _base(s) == base]
+    for base in sorted({TABLE[s].base for s in spec.strategies}):
+        family = [s for s in spec.strategies if TABLE[s].base == base]
         best = None
         try:
             for rate in sorted(spec.lr_grid):
@@ -410,7 +409,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None)
     The datasets are checked against the spec next (see ``checked_splits``);
     a spec that does not fit them raises ``SpecError`` before any training.
     Returns (reports, analysis). ``analysis`` holds per-strategy mean/std
-    test F, the lookahead-vs-base comparisons (see ``analyze``), and the
+    test F, the variant-vs-base comparisons (see ``analyze``), and the
     relative resource table. Failed runs are kept in the reports with
     ``failed=True``.
     """
@@ -434,7 +433,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None)
     return reports, analysis
 
 
-def _rel_state(strategy: str, spec: ExperimentSpec, report: MetricsReport) -> float:
+def _rel_state(spec: ExperimentSpec, report: MetricsReport) -> float:
     """Lookahead-related state relative to the per-batch latent quantum.
 
     Every strategy materializes the 2*B*D latents; parameter-space
@@ -442,15 +441,15 @@ def _rel_state(strategy: str, spec: ExperimentSpec, report: MetricsReport) -> fl
     1.00x and the encoder-space variant pays (|w_b| + 2BD) / (2BD).
     """
     quantum = 2 * spec.batch_size * spec.model.latent_dim
-    extra = report.aux_state if strategy == "adv+maml" else 0
+    extra = report.aux_state if TABLE[report.strategy].lookahead == "params" else 0
     return (quantum + extra) / quantum
 
 
 def analyze(spec: ExperimentSpec, reports: list) -> dict:
     """Per-strategy test and dev F over the runs that did not fail, and for
-    each lookahead variant and its base, over the seeds where both ran: the
-    seeds whose test F ties exactly (the sign test drops them), the mean and
-    sample sd of the paired differences, their 95% t interval (see
+    each (base, variant) pair in sorted order, over the seeds where both ran:
+    the seeds whose test F ties exactly (the sign test drops them), the mean
+    and sample sd of the paired differences, their 95% t interval (see
     ``metrics.t_interval_95``; None below two seeds) and the sign-test p."""
     ok = [r for r in reports if not r.failed]
     by_strategy: dict[str, list] = {}
@@ -473,16 +472,16 @@ def analyze(spec: ExperimentSpec, reports: list) -> dict:
         }
 
     comparisons = {}
-    for lo, base in (("adv+lo", "adv"), ("mtl+lo", "mtl")):
-        if lo in by_strategy and base in by_strategy:
+    for base, variant in sorted((TABLE[s].base, s) for s in by_strategy):
+        if variant != base and base in by_strategy:
             seeds = sorted(
-                {r.seed for r in by_strategy[lo]} & {r.seed for r in by_strategy[base]}
+                {r.seed for r in by_strategy[variant]} & {r.seed for r in by_strategy[base]}
             )
-            a = [next(r.test_f for r in by_strategy[lo] if r.seed == s) for s in seeds]
+            a = [next(r.test_f for r in by_strategy[variant] if r.seed == s) for s in seeds]
             b = [next(r.test_f for r in by_strategy[base] if r.seed == s) for s in seeds]
             if seeds:
                 sd, interval = t_interval_95(np.subtract(a, b))
-                comparisons[f"{lo} vs {base}"] = {
+                comparisons[f"{variant} vs {base}"] = {
                     "n_seeds": len(seeds),
                     "n_ties": sum(x == y for x, y in zip(a, b)),
                     "mean_diff": float(np.mean(a) - np.mean(b)),
@@ -516,7 +515,7 @@ def summary_rows(spec: ExperimentSpec, reports: list) -> list:
                 "wall_ms": r.wall_ms,
                 "aux_state": r.aux_state,
                 "rel_time": rel_time,
-                "rel_state": _rel_state(r.strategy, spec, r),
+                "rel_state": _rel_state(spec, r),
             }
         )
     return rows

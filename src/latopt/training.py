@@ -1,16 +1,4 @@
-"""Training strategies built on one shared forward-graph constructor.
-
-Strategies
-----------
-``mtl``       two task losses, no discriminator
-``adv``       adversarial: task losses plus reversed domain loss
-``mtl+lo``    mtl with a one-step latent lookahead (descent on task losses)
-``adv+lo``    adv with a one-step latent lookahead (ascent on the domain
-              loss); the task heads consume the updated latents while the
-              discriminator consumes the originals
-``adv+maml``  adv with the lookahead taken in encoder parameter space
-``single:source`` / ``single:target``  one-domain task training (used by
-              the sequential fine-tuning baseline), scored on its own head
+"""Training strategies (the rows of ``TABLE``) on one shared graph constructor.
 
 All lookahead variants are first-order: the lookahead delta enters the
 graph as a detached constant, so no second-order terms flow anywhere. With
@@ -45,13 +33,30 @@ from .model import (
 )
 from .optim import AdamState, cosine_lr
 
-STRATEGIES = ("mtl", "mtl+lo", "adv", "adv+lo", "adv+maml")
+
+@dataclass(frozen=True)
+class Strategy:
+    """What a strategy name means: one row of ``TABLE``."""
+
+    base: str  # whose rate it inherits: its own name for a base
+    disc: bool = False  # trains a discriminator
+    lookahead: str | None = None  # None, "latent" (a step on the latents) or "params" (on the encoder)
+    domain: str | None = None  # the one domain a single-domain run trains and is scored on
+    sequential: bool = False  # runs as the two single-domain phases
 
 
-def _base(strategy: str) -> str:
-    """The base that ``strategy`` varies: it inherits the base's rate, and
-    trains a discriminator if the base is ``adv``."""
-    return strategy.split("+")[0]
+TABLE = {
+    "mtl": Strategy("mtl"),
+    "mtl+lo": Strategy("mtl", lookahead="latent"),
+    "adv": Strategy("adv", disc=True),
+    # the task heads consume the updated latents, the discriminator the originals
+    "adv+lo": Strategy("adv", disc=True, lookahead="latent"),
+    "adv+maml": Strategy("adv", disc=True, lookahead="params"),
+    "single:source": Strategy("single:source", domain="source"),
+    "single:target": Strategy("single:target", domain="target"),
+    "seq": Strategy("seq", sequential=True),
+}
+STRATEGIES = tuple(name for name, s in TABLE.items() if s.domain is None and not s.sequential)
 
 
 DEFAULT_GAMMA = 0.25  # lookahead step of the +lo variants and adv+maml when none is given
@@ -59,14 +64,13 @@ DEFAULT_GAMMA = 0.25  # lookahead step of the +lo variants and adv+maml when non
 
 @functools.cache
 def trainable_tensors(strategy: str) -> tuple[str, ...]:
+    row = TABLE[strategy]
     names = []
     for group, members in ModelParams.GROUPS.items():
-        if group == "theta_d" and _base(strategy) != "adv":
+        if group == "theta_d" and not row.disc:
             continue
-        if strategy == "single:source" and group == "phi_t":
-            continue
-        if strategy == "single:target" and group == "phi_s":
-            continue
+        if row.domain is not None and group == ("phi_t" if row.domain == "source" else "phi_s"):
+            continue  # the head of the domain a single-domain run does not train
         names.extend(members)
     return tuple(names)
 
@@ -170,24 +174,24 @@ def strategy_forward(
     ``adv+maml`` records the ``adv`` graph: its lookahead is a shift of the
     encoder parameters, which ``training_step`` makes before the call.
     """
+    row = TABLE.get(strategy)
+    if row is None or row.sequential:
+        raise ValueError(f"unknown strategy '{strategy}'")
     tape = Tape()
     p = put_params(tape, params)
     refs = GraphRefs(tape, p)
 
-    if strategy in ("single:source", "single:target"):
-        domain = strategy.split(":")[1]
-        seqs, y = batch_s if domain == "source" else batch_t
+    if row.domain is not None:
+        seqs, y = batch_s if row.domain == "source" else batch_t
         z = encode_on_tape(tape, p, seqs)
-        logits = classifier_logits(tape, p, z, domain)
+        logits = classifier_logits(tape, p, z, row.domain)
         loss = task_loss_on_tape(tape, logits, y)
         refs.objective = loss
-        if domain == "source":
+        if row.domain == "source":
             refs.z_s, refs.loss_s = z, loss
             return ForwardResult(refs, float(tape.value(loss)), None, None)
         refs.z_t, refs.loss_t = z, loss
         return ForwardResult(refs, None, float(tape.value(loss)), None)
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy '{strategy}'")
 
     seq_s, y_s = batch_s
     seq_t, y_t = batch_t
@@ -201,23 +205,22 @@ def strategy_forward(
     refs.z_s = encode_on_tape(tape, p, seq_s)
     refs.z_t = encode_on_tape(tape, p, seq_t)
     z_s_in, z_t_in = refs.z_s, refs.z_t
-    with_disc = _base(strategy) == "adv"
-    if with_disc:
+    if row.disc:
         # the shared features, reversed, feed the discriminator
         u_s = tape.dense(refs.z_s, p["sh_W"], p["sh_b"], "tanh")
         u_t = tape.dense(refs.z_t, p["sh_W"], p["sh_b"], "tanh")
         grl_s, grl_t = tape.grl(u_s, lam), tape.grl(u_t, lam)
         refs.loss_d = domain_loss_on_tape(tape, p, grl_s, grl_t)
     latents = None
-    if strategy.endswith("+lo") and gamma != 0.0:
-        if with_disc:  # ascent on the domain loss, read before the reversal
+    if row.lookahead == "latent" and gamma != 0.0:
+        if row.disc:  # ascent on the domain loss, read before the reversal
             inner, sign, reversed_at = refs.loss_d, 1.0, (grl_s, grl_t)
         else:  # descent on the summed task losses
             inner, sign, reversed_at = tape.add(*heads(refs.z_s, refs.z_t)), -1.0, None
         latents = latent_step(tape, refs.z_s, refs.z_t, inner, gamma, sign, reversed_at)
         z_s_in, z_t_in = latents.id_s_prime, latents.id_t_prime
     refs.loss_s, refs.loss_t = heads(z_s_in, z_t_in)
-    if with_disc:
+    if row.disc:
         refs.objective = tape.add(tape.add(refs.loss_s, refs.loss_t), refs.loss_d)
     else:
         refs.objective = tape.add(refs.loss_s, refs.loss_t)
@@ -225,7 +228,7 @@ def strategy_forward(
         refs,
         float(tape.value(refs.loss_s)),
         float(tape.value(refs.loss_t)),
-        float(tape.value(refs.loss_d)) if with_disc else None,
+        float(tape.value(refs.loss_d)) if row.disc else None,
         latents,
     )
 
@@ -372,7 +375,7 @@ def batch_schedule(source, target, batch_size: int, epochs: int, seed: int) -> l
 def training_step(strategy, params, opt_state, batch_s, batch_t, lr_t, lam, gamma):
     """One gradient step; returns (loss record, aux state scalars)."""
     forward_params, shift = params, {}
-    if strategy == "adv+maml" and gamma != 0.0:
+    if TABLE[strategy].lookahead == "params" and gamma != 0.0:
         shift = maml_lookahead_step(params, domain_loss_graph(params, batch_s, batch_t), gamma)
         forward_params = ModelParams(params.config, {**params.tensors, **shift})
     fwd = strategy_forward(forward_params, batch_s, batch_t, strategy, lam, gamma)
@@ -423,8 +426,8 @@ def train_run(
         if len(pairs) != steps_per_epoch:
             raise ValueError(f"train_run: epoch {epoch} holds {len(pairs)} batches, epoch 0 holds {steps_per_epoch}")
     total_steps = steps_per_epoch * len(schedule)
-    with_disc = _base(strategy) == "adv"
-    domain = "source" if strategy == "single:source" else "target"
+    with_disc = TABLE[strategy].disc
+    domain = TABLE[strategy].domain or "target"
     opt_state = AdamState()
     reports, dev_f, best = [], [], 0
     t0 = time.perf_counter()

@@ -489,3 +489,18 @@ def test_a_numpy_int_label_raises_the_same_type_error_from_both_writers(tmp_path
             write(DomainDataset("source", 30, 0, examples), tmp_path / "d.jsonl")
         messages.append(str(e.value))
     assert messages[0] == messages[1] == "Object of type int64 is not JSON serializable"
+
+
+def test_a_save_that_raises_leaves_its_path_as_it_was(tmp_path):
+    # every chunk is formatted before the file is opened, so a value JSON
+    # cannot hold in the last chunk leaves no partial file that loads
+    good = [Example((1, 2), 0, "train")] * (CHUNK + 1)
+    bad = DomainDataset("source", 30, 0, good + [Example((3,), np.int64(1), "dev")])
+    with pytest.raises(TypeError):
+        save_dataset(bad, tmp_path / "new.jsonl")
+    assert not (tmp_path / "new.jsonl").exists()
+    save_dataset(DomainDataset("source", 30, 0, good), tmp_path / "old.jsonl")
+    before = (tmp_path / "old.jsonl").read_bytes()
+    with pytest.raises(TypeError):
+        save_dataset(bad, tmp_path / "old.jsonl")
+    assert (tmp_path / "old.jsonl").read_bytes() == before

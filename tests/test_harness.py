@@ -801,14 +801,18 @@ def test_analyze_mean_and_std():
     assert out["strategies"]["adv"]["std_test_f"] == pytest.approx(0.1)
 
 
-def _comparison(test_fs, base_fs):
-    spec = ExperimentSpec(strategies=["adv", "adv+lo"], seeds=list(range(len(test_fs))), lr_grid=[1e-3])
-    reports = [
+def _reports(test_fs: dict) -> list:
+    """One report per strategy and seed, with the test F given for it."""
+    return [
         MetricsReport(strategy, seed, 1e-3, 0.5, f, 0.5, 0.5, 1, 10.0, 0)
-        for strategy, fs in (("adv+lo", test_fs), ("adv", base_fs))
+        for strategy, fs in test_fs.items()
         for seed, f in enumerate(fs)
     ]
-    return analyze(spec, reports)["comparisons"]["adv+lo vs adv"]
+
+
+def _comparison(test_fs, base_fs):
+    spec = ExperimentSpec(strategies=["adv", "adv+lo"], seeds=list(range(len(test_fs))), lr_grid=[1e-3])
+    return analyze(spec, _reports({"adv+lo": test_fs, "adv": base_fs}))["comparisons"]["adv+lo vs adv"]
 
 
 def test_analyze_counts_ties_and_bounds_the_mean_difference():
@@ -833,3 +837,20 @@ def test_analyze_all_tied_and_one_seed_comparisons():
     assert (one["n_seeds"], one["n_ties"], one["mean_diff"], one["sd_diff"], one["ci95_diff"]) == (1, 0, 0.25, None, None)
     line = "adv+lo vs adv: mean diff +0.2500 over 1 seeds (0 ties), sign-test p=1.0000"
     assert format_summary({"strategies": {}, "comparisons": {"adv+lo vs adv": one}}).splitlines()[-1] == line
+
+
+def test_analyze_compares_every_variant_with_its_base_in_sorted_order():
+    spec = ExperimentSpec(strategies=["mtl", "mtl+lo", "adv", "adv+lo", "adv+maml", "seq"], seeds=[0, 1, 2, 3])
+    fs = {s: [0.5, 0.5, 0.5, 0.5] for s in spec.strategies}
+    # adv+maml - adv: -0.25, 0, -0.25, -0.5 over 4 seeds, 1 tie, mean -0.25;
+    # 0 wins of 3 untied seeds, two-sided: p = 2 * 0.5**3 = 0.25
+    fs["adv"] = [0.75, 0.5, 0.75, 1.0]
+    reports = _reports(fs) + [MetricsReport("adv+maml", 4, 1e-3, 0.5, 1.0, 0.5, 0.5, 1, 10.0, 0)]  # no adv at seed 4
+    out = analyze(spec, reports)["comparisons"]
+    assert list(out) == ["adv+lo vs adv", "adv+maml vs adv", "mtl+lo vs mtl"]
+    cmp = out["adv+maml vs adv"]
+    assert (cmp["n_seeds"], cmp["n_ties"], cmp["mean_diff"], cmp["sign_test_p"]) == (4, 1, -0.25, 0.25)
+    default = ExperimentSpec()
+    assert list(analyze(default, _reports({s: fs[s] for s in default.strategies}))["comparisons"]) == [
+        "adv+lo vs adv", "mtl+lo vs mtl"
+    ]

@@ -52,6 +52,7 @@ def test_settable_surface_is_pinned():
     assert [f.name for f in fields(training.RunResult)] == [
         "strategy", "selected", "epoch", "epoch_reports", "dev_f", "wall_ms", "peak_aux"
     ]
+    assert [f.name for f in fields(training.Strategy)] == ["base", "disc", "lookahead", "domain", "sequential"]
     gone = [
         (render, "ContourGrid"),
         (harness, "data_problem"),
@@ -77,6 +78,7 @@ def test_settable_surface_is_pinned():
         (model.GraphRefs, "logits_s"),
         (model.GraphRefs, "logits_t"),
         (cli, "_out_ok"),
+        (training, "_base"),
     ]
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
 
@@ -200,6 +202,52 @@ def test_latopt_calls_no_numpy_set_routine():
         or (isinstance(node, ast.alias) and node.name in _SET_ROUTINES)
     )
     assert found == set()
+
+
+# what a strategy name means is read from its row of training.TABLE; a
+# function that tests the name instead is listed here with its reason
+_STRATEGY_NAME_TESTS_ALLOWED = {
+    "harness.summary_rows": "rel_time is measured against the same seed's run named adv",
+}
+
+
+def _tests_a_strategy_name(node) -> bool:
+    """Whether ``node`` compares a value with a strategy-name string constant
+    (``==``, ``!=``, ``in``, ``not in``), or calls ``split``, ``startswith``
+    or ``endswith`` on a strategy name or with a piece of one."""
+    names = training.TABLE
+    if isinstance(node, ast.Compare):
+        constants = {
+            c.value for side in (node.left, *node.comparators) for c in ast.walk(side) if isinstance(c, ast.Constant)
+        }
+        equality = any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+        return equality and any(isinstance(c, str) and c in names for c in constants)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr not in ("split", "startswith", "endswith"):
+            return False
+        pieces = [a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        return "strateg" in ast.unparse(node.func.value) or any(p and p in n for p in pieces for n in names)
+    return False
+
+
+def test_no_function_reads_a_strategy_name_apart_from_the_table():
+    found = _latopt_functions_with(_tests_a_strategy_name)
+    assert found == set(_STRATEGY_NAME_TESTS_ALLOWED)
+
+
+def test_the_strategy_name_check_sees_each_way_of_reading_a_name():
+    def found(source):
+        nodes = ast.walk(ast.parse(source))
+        return [_tests_a_strategy_name(node) for node in nodes if isinstance(node, (ast.Compare, ast.Call))]
+
+    assert found('strategy == "adv+maml"') == [True]
+    assert found('"seq" not in spec.strategies') == [True]
+    assert found('s in ("single:source", "single:target")') == [True]
+    assert found('strategy.endswith("+lo")') == [True]
+    assert found('name.split("+")') == [True]
+    assert found('train_run("single:source", params)') == [False]  # calling a row by name
+    assert found('ds.split("train")') == [False]
+    assert found('domain == "source"') == [False]
 
 
 # the trajectory recurrence and its step rules (each closure is ``step``)
