@@ -2,10 +2,10 @@
 dev-set learning-rate protocol, model selection, positive-class F
 reporting, and resource accounting.
 
-Learning-rate protocol: the base strategies (``adv``, ``mtl``, ``seq``) are
-grid-searched on the target dev split; their lookahead variants inherit
-the winning rate unchanged. That asymmetry is deliberate and is the
-default the comparison experiments rely on.
+Learning-rate protocol: the base strategies (``adv``, ``mtl``, ``seq``,
+``tgt``) are grid-searched on the target dev split; their lookahead
+variants inherit the winning rate unchanged. That asymmetry is deliberate
+and is the default the comparison experiments rely on.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .training import (
     DEFAULT_GAMMA,
     TABLE,
     RunResult,
-    Split,
     TrainingAborted,
     TrainingConfig,
     batch_schedule,
@@ -54,7 +53,7 @@ SUMMARY_COLUMNS = (
     "rel_state",
 )
 
-# the two-domain strategies plus sequential fine-tuning, which the harness runs
+# the two-domain strategies plus the rows that train in single-domain phases
 SPEC_STRATEGIES = tuple(name for name, s in TABLE.items() if s.domain is None)
 
 
@@ -194,46 +193,40 @@ def _test_metrics(params: ModelParams, splits: dict):
     return f_score(predict(params, test.seqs, "target"), test.labels)
 
 
-def sequential_finetune(
-    params: ModelParams, schedules: tuple, source_dev: Split, target_dev: Split, config: TrainingConfig
-) -> RunResult:
-    """Two-phase fine-tuning of a copy of ``params``: source-task training
-    on ``schedules[0]`` with source-dev selection, then target-task training
-    (fresh target head: phase one never touches it) on ``schedules[1]`` from
-    the phase-1 selection, with target-dev selection. Returns the phase-2
-    ``RunResult``, whose ``wall_ms`` counts both phases."""
-    run1 = train_run("single:source", params.copy(), schedules[0], source_dev, config)
-    run2 = train_run("single:target", run1.selected, schedules[1], target_dev, config)
-    run2.wall_ms += run1.wall_ms
-    return run2
-
-
 def _seed_jobs(spec, seed, source_splits, target_splits):
     """All reports for one seed, base by base: the base's rate grid at
     gamma=0, whose best run by target-dev F (the smaller rate on a tie) is
     the base's report, then each variant at that rate with the spec's gamma.
-    Every run starts from the seed's one init, and every schedule of the
-    seed is cut here, once: each two-domain run, base or variant at any
-    rate, trains on the one two-domain schedule, so a ``+lo`` run and its
-    base see the same batches in the same order; ``seq`` trains on two
-    single-domain schedules, from ``seed`` and ``seed + 1``. A spec of
-    ``seq`` alone cuts no two-domain schedule."""
+    Every run starts from the seed's one init and trains its row's phases
+    in turn (see ``training.Strategy``), each from the previous phase's
+    selection. Every schedule of the seed is cut here, once, and only for a
+    domain some phase needs: each two-domain run, base or variant at any
+    rate, trains on the one two-domain schedule from ``seed``, so a ``+lo``
+    run and its base see the same batches in the same order; a
+    ``single:source`` phase trains on one cut from ``seed``, a
+    ``single:target`` phase on one cut from ``seed + 1``."""
     init = init_params(spec.model, seed)
-    schedule = seq_schedules = None
-    if any(not TABLE[s].sequential for s in spec.strategies):
-        schedule = batch_schedule(source_splits["train"], target_splits["train"], spec.batch_size, spec.epochs, seed)
-    if any(TABLE[s].sequential for s in spec.strategies):
-        seq_schedules = (
-            batch_schedule(source_splits["train"], None, spec.batch_size, spec.epochs, seed),
-            batch_schedule(target_splits["train"], None, spec.batch_size, spec.epochs, seed + 1),
-        )
+    cuts = {
+        None: (source_splits["train"], target_splits["train"], seed),
+        "source": (source_splits["train"], None, seed),
+        "target": (target_splits["train"], None, seed + 1),
+    }
+    needed = {TABLE[p].domain for s in spec.strategies for p in TABLE[s].phases or (s,)}
+    # cut in the order of ``cuts``, which no process's hash seed changes
+    schedules = {
+        d: batch_schedule(s, t, spec.batch_size, spec.epochs, at) for d, (s, t, at) in cuts.items() if d in needed
+    }
+    dev = {None: target_splits["dev"], "source": source_splits["dev"], "target": target_splits["dev"]}
 
     def run(strategy, lr, gamma) -> RunResult:
-        """One run from ``init``, which it leaves untouched."""
+        """One run from ``init``, which it leaves untouched; its ``wall_ms`` counts every phase."""
         config = TrainingConfig(lr=lr, gamma=gamma)
-        if TABLE[strategy].sequential:
-            return sequential_finetune(init, seq_schedules, source_splits["dev"], target_splits["dev"], config)
-        return train_run(strategy, init.copy(), schedule, target_splits["dev"], config)
+        params, wall_ms = init.copy(), 0.0
+        for phase in TABLE[strategy].phases or (strategy,):
+            got = train_run(phase, params, schedules[TABLE[phase].domain], dev[TABLE[phase].domain], config)
+            params, wall_ms = got.selected, wall_ms + got.wall_ms
+        got.wall_ms = wall_ms
+        return got
 
     reports = []
     for base in sorted({TABLE[s].base for s in spec.strategies}):
@@ -498,8 +491,10 @@ def analyze(spec: ExperimentSpec, reports: list) -> dict:
 
 def summary_rows(spec: ExperimentSpec, reports: list) -> list:
     """summary.csv rows; rel_time is wall time against the same seed's
-    adversarial baseline (1.00x when that baseline is absent)."""
-    adv_wall = {r.seed: r.wall_ms for r in reports if r.strategy == "adv" and not r.failed}
+    adversarial baseline, the row that is its own base and trains a
+    discriminator (1.00x when that baseline is absent)."""
+    adv = next(name for name, s in TABLE.items() if s.base == name and s.disc)
+    adv_wall = {r.seed: r.wall_ms for r in reports if r.strategy == adv and not r.failed}
     rows = []
     for r in reports:
         rel_time = r.wall_ms / adv_wall[r.seed] if adv_wall.get(r.seed) else 1.0

@@ -42,7 +42,7 @@ class Strategy:
     disc: bool = False  # trains a discriminator
     lookahead: str | None = None  # None, "latent" (a step on the latents) or "params" (on the encoder)
     domain: str | None = None  # the one domain a single-domain run trains and is scored on
-    sequential: bool = False  # runs as the two single-domain phases
+    phases: tuple[str, ...] = ()  # single-domain rows trained in turn, each from the last's selection; () is itself
 
 
 TABLE = {
@@ -54,9 +54,10 @@ TABLE = {
     "adv+maml": Strategy("adv", disc=True, lookahead="params"),
     "single:source": Strategy("single:source", domain="source"),
     "single:target": Strategy("single:target", domain="target"),
-    "seq": Strategy("seq", sequential=True),
+    "seq": Strategy("seq", phases=("single:source", "single:target")),
+    "tgt": Strategy("tgt", phases=("single:target",)),
 }
-STRATEGIES = tuple(name for name, s in TABLE.items() if s.domain is None and not s.sequential)
+STRATEGIES = tuple(name for name, s in TABLE.items() if s.domain is None and not s.phases)
 
 
 DEFAULT_GAMMA = 0.25  # lookahead step of the +lo variants and adv+maml when none is given
@@ -175,7 +176,7 @@ def strategy_forward(
     encoder parameters, which ``training_step`` makes before the call.
     """
     row = TABLE.get(strategy)
-    if row is None or row.sequential:
+    if row is None or row.phases:
         raise ValueError(f"unknown strategy '{strategy}'")
     tape = Tape()
     p = put_params(tape, params)

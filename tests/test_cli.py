@@ -246,7 +246,7 @@ def test_train_rejects_target_outside_model_vocabulary(tmp_path, data_dir, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("strategy", ["seq", "advlo", "single:source"])
+@pytest.mark.parametrize("strategy", ["seq", "tgt", "advlo", "single:source"])
 def test_train_accepts_only_trainable_strategies(tmp_path, data_dir, capsys, strategy):
     out = tmp_path / "run"
     argv = [

@@ -1,5 +1,5 @@
-"""Harness contracts: metric arithmetic, the sequential baseline, experiment
-orchestration, and report/summary outputs."""
+"""Harness contracts: metric arithmetic, the phased baselines (``seq``,
+``tgt``), experiment orchestration, and report/summary outputs."""
 
 import ctypes
 import json
@@ -22,13 +22,12 @@ from latopt.harness import (
     analyze,
     format_summary,
     run_experiment,
-    sequential_finetune,
     summary_rows,
     SUMMARY_COLUMNS,
 )
 from latopt.metrics import f_score, paired_sign_test
-from latopt.model import ModelConfig, ModelParams, init_params
-from latopt.training import TrainingConfig
+from latopt.model import ModelConfig, ModelParams, init_params, predict
+from latopt.training import TrainingConfig, batch_schedule, train_run
 
 FAST_GEN = GeneratorConfig(source_train_size=320, target_train_size=160, test_size=96, seed=21)
 FAST_MODEL = ModelConfig(vocab_size=4096, embed_dim=8, latent_dim=8)
@@ -89,44 +88,53 @@ def test_spearman_perfect_and_reversed():
     assert spearman_rank_correlation([1, 2, 3], [3, 1, 0]) == pytest.approx(-1.0)
 
 
-def test_sequential_finetune_phase_two_starts_from_phase_one_selection(fast_pair):
+def _seq_run(init, schedules, source_dev, target_dev, config):
+    """``seq`` by hand: a source run, then a target run from its selection."""
+    run1 = train_run("single:source", init.copy(), schedules[0], source_dev, config)
+    return train_run("single:target", run1.selected, schedules[1], target_dev, config)
+
+
+def test_sequential_finetune_phase_two_starts_from_phase_one_selection(fast_pair, monkeypatch):
+    from latopt import harness
+
     src, tgt = fast_pair
     ss, ts = _splits(src), _splits(tgt)
-    config = TrainingConfig(lr=2e-3)
-    init = init_params(FAST_MODEL, 0)
-    from latopt.training import batch_schedule, train_run
+    runs, walls = [], []
 
+    def spy(*args, **kwargs):
+        runs.append(train_run(*args, **kwargs))
+        walls.append(runs[-1].wall_ms)
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "train_run", spy)
+    spec = ExperimentSpec(strategies=["seq"], seeds=[0], lr_grid=[2e-3], epochs=2, batch_size=32, model=FAST_MODEL)
+    (report,) = harness._seed_jobs(spec, 0, ss, ts)
     schedules = [batch_schedule(ss["train"], None, 32, 2, 0), batch_schedule(ts["train"], None, 32, 2, 1)]
-    run = sequential_finetune(init, schedules, ss["dev"], ts["dev"], config)
-    phase1 = train_run("single:source", init.copy(), schedules[0], ss["dev"], config)
-    run_direct = train_run("single:target", phase1.selected, schedules[1], ts["dev"], config)
+    direct = _seq_run(init_params(FAST_MODEL, 0), schedules, ss["dev"], ts["dev"], TrainingConfig(lr=2e-3, gamma=0.0))
+    assert [r.strategy for r in runs] == ["single:source", "single:target"]
+    run = runs[-1]
     assert len(run.dev_f) == 2
-    assert run.dev_f == run_direct.dev_f  # phase 2 trains on the second schedule
-    assert run.epoch == run_direct.epoch
+    assert run.dev_f == direct.dev_f  # phase 2 trains on the second schedule
+    assert run.epoch == direct.epoch
     for name in run.selected.tensors:
-        np.testing.assert_array_equal(run.selected.tensors[name], run_direct.selected.tensors[name])
+        np.testing.assert_array_equal(run.selected.tensors[name], direct.selected.tensors[name])
+    assert (report.selected_epoch, report.dev_f) == (direct.epoch, direct.dev_f[direct.epoch])
+    assert report.wall_ms == walls[0] + walls[1]  # the report's wall time counts both phases
 
 
 def test_sequential_finetune_warm_start_helps_on_identical_domains(fast_pair):
-    # with source == target, phase 2 should start from lower initial dev
-    # loss than a fresh model, on average over seeds
+    # with source == target, phase 2 should start from a better model than
+    # a fresh one: its selection's dev F beats init's, on most seeds
     src, _ = fast_pair
-    ss = _splits(src)
-    config = TrainingConfig(lr=2e-3)
-    from latopt.metrics import f_score as _f
-    from latopt.model import predict
-    from latopt.training import batch_schedule
-
+    spec = ExperimentSpec(
+        strategies=["seq"], seeds=list(range(5)), lr_grid=[2e-3], epochs=2, batch_size=32, model=FAST_MODEL
+    )
+    reports, _ = run_experiment(spec, source=src, target=src)
+    seqs, labels = _splits(src)["dev"]
     wins = 0
-    for seed in range(5):
-        init = init_params(FAST_MODEL, seed)
-        schedules = [batch_schedule(ss["train"], None, 32, 2, seed + i) for i in range(2)]
-        selected = sequential_finetune(init, schedules, ss["dev"], ss["dev"], config).selected
-
-        seqs, labels = ss["dev"]
-        f_warm = _f(predict(selected, seqs, "target"), labels)[0]
-        f_fresh = _f(predict(init, seqs, "target"), labels)[0]
-        wins += f_warm >= f_fresh
+    for r in reports:
+        f_fresh = f_score(predict(init_params(FAST_MODEL, r.seed), seqs, "target"), labels)[0]
+        wins += r.dev_f >= f_fresh  # the report's dev F is its selection's target-head F on this dev split
     assert wins >= 4
 
 
@@ -367,7 +375,6 @@ def test_run_experiment_counts_and_outputs(tmp_path, fast_pair):
 
 def test_run_experiment_grid_searches_seq_as_its_own_base(fast_pair):
     from latopt.harness import _test_metrics
-    from latopt.training import batch_schedule
 
     src, tgt = fast_pair
     spec = ExperimentSpec(
@@ -386,11 +393,79 @@ def test_run_experiment_grid_searches_seq_as_its_own_base(fast_pair):
     # the two phases train on single-domain schedules from the seed and the next seed
     schedules = [batch_schedule(s["train"], None, 32, 1, i) for i, s in enumerate((source_splits, target_splits))]
     dev = source_splits["dev"], target_splits["dev"]
-    runs = {lr: sequential_finetune(init, schedules, *dev, TrainingConfig(lr=lr, gamma=0.0)) for lr in spec.lr_grid}
+    runs = {lr: _seq_run(init, schedules, *dev, TrainingConfig(lr=lr, gamma=0.0)) for lr in spec.lr_grid}
     lr = max(sorted(runs), key=lambda lr: runs[lr].dev_f[runs[lr].epoch])  # the smaller rate on a tie
     run = runs[lr]
     test_f = _test_metrics(run.selected, target_splits)[0]
     assert (seq.lr, seq.dev_f, seq.test_f) == (lr, run.dev_f[run.epoch], test_f)
+
+
+def test_run_experiment_grid_searches_tgt_as_its_own_base(fast_pair):
+    from latopt.harness import _test_metrics
+
+    src, tgt = fast_pair
+    spec = ExperimentSpec(
+        strategies=["tgt", "adv"], seeds=[1], lr_grid=[1e-3, 3e-3], epochs=2, batch_size=32, model=FAST_MODEL
+    )
+    reports, analysis = run_experiment(spec, source=src, target=tgt)
+    assert analysis["n_failed"] == 0
+    report = {r.strategy: r for r in reports}["tgt"]
+    target_splits = _splits(tgt)
+    init = init_params(FAST_MODEL, 1)
+    # the target-only run trains on the single-domain schedule from the next seed
+    schedule = batch_schedule(target_splits["train"], None, 32, 2, 2)
+    runs = {
+        lr: train_run("single:target", init.copy(), schedule, target_splits["dev"], TrainingConfig(lr=lr, gamma=0.0))
+        for lr in spec.lr_grid
+    }
+    lr = max(sorted(runs), key=lambda lr: runs[lr].dev_f[runs[lr].epoch])  # the smaller rate on a tie
+    run = runs[lr]
+    f, r, p = _test_metrics(run.selected, target_splits)
+    assert (report.lr, report.dev_f, report.selected_epoch) == (lr, run.dev_f[run.epoch], run.epoch)
+    assert (report.test_f, report.test_r, report.test_p) == (f, r, p)
+
+
+def test_tgt_without_seq_cuts_one_single_domain_schedule_per_seed(fast_pair, monkeypatch):
+    from latopt import harness
+
+    cut, cuts = harness.batch_schedule, []
+
+    def spy(source, target, *args):
+        cuts.append((target is None, args[-1]))
+        return cut(source, target, *args)
+
+    monkeypatch.setattr(harness, "batch_schedule", spy)
+    # the spy appends to this process's list, so every seed runs here
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    spec = ExperimentSpec(
+        strategies=["tgt", "mtl"], seeds=[0, 1], lr_grid=[1e-3, 3e-3], epochs=1, batch_size=32, model=FAST_MODEL
+    )
+    run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
+    # per seed, the two-domain schedule from the seed, then the target's from the next
+    assert cuts == [(False, 0), (True, 1), (False, 1), (True, 2)]
+
+
+def test_seq_and_tgt_train_on_one_target_schedule(fast_pair, monkeypatch):
+    from latopt import harness
+
+    seen = []
+
+    def spy(strategy, params, schedule, *args, **kwargs):
+        seen.append((strategy, schedule))
+        return train_run(strategy, params, schedule, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_run", spy)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    spec = ExperimentSpec(
+        strategies=["seq", "tgt"], seeds=[0], lr_grid=[1e-3, 3e-3], epochs=1, batch_size=32, model=FAST_MODEL
+    )
+    run_experiment(spec, source=fast_pair[0], target=fast_pair[1])
+    target = [schedule for strategy, schedule in seen if strategy == "single:target"]
+    source = [schedule for strategy, schedule in seen if strategy == "single:source"]
+    # seq's target phase and tgt, at both rates; seq's source phase at both rates
+    assert len(target) == 4 and len(source) == 2
+    assert all(s is target[0] for s in target) and all(s is source[0] for s in source)
+    assert source[0] is not target[0]
 
 
 def test_every_two_domain_run_of_a_seed_trains_on_one_schedule(fast_pair, monkeypatch):

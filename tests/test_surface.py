@@ -33,7 +33,6 @@ def test_settable_surface_is_pinned():
         optim.adam_step: ["state", "params", "grads", "lr"],
         training.batch_schedule: ["source", "target", "batch_size", "epochs", "seed"],
         training.train_run: ["strategy", "params", "schedule", "dev", "config", "run_log"],
-        harness.sequential_finetune: ["params", "schedules", "source_dev", "target_dev", "config"],
         render.render_trajectory: ["trajectories", "q"],
         render.write_outputs: ["trajectories", "q", "svg_path", "csv_path"],
         render._auto_bounds: ["points"],
@@ -52,7 +51,7 @@ def test_settable_surface_is_pinned():
     assert [f.name for f in fields(training.RunResult)] == [
         "strategy", "selected", "epoch", "epoch_reports", "dev_f", "wall_ms", "peak_aux"
     ]
-    assert [f.name for f in fields(training.Strategy)] == ["base", "disc", "lookahead", "domain", "sequential"]
+    assert [f.name for f in fields(training.Strategy)] == ["base", "disc", "lookahead", "domain", "phases"]
     gone = [
         (render, "ContourGrid"),
         (harness, "data_problem"),
@@ -79,6 +78,7 @@ def test_settable_surface_is_pinned():
         (model.GraphRefs, "logits_t"),
         (cli, "_out_ok"),
         (training, "_base"),
+        (harness, "sequential_finetune"),
     ]
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
 
@@ -204,13 +204,6 @@ def test_latopt_calls_no_numpy_set_routine():
     assert found == set()
 
 
-# what a strategy name means is read from its row of training.TABLE; a
-# function that tests the name instead is listed here with its reason
-_STRATEGY_NAME_TESTS_ALLOWED = {
-    "harness.summary_rows": "rel_time is measured against the same seed's run named adv",
-}
-
-
 def _tests_a_strategy_name(node) -> bool:
     """Whether ``node`` compares a value with a strategy-name string constant
     (``==``, ``!=``, ``in``, ``not in``), or calls ``split``, ``startswith``
@@ -231,8 +224,14 @@ def _tests_a_strategy_name(node) -> bool:
 
 
 def test_no_function_reads_a_strategy_name_apart_from_the_table():
-    found = _latopt_functions_with(_tests_a_strategy_name)
-    assert found == set(_STRATEGY_NAME_TESTS_ALLOWED)
+    # what a strategy name means is read from its row of training.TABLE
+    assert _latopt_functions_with(_tests_a_strategy_name) == set()
+
+
+def test_every_phase_of_a_row_is_a_single_domain_row():
+    # a phase trains one domain from the previous phase's selection
+    phases = [p for row in training.TABLE.values() for p in row.phases]
+    assert phases and [p for p in phases if p not in training.TABLE or training.TABLE[p].domain is None] == []
 
 
 def test_the_strategy_name_check_sees_each_way_of_reading_a_name():
