@@ -27,7 +27,7 @@ import numpy as np
 from .autodiff import ShapeError
 from .data import SPLITS, DomainDataset, GeneratorConfig, not_a_split, prepare_transfer_pair, load_dataset
 from .metrics import f_score, paired_sign_test, t_interval_95
-from .model import ModelConfig, ModelParams, init_params, predict
+from .model import DOMAINS, ModelConfig, ModelParams, init_params, predict
 from .training import (
     DEFAULT_GAMMA,
     TABLE,
@@ -54,7 +54,7 @@ SUMMARY_COLUMNS = (
 )
 
 # the two-domain strategies plus the rows that train in single-domain phases
-SPEC_STRATEGIES = tuple(name for name, s in TABLE.items() if s.domain is None)
+SPEC_STRATEGIES = tuple(name for name, s in TABLE.items() if len(s.domains) > 1)
 
 
 class SpecError(ValueError):
@@ -199,31 +199,34 @@ def _seed_jobs(spec, seed, source_splits, target_splits):
     the base's report, then each variant at that rate with the spec's gamma.
     Every run starts from the seed's one init and trains its row's phases
     in turn (see ``training.Strategy``), each from the previous phase's
-    selection. Every schedule of the seed is cut here, once, and only for a
-    domain some phase needs: each two-domain run, base or variant at any
+    selection, on the dev split of the domain that phase is scored on.
+    Every schedule of the seed is cut here, once, keyed by the ``domains``
+    of the phases that train on it, and only when some phase of the spec
+    trains those domains: each two-domain run, base or variant at any
     rate, trains on the one two-domain schedule from ``seed``, so a ``+lo``
     run and its base see the same batches in the same order; a
     ``single:source`` phase trains on one cut from ``seed``, a
     ``single:target`` phase on one cut from ``seed + 1``."""
     init = init_params(spec.model, seed)
     cuts = {
-        None: (source_splits["train"], target_splits["train"], seed),
-        "source": (source_splits["train"], None, seed),
-        "target": (target_splits["train"], None, seed + 1),
+        DOMAINS: (source_splits["train"], target_splits["train"], seed),
+        ("source",): (source_splits["train"], None, seed),
+        ("target",): (target_splits["train"], None, seed + 1),
     }
-    needed = {TABLE[p].domain for s in spec.strategies for p in TABLE[s].phases or (s,)}
+    needed = {TABLE[p].domains for s in spec.strategies for p in TABLE[s].phases or (s,)}
     # cut in the order of ``cuts``, which no process's hash seed changes
     schedules = {
         d: batch_schedule(s, t, spec.batch_size, spec.epochs, at) for d, (s, t, at) in cuts.items() if d in needed
     }
-    dev = {None: target_splits["dev"], "source": source_splits["dev"], "target": target_splits["dev"]}
+    dev = {"source": source_splits["dev"], "target": target_splits["dev"]}
 
     def run(strategy, lr, gamma) -> RunResult:
         """One run from ``init``, which it leaves untouched; its ``wall_ms`` counts every phase."""
         config = TrainingConfig(lr=lr, gamma=gamma)
         params, wall_ms = init.copy(), 0.0
         for phase in TABLE[strategy].phases or (strategy,):
-            got = train_run(phase, params, schedules[TABLE[phase].domain], dev[TABLE[phase].domain], config)
+            domains = TABLE[phase].domains
+            got = train_run(phase, params, schedules[domains], dev[domains[-1]], config)
             params, wall_ms = got.selected, wall_ms + got.wall_ms
         got.wall_ms = wall_ms
         return got
@@ -388,14 +391,9 @@ def _all_seed_jobs(spec, source_splits, target_splits) -> list:
 def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None):
     """Run every (strategy, seed) cell and aggregate.
 
-    The seeds run in forked worker processes, one per CPU this process may
-    use and never more than there are seeds (see ``_all_seed_jobs``); with
-    one CPU or one seed they run in this process and none is started. Each
-    worker sets glibc's trim and mmap thresholds, so a step's freed
-    temporaries stay in its heap; on other C libraries this is a no-op, and
-    the calling process's allocator is never tuned. The reports are the same
-    bits either way, apart from ``wall_ms``, which is measured in whichever
-    process trains the run.
+    How the seeds are spread over worker processes, and the allocator
+    settings of each worker, are ``_all_seed_jobs``'s; a report's
+    ``wall_ms`` is measured in the process that trains the run.
 
     An ``out_dir`` that cannot be a directory (see ``out_dir_problem``)
     raises ``SpecError`` first, before any dataset is read or generated.
@@ -440,10 +438,12 @@ def _rel_state(spec: ExperimentSpec, report: MetricsReport) -> float:
 
 def analyze(spec: ExperimentSpec, reports: list) -> dict:
     """Per-strategy test and dev F over the runs that did not fail, and for
-    each (base, variant) pair in sorted order, over the seeds where both ran:
-    the seeds whose test F ties exactly (the sign test drops them), the mean
-    and sample sd of the paired differences, their 95% t interval (see
-    ``metrics.t_interval_95``; None below two seeds) and the sign-test p."""
+    each (base, variant) pair in sorted order, then each other strategy
+    against the target-only row (``tgt``) in sorted order, over the seeds
+    where both ran: the seeds whose test F ties exactly (the sign test drops
+    them), the mean and sample sd of the paired differences, their 95% t
+    interval (see ``metrics.t_interval_95``; None below two seeds) and the
+    sign-test p."""
     ok = [r for r in reports if not r.failed]
     by_strategy: dict[str, list] = {}
     for r in ok:
@@ -464,9 +464,17 @@ def analyze(spec: ExperimentSpec, reports: list) -> dict:
             "aux_state": max((r.aux_state for r in rs), default=0),
         }
 
+    # the target-only row: each of its phases trains just the domain the last is scored on
+    target_only = next(
+        name
+        for name, row in TABLE.items()
+        if row.phases and {TABLE[p].domains for p in row.phases} == {TABLE[row.phases[-1]].domains[-1:]}
+    )
+    pairs = sorted((TABLE[s].base, s) for s in by_strategy if TABLE[s].base != s)
+    pairs += [(target_only, s) for s in sorted(by_strategy) if s != target_only]
     comparisons = {}
-    for base, variant in sorted((TABLE[s].base, s) for s in by_strategy):
-        if variant != base and base in by_strategy:
+    for base, variant in pairs:
+        if base in by_strategy:
             seeds = sorted(
                 {r.seed for r in by_strategy[variant]} & {r.seed for r in by_strategy[base]}
             )

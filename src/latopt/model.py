@@ -171,7 +171,8 @@ def encode_on_tape(tape: Tape, p: dict[str, NodeId], sequences) -> NodeId:
     return tape.dense(h, p["enc2_W"], p["enc2_b"], "tanh")
 
 
-DOMAINS = ("source", "target")
+HEADS = {"source": "phi_s", "target": "phi_t"}  # the group of each domain's head
+DOMAINS = tuple(HEADS)
 
 
 def check_domain(domain: str) -> None:
@@ -185,12 +186,8 @@ def classifier_logits(tape, p, z, domain: str) -> NodeId:
     domain-specific and shared features through the 2-layer head. An
     unknown ``domain`` raises ``ValueError`` before anything is recorded."""
     check_domain(domain)
-    if domain == "source":
-        v = tape.dense(z, p["src_W"], p["src_b"], "tanh")
-        c1w, c1b, c2w, c2b = "cls_s1_W", "cls_s1_b", "cls_s2_W", "cls_s2_b"
-    else:
-        v = tape.dense(z, p["tgt_W"], p["tgt_b"], "tanh")
-        c1w, c1b, c2w, c2b = "cls_t1_W", "cls_t1_b", "cls_t2_W", "cls_t2_b"
+    w, b, c1w, c1b, c2w, c2b = ModelParams.GROUPS[HEADS[domain]]
+    v = tape.dense(z, p[w], p[b], "tanh")
     u = tape.dense(z, p["sh_W"], p["sh_b"], "tanh")
     vu = tape.concat(v, u, axis=1)
     h = tape.dense(vu, p[c1w], p[c1b], "relu")
@@ -234,7 +231,7 @@ def predict(params: ModelParams, sequences, domain: str) -> np.ndarray:
     and ``domain``'s head read. An unknown ``domain`` raises ``ValueError``."""
     check_domain(domain)
     G = ModelParams.GROUPS
-    read = G["w_b"] + G["w_sh"] + G["phi_s" if domain == "source" else "phi_t"]
+    read = G["w_b"] + G["w_sh"] + G[HEADS[domain]]
     batch = pack(sequences)
     n = len(batch)
     out = []

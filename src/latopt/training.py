@@ -21,6 +21,8 @@ import numpy as np
 from . import metrics, model, optim
 from .autodiff import NodeId, NonFiniteError, Packed, Tape, _bw_dense, backward, pack
 from .model import (
+    DOMAINS,
+    HEADS,
     GraphRefs,
     ModelParams,
     classifier_logits,
@@ -41,7 +43,7 @@ class Strategy:
     base: str  # whose rate it inherits: its own name for a base
     disc: bool = False  # trains a discriminator
     lookahead: str | None = None  # None, "latent" (a step on the latents) or "params" (on the encoder)
-    domain: str | None = None  # the one domain a single-domain run trains and is scored on
+    domains: tuple[str, ...] = DOMAINS  # the domains it trains, each with its head; scored on the last
     phases: tuple[str, ...] = ()  # single-domain rows trained in turn, each from the last's selection; () is itself
 
 
@@ -52,12 +54,12 @@ TABLE = {
     # the task heads consume the updated latents, the discriminator the originals
     "adv+lo": Strategy("adv", disc=True, lookahead="latent"),
     "adv+maml": Strategy("adv", disc=True, lookahead="params"),
-    "single:source": Strategy("single:source", domain="source"),
-    "single:target": Strategy("single:target", domain="target"),
+    "single:source": Strategy("single:source", domains=("source",)),
+    "single:target": Strategy("single:target", domains=("target",)),
     "seq": Strategy("seq", phases=("single:source", "single:target")),
     "tgt": Strategy("tgt", phases=("single:target",)),
 }
-STRATEGIES = tuple(name for name, s in TABLE.items() if s.domain is None and not s.phases)
+STRATEGIES = tuple(name for name, s in TABLE.items() if len(s.domains) > 1 and not s.phases)
 
 
 DEFAULT_GAMMA = 0.25  # lookahead step of the +lo variants and adv+maml when none is given
@@ -66,14 +68,10 @@ DEFAULT_GAMMA = 0.25  # lookahead step of the +lo variants and adv+maml when non
 @functools.cache
 def trainable_tensors(strategy: str) -> tuple[str, ...]:
     row = TABLE[strategy]
-    names = []
-    for group, members in ModelParams.GROUPS.items():
-        if group == "theta_d" and not row.disc:
-            continue
-        if row.domain is not None and group == ("phi_t" if row.domain == "source" else "phi_s"):
-            continue  # the head of the domain a single-domain run does not train
-        names.extend(members)
-    return tuple(names)
+    skip = {head for domain, head in HEADS.items() if domain not in row.domains}
+    if not row.disc:
+        skip.add("theta_d")
+    return tuple(name for group, members in ModelParams.GROUPS.items() if group not in skip for name in members)
 
 
 @dataclass
@@ -163,15 +161,16 @@ def strategy_forward(
 ) -> ForwardResult:
     """Build the forward graph for one paired batch under a strategy.
 
-    ``batch_s``/``batch_t`` are (sequences, one-hot labels) tuples. For the
-    ``single:*`` strategies the other domain's batch may be None. Every
-    two-domain strategy records, in this order: both encoders; with a
-    discriminator, the shared features it reads and the reversed domain
-    loss; for a ``+lo`` variant with gamma != 0, the inner loss (without a
-    discriminator) and the latent step; both heads and task losses; the
-    objective. The ``+lo`` step is ascent on the domain loss's unreversed
-    gradient, read at the reversal, with a discriminator, and descent on the
-    summed task losses without one.
+    ``batch_s``/``batch_t`` are (sequences, one-hot labels) tuples; a row
+    that does not train a domain never reads that domain's batch, which may
+    be None. Every row records, in this order: the encoder on each domain of
+    ``row.domains``; with a discriminator, the shared features it reads and
+    the reversed domain loss; for a ``+lo`` variant with gamma != 0, the
+    inner loss (without a discriminator) and the latent step; every head,
+    then every task loss; the objective, the task losses summed left to
+    right, then the domain loss. The ``+lo`` step is ascent on the domain
+    loss's unreversed gradient, read at the reversal, with a discriminator,
+    and descent on the summed task losses without one.
     ``adv+maml`` records the ``adv`` graph: its lookahead is a shift of the
     encoder parameters, which ``training_step`` makes before the call.
     """
@@ -181,31 +180,15 @@ def strategy_forward(
     tape = Tape()
     p = put_params(tape, params)
     refs = GraphRefs(tape, p)
+    batches = dict(zip(DOMAINS, (batch_s, batch_t)))
 
-    if row.domain is not None:
-        seqs, y = batch_s if row.domain == "source" else batch_t
-        z = encode_on_tape(tape, p, seqs)
-        logits = classifier_logits(tape, p, z, row.domain)
-        loss = task_loss_on_tape(tape, logits, y)
-        refs.objective = loss
-        if row.domain == "source":
-            refs.z_s, refs.loss_s = z, loss
-            return ForwardResult(refs, float(tape.value(loss)), None, None)
-        refs.z_t, refs.loss_t = z, loss
-        return ForwardResult(refs, None, float(tape.value(loss)), None)
+    def task_losses(z):
+        # every head before every loss: node order sets the order gradients are summed in
+        logits = {d: classifier_logits(tape, p, z[d], d) for d in row.domains}
+        return {d: task_loss_on_tape(tape, logits[d], batches[d][1]) for d in row.domains}
 
-    seq_s, y_s = batch_s
-    seq_t, y_t = batch_t
-
-    def heads(z_s, z_t):
-        # both heads before both losses: node order sets the order gradients are summed in
-        logits_s = classifier_logits(tape, p, z_s, "source")
-        logits_t = classifier_logits(tape, p, z_t, "target")
-        return task_loss_on_tape(tape, logits_s, y_s), task_loss_on_tape(tape, logits_t, y_t)
-
-    refs.z_s = encode_on_tape(tape, p, seq_s)
-    refs.z_t = encode_on_tape(tape, p, seq_t)
-    z_s_in, z_t_in = refs.z_s, refs.z_t
+    z = {d: encode_on_tape(tape, p, batches[d][0]) for d in row.domains}
+    refs.z_s, refs.z_t = z.get("source", -1), z.get("target", -1)
     if row.disc:
         # the shared features, reversed, feed the discriminator
         u_s = tape.dense(refs.z_s, p["sh_W"], p["sh_b"], "tanh")
@@ -217,21 +200,17 @@ def strategy_forward(
         if row.disc:  # ascent on the domain loss, read before the reversal
             inner, sign, reversed_at = refs.loss_d, 1.0, (grl_s, grl_t)
         else:  # descent on the summed task losses
-            inner, sign, reversed_at = tape.add(*heads(refs.z_s, refs.z_t)), -1.0, None
+            inner, sign, reversed_at = functools.reduce(tape.add, task_losses(z).values()), -1.0, None
         latents = latent_step(tape, refs.z_s, refs.z_t, inner, gamma, sign, reversed_at)
-        z_s_in, z_t_in = latents.id_s_prime, latents.id_t_prime
-    refs.loss_s, refs.loss_t = heads(z_s_in, z_t_in)
+        z = dict(zip(DOMAINS, (latents.id_s_prime, latents.id_t_prime)))
+    losses = task_losses(z)
+    refs.loss_s, refs.loss_t = losses.get("source", -1), losses.get("target", -1)
+    refs.objective = functools.reduce(tape.add, losses.values())
     if row.disc:
-        refs.objective = tape.add(tape.add(refs.loss_s, refs.loss_t), refs.loss_d)
-    else:
-        refs.objective = tape.add(refs.loss_s, refs.loss_t)
-    return ForwardResult(
-        refs,
-        float(tape.value(refs.loss_s)),
-        float(tape.value(refs.loss_t)),
-        float(tape.value(refs.loss_d)) if row.disc else None,
-        latents,
-    )
+        refs.objective = tape.add(refs.objective, refs.loss_d)
+    value = {d: float(tape.value(loss)) for d, loss in losses.items()}
+    loss_d = float(tape.value(refs.loss_d)) if row.disc else None
+    return ForwardResult(refs, value.get("source"), value.get("target"), loss_d, latents)
 
 
 W_B_TENSORS = ModelParams.GROUPS["w_b"]
@@ -413,10 +392,11 @@ def train_run(
     Each step takes its rate from the cosine schedule and its reversal
     weight from the ramp; a non-finite loss aborts the run with
     ``TrainingAborted``. After each epoch the parameters are scored by the
-    positive-class F, on the ``dev`` split, of the head the strategy trains:
-    the source head for ``single:source``, the target head for every other
-    strategy. They are copied only when that F beats every earlier epoch's:
-    the result holds that copy as ``selected`` and its index as ``epoch``.
+    positive-class F, on the ``dev`` split, of the head of the last of the
+    row's ``domains``: the source head for ``single:source``, the target
+    head for every other strategy. They are copied only when that F beats
+    every earlier epoch's: the result holds that copy as ``selected`` and
+    its index as ``epoch``.
     ``run_log`` is an optional file handle receiving one JSON line per
     epoch, written before the epoch is scored.
     """
@@ -428,7 +408,7 @@ def train_run(
             raise ValueError(f"train_run: epoch {epoch} holds {len(pairs)} batches, epoch 0 holds {steps_per_epoch}")
     total_steps = steps_per_epoch * len(schedule)
     with_disc = TABLE[strategy].disc
-    domain = TABLE[strategy].domain or "target"
+    domain = TABLE[strategy].domains[-1]
     opt_state = AdamState()
     reports, dev_f, best = [], [], 0
     t0 = time.perf_counter()

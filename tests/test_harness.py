@@ -929,3 +929,31 @@ def test_analyze_compares_every_variant_with_its_base_in_sorted_order():
     assert list(analyze(default, _reports({s: fs[s] for s in default.strategies}))["comparisons"]) == [
         "adv+lo vs adv", "mtl+lo vs mtl"
     ]
+
+
+def test_analyze_pairs_every_strategy_with_the_target_only_row():
+    spec = ExperimentSpec(strategies=["mtl", "adv", "adv+lo", "seq", "tgt"], seeds=[0, 1, 2, 3])
+    fs = {s: [0.5, 0.5, 0.5, 0.5] for s in spec.strategies}
+    # seq - tgt: -0.25, 0, -0.25, -0.5 over 4 seeds, 1 tie, mean -0.25, sd sqrt(0.125 / 3);
+    # 0 wins of 3 untied seeds, two-sided: p = 2 * 0.5**3 = 0.25
+    fs["tgt"] = [0.75, 0.5, 0.75, 1.0]
+    reports = _reports(fs) + [
+        MetricsReport("seq", 4, 1e-3, 0.5, 1.0, 0.5, 0.5, 1, 10.0, 0),  # no tgt at seed 4
+        MetricsReport("tgt", 5, 1e-3, 0.0, 0.0, 0.0, 0.0, -1, 0.0, 0, failed=True),
+        MetricsReport("mtl", 5, 1e-3, 0.5, 1.0, 0.5, 0.5, 1, 10.0, 0),  # tgt failed at seed 5
+    ]
+    analysis = analyze(spec, reports)
+    out = analysis["comparisons"]
+    assert list(out) == ["adv+lo vs adv", "adv vs tgt", "adv+lo vs tgt", "mtl vs tgt", "seq vs tgt"]
+    cmp = out["seq vs tgt"]
+    sd = math.sqrt(0.125 / 3)
+    half = 3.182446 * sd / 2.0
+    assert (cmp["n_seeds"], cmp["n_ties"], cmp["mean_diff"], cmp["sign_test_p"]) == (4, 1, -0.25, 0.25)
+    assert cmp["sd_diff"] == pytest.approx(sd, abs=1e-15)
+    assert cmp["ci95_diff"] == pytest.approx([-0.25 - half, -0.25 + half], abs=1e-15)
+    assert out["mtl vs tgt"] == cmp  # the same differences over the same seeds
+    line = "seq vs tgt: mean diff -0.2500 over 4 seeds (1 ties), sd 0.2041, 95% t interval [-0.5748, +0.0748], sign-test p=0.2500"
+    assert format_summary(analysis).splitlines()[-2:] == [line, "FAILED RUNS: 1"]
+    alone = _reports({"tgt": fs["tgt"], "seq": fs["seq"]})
+    assert list(analyze(ExperimentSpec(strategies=["tgt"]), alone[:4])["comparisons"]) == []
+    assert list(analyze(ExperimentSpec(strategies=["seq", "tgt"]), alone)["comparisons"]) == ["seq vs tgt"]

@@ -51,7 +51,7 @@ def test_settable_surface_is_pinned():
     assert [f.name for f in fields(training.RunResult)] == [
         "strategy", "selected", "epoch", "epoch_reports", "dev_f", "wall_ms", "peak_aux"
     ]
-    assert [f.name for f in fields(training.Strategy)] == ["base", "disc", "lookahead", "domain", "phases"]
+    assert [f.name for f in fields(training.Strategy)] == ["base", "disc", "lookahead", "domains", "phases"]
     gone = [
         (render, "ContourGrid"),
         (harness, "data_problem"),
@@ -79,6 +79,7 @@ def test_settable_surface_is_pinned():
         (cli, "_out_ok"),
         (training, "_base"),
         (harness, "sequential_finetune"),
+        (training.Strategy, "domain"),
     ]
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
 
@@ -204,17 +205,25 @@ def test_latopt_calls_no_numpy_set_routine():
     assert found == set()
 
 
+def _compares_with_one_of(node, names) -> bool:
+    """Whether ``node`` compares a value (``==``, ``!=``, ``in``, ``not in``)
+    with a string constant in ``names``, alone or in a tuple."""
+    if not isinstance(node, ast.Compare):
+        return False
+    constants = {
+        c.value for side in (node.left, *node.comparators) for c in ast.walk(side) if isinstance(c, ast.Constant)
+    }
+    equality = any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+    return equality and any(isinstance(c, str) and c in names for c in constants)
+
+
 def _tests_a_strategy_name(node) -> bool:
     """Whether ``node`` compares a value with a strategy-name string constant
-    (``==``, ``!=``, ``in``, ``not in``), or calls ``split``, ``startswith``
-    or ``endswith`` on a strategy name or with a piece of one."""
+    (see ``_compares_with_one_of``), or calls ``split``, ``startswith`` or
+    ``endswith`` on a strategy name or with a piece of one."""
     names = training.TABLE
     if isinstance(node, ast.Compare):
-        constants = {
-            c.value for side in (node.left, *node.comparators) for c in ast.walk(side) if isinstance(c, ast.Constant)
-        }
-        equality = any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
-        return equality and any(isinstance(c, str) and c in names for c in constants)
+        return _compares_with_one_of(node, names)
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         if node.func.attr not in ("split", "startswith", "endswith"):
             return False
@@ -231,7 +240,7 @@ def test_no_function_reads_a_strategy_name_apart_from_the_table():
 def test_every_phase_of_a_row_is_a_single_domain_row():
     # a phase trains one domain from the previous phase's selection
     phases = [p for row in training.TABLE.values() for p in row.phases]
-    assert phases and [p for p in phases if p not in training.TABLE or training.TABLE[p].domain is None] == []
+    assert phases and [p for p in phases if p not in training.TABLE or len(training.TABLE[p].domains) != 1] == []
 
 
 def test_the_strategy_name_check_sees_each_way_of_reading_a_name():
@@ -247,6 +256,32 @@ def test_the_strategy_name_check_sees_each_way_of_reading_a_name():
     assert found('train_run("single:source", params)') == [False]  # calling a row by name
     assert found('ds.split("train")') == [False]
     assert found('domain == "source"') == [False]
+
+
+def _compares_a_domain_name(node) -> bool:
+    return _compares_with_one_of(node, model.DOMAINS)
+
+
+def test_no_function_in_model_training_or_harness_compares_a_domain_name():
+    # a domain's head is read from model.HEADS and the domains a run trains
+    # from its row; the generator's per-domain settings in data are not heads
+    found = _latopt_functions_with(_compares_a_domain_name)
+    assert {f for f in found if f.split(".")[0] in ("model", "training", "harness")} == set()
+
+
+def test_the_domain_name_check_sees_each_way_of_comparing_one():
+    def found(source):
+        nodes = ast.walk(ast.parse(source))
+        return [_compares_a_domain_name(node) for node in nodes if isinstance(node, (ast.Compare, ast.Call))]
+
+    assert found('domain == "source"') == [True]
+    assert found('"target" != row.domain') == [True]
+    assert found('d in ("source", "target")') == [True]
+    assert found('("phi_t" if domain == "source" else "phi_s") == group') == [True, True]
+    assert found('domain not in DOMAINS') == [False]
+    assert found('z.get("source", -1)') == [False]  # reading a domain's entry
+    assert found('strategy == "adv"') == [False]
+    assert found('len(row.domains) > 1') == [False, False]
 
 
 # the trajectory recurrence and its step rules (each closure is ``step``)

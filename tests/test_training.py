@@ -18,6 +18,7 @@ from latopt.model import ModelConfig, ModelParams, grl_weight, init_params, oneh
 from latopt.optim import AdamState
 from latopt.training import (
     STRATEGIES,
+    TABLE,
     EpochReport,
     TrainingConfig,
     batch_schedule,
@@ -593,8 +594,25 @@ def test_training_config_rejects_nonfinite_or_negative_values(field, value, reas
 
 
 def test_trainable_tensors_exclude_discriminator_for_mtl():
-    assert not any(n.startswith("disc") for n in trainable_tensors("mtl"))
-    assert any(n.startswith("disc") for n in trainable_tensors("adv"))
+    # every row trains whole groups: theta_d only with a discriminator, and a
+    # single-domain row no head but its own domain's
+    groups = ModelParams.GROUPS
+    trained = {}
+    for name in TABLE:
+        names = trainable_tensors(name)
+        trained[name] = [g for g, members in groups.items() if set(members) <= set(names)]
+        assert sorted(names) == sorted(t for g in trained[name] for t in groups[g])
+    two_heads = ["w_b", "w_sh", "phi_s", "phi_t"]
+    assert {name: g for name, g in trained.items() if not TABLE[name].phases} == {
+        "mtl": two_heads,
+        "mtl+lo": two_heads,
+        "adv": [*two_heads, "theta_d"],
+        "adv+lo": [*two_heads, "theta_d"],
+        "adv+maml": [*two_heads, "theta_d"],
+        "single:source": ["w_b", "w_sh", "phi_s"],
+        "single:target": ["w_b", "w_sh", "phi_t"],
+    }
+    assert [name for name, g in trained.items() if ("theta_d" in g) != TABLE[name].disc] == []
 
 
 def test_mtl_equals_adv_with_zero_reversal_weight(monkeypatch):
