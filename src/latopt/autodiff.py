@@ -335,26 +335,27 @@ def _fw_embedding_mean(vals, meta):
     form a prefix; positions are summed in order, then divided by the
     lengths. That is the order ``table[ids].mean(axis=0)`` sums in for a
     table of two or more columns (numpy sums a single column pairwise).
-    The positions every sequence reaches are summed in one reduce over the
+    The positions every sequence reaches are gathered by a dense (position,
+    sequence) index, with no mask, and summed in one reduce over the
     position axis, which adds them in order from -0.0 (so an all -0.0
-    column stays -0.0), the rest one position at a time. With one sequence
-    of one column numpy would sum that reduce pairwise, so there the reduce
-    takes only the first position.
+    column stays -0.0). The rest, the tail, are gathered through a mask
+    over the tail positions alone and added one position at a time. With
+    one sequence of one column numpy would sum that reduce pairwise, so
+    there the reduce takes only the first position.
     """
     table = vals[0]
     ids, lengths = meta["ids"], meta["lengths"]
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     starts = (np.cumsum(lengths) - lengths)[order]
-    pos = np.arange(sorted_len[0])[:, None]
-    active = pos < sorted_len
-    rows = table.take(ids[(starts + pos)[active]], axis=0)  # position-major, active rows only; take beats [] here
-    n_active = np.add.reduce(active, axis=1).tolist()
-    batch, dim = len(lengths), table.shape[1]
-    full = int(sorted_len[-1]) if batch * dim > 1 else 1
-    acc = np.add.reduce(rows[: full * batch].reshape(full, batch, dim), axis=0, initial=-0.0)
-    at = full * batch
-    for n in n_active[full:]:
+    full = int(sorted_len[-1]) if len(lengths) * table.shape[1] > 1 else 1
+    # (position, sequence, column), freed before the tail's rows are taken; take beats []
+    acc = np.add.reduce(table.take(ids.take(starts + np.arange(full)[:, None]), axis=0), axis=0, initial=-0.0)
+    tail = np.arange(full, sorted_len[0])[:, None]
+    active = tail < sorted_len
+    rows = table.take(ids.take((starts + tail)[active]), axis=0)  # position-major, active rows only
+    at = 0
+    for n in np.add.reduce(active, axis=1).tolist():
         acc[:n] += rows[at : at + n]
         at += n
     out = np.empty_like(acc)
@@ -576,7 +577,8 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
     node is requested and the result is a list indexed by node id. Terms are
     added in the same order whatever is requested, starting from +0.0, so a
     gradient is bitwise the same either way. A row-sparse gradient is made
-    dense only here, or before the backward of a node it reaches. The loss
+    dense only here, or before the backward of a node it reaches. A node's
+    gradient that is not requested is dropped as its backward runs. The loss
     must be scalar-shaped.
     """
     nodes = tape.nodes
@@ -599,10 +601,11 @@ def backward(tape: Tape, loss: NodeId, wrt=None):
                     live[nid] = True
                     break
     grads: dict[NodeId, np.ndarray] = {loss: np.ones_like(loss_node.value)}
+    keep = None if every else set(wrt)  # the gradients returned; the rest go once read
     summed = set()  # nodes whose gradient adds two or more checked terms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for nid in range(loss, first - 1, -1):
-            g = grads.get(nid)
+            g = grads.get(nid) if keep is None or nid in keep else grads.pop(nid, None)
             if g is None:
                 continue
             node = nodes[nid]

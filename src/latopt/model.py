@@ -268,17 +268,19 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by ``save_checkpoint``. The file must be a
-    JSON object whose ``config`` holds an integer for each field of
-    ``ModelConfig`` and nothing else (a bool is not an integer), and whose
-    ``groups`` hold every tensor in its own group of ``ModelParams.GROUPS``,
-    with the shape the config gives it and finite numbers as data;
-    otherwise ``ValueError`` names the key or tensor."""
+    JSON object whose ``version`` is the integer ``CHECKPOINT_VERSION``,
+    whose ``config`` holds an integer for each field of ``ModelConfig`` and
+    nothing else (a bool or a float is not an integer), and whose ``groups``
+    hold every tensor in its own group of ``ModelParams.GROUPS``, with the
+    shape the config gives it as a list of integers and finite numbers as
+    data; otherwise ``ValueError`` names the key or tensor."""
     with open(path) as f:
         payload = json.load(f)
     if type(payload) is not dict:
         raise ValueError("checkpoint: not a JSON object")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint: 'version' must be the integer {CHECKPOINT_VERSION}, got {json.dumps(version)}")
     for key in ("config", "groups"):
         if type(payload.get(key)) is not dict:
             raise ValueError(f"checkpoint: {key!r} must be a JSON object")
@@ -304,6 +306,8 @@ def load_checkpoint(path) -> ModelParams:
                 raise ValueError(f"checkpoint: tensor {name!r} is not a member of group {g!r}")
             if type(spec) is not dict or type(spec.get("shape")) is not list or type(spec.get("data")) is not list:
                 raise ValueError(f"checkpoint: tensor {name!r} needs a list 'shape' and a list 'data'")
+            if not all(type(d) is int for d in spec["shape"]):
+                raise ValueError(f"checkpoint: tensor {name!r} shape must be a list of integers, got {json.dumps(spec['shape'])}")
             not_numbers = f"checkpoint: tensor {name!r} data must be a list of numbers"
             if not set(map(type, spec["data"])) <= {int, float}:  # a bool, a string or a list is not
                 raise ValueError(not_numbers)

@@ -329,6 +329,10 @@ def _malformed(payload, how):
         return [payload]
     if how in ("no_config", "no_groups"):
         del payload[how[3:]]
+    elif how == "bool_version":
+        payload["version"] = True
+    elif how == "float_version":
+        payload["version"] = 1.0
     elif how == "unknown_config_key":
         config["depth"] = 2
     elif how == "missing_config_key":
@@ -341,6 +345,10 @@ def _malformed(payload, how):
         groups["w_sh"] = list(groups["w_sh"].values())
     elif how == "tensor_list":
         groups["w_sh"]["sh_W"] = groups["w_sh"]["sh_W"]["data"]
+    elif how == "float_shape":
+        groups["w_b"]["embedding"]["shape"] = [20.0, 4.0]
+    elif how == "bool_shape":
+        groups["w_sh"]["sh_W"]["shape"] = [True, 4]
     elif how == "string_data":
         groups["w_sh"]["sh_W"]["data"][3] = "0.5"
     elif how == "ragged_data":
@@ -356,6 +364,8 @@ def _malformed(payload, how):
 
 MALFORMED_CHECKPOINTS = [
     ("list", "checkpoint: not a JSON object"),
+    ("bool_version", "checkpoint: 'version' must be the integer 1, got true"),
+    ("float_version", "checkpoint: 'version' must be the integer 1, got 1.0"),
     ("no_config", "checkpoint: 'config' must be a JSON object"),
     ("no_groups", "checkpoint: 'groups' must be a JSON object"),
     ("unknown_config_key", "checkpoint: unknown config key 'depth'"),
@@ -364,6 +374,8 @@ MALFORMED_CHECKPOINTS = [
     ("bool_dim", "checkpoint: config 'embed_dim' must be an integer, got true"),
     ("group_list", "checkpoint: group 'w_sh' must be a JSON object"),
     ("tensor_list", "checkpoint: tensor 'sh_W' needs a list 'shape' and a list 'data'"),
+    ("float_shape", "checkpoint: tensor 'embedding' shape must be a list of integers, got [20.0, 4.0]"),
+    ("bool_shape", "checkpoint: tensor 'sh_W' shape must be a list of integers, got [true, 4]"),
     ("string_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),
     ("ragged_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),
     ("bool_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),

@@ -117,20 +117,26 @@ def sequential_mean(table, sequences):
     return out
 
 
-@pytest.mark.parametrize("lengths", ["equal", "unequal"])
+@pytest.mark.parametrize("lengths", ["equal", "unequal", "thin_tail", "ones"])
 @pytest.mark.parametrize("dim", [1, 16])
 @pytest.mark.parametrize("batch", [1, 2, 128])
 def test_embedding_mean_forward_matches_sequential_sums(batch, dim, lengths):
     # the positions every sequence reaches are summed in one reduce; a -0.0
-    # row keeps a column -0.0 only when the sum starts from -0.0
+    # row keeps a column -0.0 only when the sum starts from -0.0. A thin
+    # tail (one sequence of 200 among ones of 1-3) leaves one row at most
+    # of the positions after the shortest length; all ones leave none
     rng = np.random.default_rng(batch * 100 + dim)
     for _ in range(5):
         table = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-3, 4)
         table[rng.random(40) < 0.25] = -0.0
         if lengths == "equal":
             lens = [int(rng.integers(1, 30))] * batch
-        else:
+        elif lengths == "unequal":
             lens = rng.integers(1, 30, size=batch).tolist()
+        elif lengths == "thin_tail":
+            lens = rng.permutation(rng.integers(1, 4, size=batch - 1).tolist() + [200]).tolist()
+        else:
+            lens = [1] * batch
         sequences = [rng.integers(0, 40, size=n).tolist() for n in lens]
         t = Tape()
         assert _same(t.value(t.embedding_mean(t.leaf(table), sequences)), sequential_mean(table, sequences))
