@@ -129,7 +129,7 @@ class GeneratorConfig:
             raise ValueError(f"vocab_size must be at most 2**31 - 1, got {self.vocab_size}")
         if self.target_cue_rate is None:
             self.target_cue_rate = 0.4 * self.cue_rate
-        for name in ("n_shared", "n_cues", "n_background"):
+        for name in ("n_shared", "n_cues", "n_background", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         sets = self.token_sets()

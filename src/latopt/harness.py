@@ -39,22 +39,8 @@ from .training import (
     train_run,
 )
 
-SUMMARY_COLUMNS = (
-    "strategy",
-    "seed",
-    "devF",
-    "testF",
-    "testR",
-    "testP",
-    "epoch",
-    "wall_ms",
-    "aux_state",
-    "rel_time",
-    "rel_state",
-)
-
-# the two-domain strategies plus the rows that train in single-domain phases
-SPEC_STRATEGIES = tuple(name for name, s in TABLE.items() if len(s.domains) > 1)
+# the rows a spec may name: the two-domain strategies, or the rows that train in phases
+SPEC_STRATEGIES = tuple(name for name, s in TABLE.items() if len(s.domains) > 1 or s.phases)
 
 
 class SpecError(ValueError):
@@ -399,9 +385,10 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, source=None, target=None)
     raises ``SpecError`` first, before any dataset is read or generated.
     The datasets are checked against the spec next (see ``checked_splits``);
     a spec that does not fit them raises ``SpecError`` before any training.
-    Returns (reports, analysis). ``analysis`` holds per-strategy mean/std
-    test F, the variant-vs-base comparisons (see ``analyze``), and the
-    relative resource table. Failed runs are kept in the reports with
+    Returns (reports, analysis). ``analysis`` holds ``strategies`` (the
+    per-strategy test and dev F), ``comparisons`` (each variant against its
+    base, and each strategy against ``tgt``; see ``analyze``), ``n_failed``
+    and ``wall_s``. Failed runs are kept in the reports with
     ``failed=True``.
     """
     if out_dir is not None and (problem := out_dir_problem(out_dir)):
@@ -437,59 +424,48 @@ def _rel_state(spec: ExperimentSpec, report: MetricsReport) -> float:
 
 
 def analyze(spec: ExperimentSpec, reports: list) -> dict:
-    """Per-strategy test and dev F over the runs that did not fail, and for
-    each (base, variant) pair in sorted order, then each other strategy
-    against the target-only row (``tgt``) in sorted order, over the seeds
-    where both ran: the seeds whose test F ties exactly (the sign test drops
-    them), the mean and sample sd of the paired differences, their 95% t
-    interval (see ``metrics.t_interval_95``; None below two seeds) and the
-    sign-test p."""
-    ok = [r for r in reports if not r.failed]
-    by_strategy: dict[str, list] = {}
-    for r in ok:
-        by_strategy.setdefault(r.strategy, []).append(r)
-
-    def mean_std(values):
-        return (float(np.mean(values)), float(np.std(values))) if values else (0.0, 0.0)
-
+    """Per-strategy test and dev F over the runs that did not fail, keyed
+    once by (strategy, seed), and for each (base, variant) pair in sorted
+    order, then each other strategy against the reference in sorted order,
+    over the seeds where both ran. The reference is the one row a spec may
+    name that trains a single domain, the target-only ``tgt``. A comparison
+    holds the seeds whose test F ties exactly (the sign test drops them),
+    the mean and sample sd of the paired differences, their 95% t interval
+    (see ``metrics.t_interval_95``; None below two seeds) and the sign-test
+    p."""
+    cells = {(r.strategy, r.seed): r for r in reports if not r.failed}
+    ran = sorted({s for s, _ in cells})
     strategies = {}
-    for s, rs in sorted(by_strategy.items()):
-        mf, sf = mean_std([r.test_f for r in rs])
+    for s in ran:
+        rs = [r for (name, _), r in cells.items() if name == s]
+        test_f = [r.test_f for r in rs]
         strategies[s] = {
             "n": len(rs),
-            "mean_test_f": mf,
-            "std_test_f": sf,
-            "mean_dev_f": mean_std([r.dev_f for r in rs])[0],
-            "mean_wall_ms": mean_std([r.wall_ms for r in rs])[0],
-            "aux_state": max((r.aux_state for r in rs), default=0),
+            "mean_test_f": float(np.mean(test_f)),
+            "std_test_f": float(np.std(test_f)),
+            "mean_dev_f": float(np.mean([r.dev_f for r in rs])),
+            "mean_wall_ms": float(np.mean([r.wall_ms for r in rs])),
+            "aux_state": max(r.aux_state for r in rs),
         }
 
-    # the target-only row: each of its phases trains just the domain the last is scored on
-    target_only = next(
-        name
-        for name, row in TABLE.items()
-        if row.phases and {TABLE[p].domains for p in row.phases} == {TABLE[row.phases[-1]].domains[-1:]}
-    )
-    pairs = sorted((TABLE[s].base, s) for s in by_strategy if TABLE[s].base != s)
-    pairs += [(target_only, s) for s in sorted(by_strategy) if s != target_only]
+    reference = next(s for s in SPEC_STRATEGIES if len(TABLE[s].domains) == 1)
+    pairs = sorted((TABLE[s].base, s) for s in ran if TABLE[s].base != s)
+    pairs += [(reference, s) for s in ran if s != reference]
     comparisons = {}
     for base, variant in pairs:
-        if base in by_strategy:
-            seeds = sorted(
-                {r.seed for r in by_strategy[variant]} & {r.seed for r in by_strategy[base]}
-            )
-            a = [next(r.test_f for r in by_strategy[variant] if r.seed == s) for s in seeds]
-            b = [next(r.test_f for r in by_strategy[base] if r.seed == s) for s in seeds]
-            if seeds:
-                sd, interval = t_interval_95(np.subtract(a, b))
-                comparisons[f"{variant} vs {base}"] = {
-                    "n_seeds": len(seeds),
-                    "n_ties": sum(x == y for x, y in zip(a, b)),
-                    "mean_diff": float(np.mean(a) - np.mean(b)),
-                    "sd_diff": sd,
-                    "ci95_diff": interval,
-                    "sign_test_p": paired_sign_test(a, b),
-                }
+        seeds = sorted(seed for s, seed in cells if s == variant and (base, seed) in cells)
+        if seeds:
+            a = [cells[variant, seed].test_f for seed in seeds]
+            b = [cells[base, seed].test_f for seed in seeds]
+            sd, interval = t_interval_95(np.subtract(a, b))
+            comparisons[f"{variant} vs {base}"] = {
+                "n_seeds": len(seeds),
+                "n_ties": sum(x == y for x, y in zip(a, b)),
+                "mean_diff": float(np.mean(a) - np.mean(b)),
+                "sd_diff": sd,
+                "ci95_diff": interval,
+                "sign_test_p": paired_sign_test(a, b),
+            }
     return {
         "strategies": strategies,
         "comparisons": comparisons,
@@ -530,10 +506,11 @@ def write_outputs(spec: ExperimentSpec, reports, analysis, out_dir) -> None:
     with open(out / "reports.jsonl", "w") as fh:
         for r in reports:
             fh.write(json.dumps(asdict(r)) + "\n")
+    rows = summary_rows(spec, reports)
     with open(out / "summary.csv", "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in summary_rows(spec, reports):
-            fh.write(",".join(str(row[c]) for c in SUMMARY_COLUMNS) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row.values())) + "\n")
     with open(out / "summary.json", "w") as fh:
         json.dump(analysis, fh, indent=2)
 

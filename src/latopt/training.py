@@ -43,7 +43,7 @@ class Strategy:
     base: str  # whose rate it inherits: its own name for a base
     disc: bool = False  # trains a discriminator
     lookahead: str | None = None  # None, "latent" (a step on the latents) or "params" (on the encoder)
-    domains: tuple[str, ...] = DOMAINS  # the domains it trains, each with its head; scored on the last
+    domains: tuple[str, ...] = DOMAINS  # the domains it or its phases train, each with its head; scored on the last
     phases: tuple[str, ...] = ()  # single-domain rows trained in turn, each from the last's selection; () is itself
 
 
@@ -57,7 +57,7 @@ TABLE = {
     "single:source": Strategy("single:source", domains=("source",)),
     "single:target": Strategy("single:target", domains=("target",)),
     "seq": Strategy("seq", phases=("single:source", "single:target")),
-    "tgt": Strategy("tgt", phases=("single:target",)),
+    "tgt": Strategy("tgt", domains=("target",), phases=("single:target",)),
 }
 STRATEGIES = tuple(name for name, s in TABLE.items() if len(s.domains) > 1 and not s.phases)
 

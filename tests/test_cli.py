@@ -169,8 +169,9 @@ def test_quad_degenerate_bounding_box_exits_2_and_writes_nothing(tmp_path, capsy
         ("--cue-share", "0.8", "signal_rate + cue_rate must not exceed 1"),
         ("--max-len", "0", "max_len must be >= 1, got 0"),
         ("--max-len", "1", "upsample: class 0 is empty"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
     ],
-    ids=["cue_share_above_1", "cue_share_plus_signal_above_1", "max_len_0", "max_len_1"],
+    ids=["cue_share_above_1", "cue_share_plus_signal_above_1", "max_len_0", "max_len_1", "seed_negative"],
 )
 def test_gen_bad_input_exits_2_before_writing(tmp_path, capsys, flag, value, reason):
     out = tmp_path / "pair"

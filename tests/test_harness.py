@@ -23,7 +23,6 @@ from latopt.harness import (
     format_summary,
     run_experiment,
     summary_rows,
-    SUMMARY_COLUMNS,
 )
 from latopt.metrics import f_score, paired_sign_test
 from latopt.model import ModelConfig, ModelParams, init_params, predict
@@ -364,8 +363,9 @@ def test_run_experiment_counts_and_outputs(tmp_path, fast_pair):
 
     lines = (tmp_path / "reports.jsonl").read_text().strip().splitlines()
     assert len(lines) == 4
-    header = (tmp_path / "summary.csv").read_text().splitlines()[0]
-    assert header == ",".join(SUMMARY_COLUMNS)
+    header, *body = (tmp_path / "summary.csv").read_text().splitlines()
+    assert header == "strategy,seed,devF,testF,testR,testP,epoch,wall_ms,aux_state,rel_time,rel_state"
+    assert body == [",".join(str(row[c]) for c in header.split(",")) for row in summary_rows(spec, reports)]
 
     # lookahead variant inherits the base strategy's selected rate
     by = {(r.strategy, r.seed): r for r in reports}

@@ -80,6 +80,7 @@ def test_settable_surface_is_pinned():
         (training, "_base"),
         (harness, "sequential_finetune"),
         (training.Strategy, "domain"),
+        (harness, "SUMMARY_COLUMNS"),
     ]
     assert [f"{m.__name__}.{name}" for m, name in gone if hasattr(m, name)] == []
 
@@ -241,6 +242,13 @@ def test_every_phase_of_a_row_is_a_single_domain_row():
     # a phase trains one domain from the previous phase's selection
     phases = [p for row in training.TABLE.values() for p in row.phases]
     assert phases and [p for p in phases if p not in training.TABLE or len(training.TABLE[p].domains) != 1] == []
+    # a row's domains say what it trains: a phased row's are its phases', in order, without repeats
+    for row in training.TABLE.values():
+        if row.phases:
+            assert row.domains == tuple(dict.fromkeys(d for p in row.phases for d in training.TABLE[p].domains))
+    assert (training.TABLE["seq"].domains, training.TABLE["tgt"].domains) == (("source", "target"), ("target",))
+    # analyze's reference is the one spec strategy that trains a single domain
+    assert [s for s in harness.SPEC_STRATEGIES if len(training.TABLE[s].domains) == 1] == ["tgt"]
 
 
 def test_the_strategy_name_check_sees_each_way_of_reading_a_name():
