@@ -57,7 +57,7 @@ def _token_array(tokens) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Example:
     """One labelled token sequence. ``tokens`` is a read-only 1-D int32
     array: an array that already is one is kept as it is, often a view into

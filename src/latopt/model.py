@@ -28,6 +28,7 @@ from .autodiff import NodeId, Tape, pack
 CHECKPOINT_VERSION = 1
 GRL_K = 10.0  # steepness of the reversal-weight ramp
 PREDICT_CHUNK = 256  # sequences per tape in ``predict``
+SAVE_CHUNK = 4096  # tensor values per ``json.dumps`` call in ``save_checkpoint``
 
 
 @dataclass
@@ -247,33 +248,39 @@ def predict(params: ModelParams, sequences, domain: str) -> np.ndarray:
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """JSON checkpoint: group-name -> tensor-name -> shape + row-major
-    values. Floats are serialized via repr so the round-trip is exact."""
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(params.config),
-        "groups": {
-            g: {
-                name: {
-                    "shape": list(params.tensors[name].shape),
-                    "data": params.tensors[name].reshape(-1).tolist(),
-                }
-                for name in names
-            }
-            for g, names in ModelParams.GROUPS.items()
-        },
+    values. Floats are serialized via repr so the round-trip is exact. The
+    file is written a piece at a time, ``SAVE_CHUNK`` values per call to the
+    C encoder, in the bytes one ``json.dumps`` of the whole payload gives;
+    every tensor is looked up first, so a missing one raises before ``path``
+    is opened."""
+    groups = {
+        g: {name: (list(params.tensors[name].shape), params.tensors[name].reshape(-1)) for name in names}
+        for g, names in ModelParams.GROUPS.items()
     }
+    head = json.dumps({"version": CHECKPOINT_VERSION, "config": asdict(params.config)})
     with open(path, "w") as f:
-        f.write(json.dumps(payload))  # one call to the C encoder; json.dump streams through the Python one
+        f.write(head[:-1] + ', "groups": {')
+        for i, (g, tensors) in enumerate(groups.items()):
+            f.write(f'{", " if i else ""}{json.dumps(g)}: {{')
+            for j, (name, (shape, flat)) in enumerate(tensors.items()):
+                f.write(f'{", " if j else ""}{json.dumps(name)}: {{"shape": {json.dumps(shape)}, "data": [')
+                for k in range(0, flat.size, SAVE_CHUNK):
+                    f.write((", " if k else "") + json.dumps(flat[k : k + SAVE_CHUNK].tolist())[1:-1])
+                f.write("]}")
+            f.write("}")
+        f.write("}}")
 
 
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint written by ``save_checkpoint``. The file must be a
-    JSON object whose ``version`` is the integer ``CHECKPOINT_VERSION``,
-    whose ``config`` holds an integer for each field of ``ModelConfig`` and
+    JSON object holding ``version``, ``config`` and ``groups`` and nothing
+    else, whose ``version`` is the integer ``CHECKPOINT_VERSION``, whose
+    ``config`` holds an integer for each field of ``ModelConfig`` and
     nothing else (a bool or a float is not an integer), and whose ``groups``
-    hold every tensor in its own group of ``ModelParams.GROUPS``, with the
-    shape the config gives it as a list of integers and finite numbers as
-    data; otherwise ``ValueError`` names the key or tensor."""
+    name only groups of ``ModelParams.GROUPS`` and hold every tensor in its
+    own group, with the shape the config gives it as a list of integers and
+    finite numbers as data; otherwise ``ValueError`` names the key, group or
+    tensor."""
     with open(path) as f:
         payload = json.load(f)
     if type(payload) is not dict:
@@ -284,6 +291,9 @@ def load_checkpoint(path) -> ModelParams:
     for key in ("config", "groups"):
         if type(payload.get(key)) is not dict:
             raise ValueError(f"checkpoint: {key!r} must be a JSON object")
+    unknown = sorted(set(payload) - {"version", "config", "groups"})
+    if unknown:
+        raise ValueError(f"checkpoint: unknown key {unknown[0]!r}")
     config = dict(payload["config"])
     config.pop("grl_k", None)  # written by older version-1 files; nothing reads it
     keys = [f.name for f in fields(ModelConfig)]
@@ -299,10 +309,12 @@ def load_checkpoint(path) -> ModelParams:
     shapes = param_shapes(cfg)
     tensors = {}
     for g, names in payload["groups"].items():
+        if g not in ModelParams.GROUPS:
+            raise ValueError(f"checkpoint: unknown group {g!r}")
         if type(names) is not dict:
             raise ValueError(f"checkpoint: group {g!r} must be a JSON object")
         for name, spec in names.items():
-            if name not in ModelParams.GROUPS.get(g, ()):
+            if name not in ModelParams.GROUPS[g]:
                 raise ValueError(f"checkpoint: tensor {name!r} is not a member of group {g!r}")
             if type(spec) is not dict or type(spec.get("shape")) is not list or type(spec.get("data")) is not list:
                 raise ValueError(f"checkpoint: tensor {name!r} needs a list 'shape' and a list 'data'")

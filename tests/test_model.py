@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,28 @@ def test_checkpoint_bytes_match_golden(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
+def test_checkpoint_save_holds_a_bounded_piece_in_memory(tmp_path):
+    params = init_params(ModelConfig(), 7)
+    tracemalloc.start()
+    try:
+        save_checkpoint(params, tmp_path / "ckpt.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the whole file's text and value lists take about 7.7 MB
+
+
+def test_checkpoint_save_that_fails_leaves_the_file_as_it_was(tmp_path):
+    params = init_params(SMALL, 3)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, path)
+    before = path.read_bytes()
+    del params.tensors["cls_t1_W"]
+    with pytest.raises(KeyError, match="cls_t1_W"):
+        save_checkpoint(params, path)
+    assert path.read_bytes() == before
+
+
 def test_checkpoint_loads_version_1_file_with_grl_k(tmp_path):
     # older version-1 files carry the reversal ramp's k in their config
     params = init_params(SMALL, 5)
@@ -359,6 +382,10 @@ def _malformed(payload, how):
         groups["w_sh"]["sh_W"]["data"][3] = 10**400
     elif how in ("nan", "inf"):
         groups["w_sh"]["sh_W"]["data"][3] = float(how)
+    elif how == "unknown_key":
+        payload["extra"] = 1
+    elif how == "unknown_group":
+        groups["extra"] = {}
     return payload
 
 
@@ -382,6 +409,8 @@ MALFORMED_CHECKPOINTS = [
     ("huge_int_data", "checkpoint: tensor 'sh_W' data must be a list of numbers"),
     ("nan", "checkpoint: tensor 'sh_W' holds a non-finite value"),
     ("inf", "checkpoint: tensor 'sh_W' holds a non-finite value"),
+    ("unknown_key", "checkpoint: unknown key 'extra'"),
+    ("unknown_group", "checkpoint: unknown group 'extra'"),
 ]
 
 

@@ -12,6 +12,7 @@ import math
 import re
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -35,7 +36,17 @@ from latopt.autodiff import (  # noqa: E402
     pack,
 )
 from latopt.data import CHUNK, Example, GeneratorConfig, _exact_count_labels, generate_domain_pair  # noqa: E402
-from latopt.model import ModelConfig, init_params, load_checkpoint, onehot, predict, save_checkpoint  # noqa: E402
+from latopt.model import (  # noqa: E402
+    CHECKPOINT_VERSION,
+    SAVE_CHUNK,
+    ModelConfig,
+    ModelParams,
+    init_params,
+    load_checkpoint,
+    onehot,
+    predict,
+    save_checkpoint,
+)
 from latopt.optim import AdamState, adam_step  # noqa: E402
 from latopt.training import (  # noqa: E402
     TrainingConfig,
@@ -942,6 +953,72 @@ def test_checkpoint_round_trip_and_tampering(case):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=repr(name + "_extra" if tamper == "unknown" else name)):
             load_checkpoint(path)
+
+
+EXTREME_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf)
+
+
+def _save_case(vocab_size, embed_dim, latent_dim, seed, extremes=()):
+    """Parameters whose embedding holds ``vocab_size * embed_dim`` values,
+    drawn over many magnitudes, with each (tensor, index, value) of
+    ``extremes`` written in (the index taken modulo the tensor's size)."""
+    params = init_params(ModelConfig(vocab_size, embed_dim, latent_dim), seed)
+    rng = np.random.default_rng(seed)
+    for name, arr in params.tensors.items():
+        params.tensors[name] = rng.normal(size=arr.shape) * 10.0 ** rng.integers(-300, 300, size=arr.shape)
+    for name, index, value in extremes:
+        params.tensors[name].flat[index % params.tensors[name].size] = value
+    return params
+
+
+@st.composite
+def save_cases(draw):
+    names = sorted(name for names in ModelParams.GROUPS.values() for name in names)
+    extremes = draw(
+        st.lists(st.tuples(st.sampled_from(names), st.integers(0, 2**31), st.sampled_from(EXTREME_FLOATS)), max_size=4)
+    )
+    return _save_case(
+        draw(st.integers(1, 3 * SAVE_CHUNK + 1)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(0, 2**31)),
+        extremes,
+    )
+
+
+@PROPERTY
+@given(save_cases())
+@example(_save_case(SAVE_CHUNK - 1, 1, 2, 1))
+@example(_save_case(SAVE_CHUNK, 1, 3, 2, [("embedding", SAVE_CHUNK - 1, -0.0), ("sh_b", 0, 5e-324)]))
+@example(_save_case(SAVE_CHUNK + 1, 1, 1, 3, [("embedding", SAVE_CHUNK, math.nan)]))
+@example(_save_case(SAVE_CHUNK // 4, 4, 2, 4, [("enc1_W", 0, math.inf), ("cls_t2_b", 1, -math.inf)]))
+@example(_save_case(SAVE_CHUNK + 7, 3, 4, 5, [("embedding", 2 * SAVE_CHUNK, 1.7976931348623157e308)]))
+def test_checkpoint_pieces_give_the_bytes_of_one_dumps(params):
+    # the reference: the whole payload through one ``json.dumps`` call
+    payload = {
+        "version": CHECKPOINT_VERSION,
+        "config": asdict(params.config),
+        "groups": {
+            g: {
+                name: {
+                    "shape": list(params.tensors[name].shape),
+                    "data": params.tensors[name].reshape(-1).tolist(),
+                }
+                for name in names
+            }
+            for g, names in ModelParams.GROUPS.items()
+        },
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        save_checkpoint(params, path)
+        assert path.read_bytes() == json.dumps(payload).encode()
+        if all(np.isfinite(arr).all() for arr in params.tensors.values()):
+            loaded = load_checkpoint(path)
+            assert all(_same(loaded.tensors[name], arr) for name, arr in params.tensors.items())
+        else:
+            with pytest.raises(ValueError, match="holds a non-finite value"):
+                load_checkpoint(path)
 
 
 # --- synthetic corpora ------------------------------------------------------------

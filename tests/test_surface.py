@@ -95,6 +95,12 @@ def test_tape_node_attributes_are_pinned():
     assert not hasattr(node, "__dict__")
 
 
+def test_an_example_has_slots_and_no_dict():
+    # the ``score`` corpus holds 16,384 examples; a per-instance dict costs about 1 MB of its set-up
+    assert data.Example.__slots__ == ("tokens", "label", "split")
+    assert not hasattr(data.Example((1, 2), 0, "train"), "__dict__")
+
+
 def test_every_differentiable_op_stays_under_the_finite_difference_gate():
     # criterion 2 checks each op of this tuple, so a dropped op would go unchecked
     assert autodiff.DIFFERENTIABLE_OPS == (
